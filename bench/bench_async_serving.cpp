@@ -1,17 +1,17 @@
 // Asynchronous vs lockstep serving benchmark (BENCH_async_serving.json).
 //
-// The question: how much steps/sec does continuous batching buy over the
-// lockstep QServer when environments have heterogeneous latency? Both
-// servers run the SAME training-session specs (same seeds, same latency
-// mix via the env registry's "delay:<us>:<id>" modifier, same shared
-// software backend configuration); only the scheduling differs:
+// The question: how much steps/sec does continuous batching buy over
+// lockstep serving when environments have heterogeneous latency? Both
+// runs use rl::AsyncQServer with the SAME training-session specs (same
+// seeds, same latency mix via the env registry's "delay:<us>:<id>"
+// modifier, same shared software backend configuration); only the
+// configuration differs:
 //
-//   * lockstep — every tick waits for every session's environment step
-//     (sharded across env_threads = N workers, so sleeping environments
-//     overlap); with a heterogeneous mix every tick costs the SLOWEST
-//     session's delay. Sessions get equal fixed episode budgets and all
-//     finish at the same tick, so total_steps / wall is its sustained
-//     throughput with no idle tail.
+//   * lockstep — rl::lockstep_config(N): every drain waits for every live
+//     session's request (N workers, so sleeping environments overlap);
+//     with a heterogeneous mix every drain costs the SLOWEST session's
+//     delay. Sessions get equal fixed episode budgets, so total_steps /
+//     wall is its sustained throughput.
 //   * async — sessions advance at their own pace; fast sessions lap slow
 //     ones between batches. Sustained throughput is measured over a fixed
 //     wall-clock window (huge budgets, stop() at the deadline).
@@ -32,7 +32,6 @@
 #include "bench_common.hpp"
 #include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
-#include "rl/serving.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -92,18 +91,21 @@ struct Row {
 double run_lockstep(const MixConfig& mix, std::size_t n_sessions,
                     std::size_t episodes, std::size_t hidden_units) {
   const rl::SimplifiedOutputModel model(kStateDim, kActions);
-  rl::QServer server(rl::make_backend("software",
-                                      backend_config(hidden_units)),
-                     model, /*env_threads=*/n_sessions);
+  rl::AsyncQServer server(
+      rl::make_backend("software", backend_config(hidden_units)), model,
+      rl::lockstep_config(n_sessions));
+  std::vector<rl::AsyncSessionSpec> specs(n_sessions);
   for (std::size_t i = 0; i < n_sessions; ++i) {
-    server.add_session(session_spec(mix, i, episodes));
+    specs[i].session = session_spec(mix, i, episodes);
+    specs[i].mode = rl::AsyncSessionMode::kTrain;
   }
-  const rl::QServerResult result = server.run();
+  const util::WallTimer timer;
+  rl::add_cohort(server, specs);
   std::uint64_t total_steps = 0;
-  for (const rl::TrainResult& r : result.sessions) {
-    total_steps += r.total_steps;
+  for (const rl::AsyncSessionResult& r : server.drain()) {
+    total_steps += r.train.total_steps;
   }
-  return static_cast<double>(total_steps) / result.wall_seconds;
+  return static_cast<double>(total_steps) / timer.seconds();
 }
 
 Row run_async(const MixConfig& mix, std::size_t n_sessions,

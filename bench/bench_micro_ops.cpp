@@ -19,7 +19,6 @@
 #include "nn/huber.hpp"
 #include "nn/mlp.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -161,52 +160,6 @@ void BM_SymRank1Update(benchmark::State& state) {
 BENCHMARK(BM_SymRank1Update)
     ->ArgsProduct({{32, 64, 128, 192}, {0, 1}})
     ->ArgNames({"n", "simd"});
-
-void BM_SymRank1UpdateSharded(benchmark::State& state) {
-  // The n >= 512 parallel P-update: disjoint row bands of the upper
-  // triangle across a ThreadPool, then disjoint mirror bands, using the
-  // dispatcher's load-balanced splits (equal triangle areas, 16-aligned)
-  // — bit-identical to the serial composition (arg(1) = 0 times that
-  // serial baseline).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool sharded = state.range(1) == 1;
-  util::Rng rng(22);
-  linalg::MatD b = random_matrix(n, n, rng);
-  linalg::MatD p = linalg::matmul_a_bt(b, b);
-  linalg::add_diagonal_inplace(p, 1.0);
-  linalg::VecD u(n);
-  rng.fill_uniform(u, -1.0, 1.0);
-  util::ThreadPool pool(0);  // hardware width
-  const std::size_t bands = pool.size();
-  std::vector<std::size_t> update_bounds;
-  std::vector<std::size_t> mirror_bounds;
-  linalg::kernels::p_update_band_bounds(n, bands, update_bounds,
-                                        mirror_bounds);
-  for (auto _ : state) {
-    if (sharded && bands > 1) {
-      pool.parallel_for(bands, [&](std::size_t band) {
-        linalg::kernels::sym_rank1_update_rows(
-            p.data(), n, update_bounds[band], update_bounds[band + 1],
-            u.data(), 1e-4, 1.0);
-      });
-      pool.parallel_for(bands, [&](std::size_t band) {
-        linalg::kernels::mirror_lower_rows(
-            p.data(), n, mirror_bounds[band], mirror_bounds[band + 1]);
-      });
-    } else {
-      linalg::kernels::sym_rank1_update_rows(p.data(), n, 0, n, u.data(),
-                                             1e-4, 1.0);
-      linalg::kernels::mirror_lower_rows(p.data(), n, 0, n);
-    }
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_SymRank1UpdateSharded)
-    ->ArgsProduct({{512, 1024}, {0, 1}})
-    ->ArgNames({"n", "sharded"})
-    ->UseRealTime();
 
 void BM_FusedProjection(benchmark::State& state) {
   // The fused shared-projection + activation + output-dot kernel of the

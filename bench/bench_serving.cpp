@@ -1,5 +1,8 @@
 // Multi-session serving benchmark: N concurrent CartPole training
-// sessions multiplexed onto one shared backend via rl::QServer.
+// sessions multiplexed onto one shared backend via rl::AsyncQServer in
+// its lockstep configuration (rl::lockstep_config + rl::add_cohort), so
+// every coalesced batch carries the whole live cohort and the run is
+// deterministic.
 //
 // Two questions, one JSON (BENCH_serving.json):
 //   * throughput — sessions/sec and steps/sec of the software backend
@@ -18,10 +21,12 @@
 // 105 — cross-session batching must beat N independent agents.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
-#include "rl/serving.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -31,7 +36,8 @@ constexpr std::size_t kStateDim = 4;  // CartPole observation (§4.2)
 constexpr std::size_t kActions = 2;   // left / right
 
 struct ServingRun {
-  rl::QServerResult result;
+  rl::AsyncServerStats stats;
+  double wall_seconds = 0.0;
   double sessions_per_sec = 0.0;
   double steps_per_sec = 0.0;
   std::uint64_t total_steps = 0;
@@ -47,29 +53,33 @@ ServingRun run_server(const std::string& backend_id, std::size_t n_sessions,
   backend_config.l2_delta = 0.5;
   backend_config.spectral_normalize = true;
   backend_config.seed = 404;
-  rl::QServer server(rl::make_backend(backend_id, backend_config), model);
+  rl::AsyncQServer server(rl::make_backend(backend_id, backend_config),
+                          model, rl::lockstep_config(n_sessions));
 
+  std::vector<rl::AsyncSessionSpec> specs(n_sessions);
   for (std::size_t i = 0; i < n_sessions; ++i) {
-    rl::ServingSessionSpec spec;
-    spec.env_id = "ShapedCartPole-v0";
-    spec.env_seed = 1000 + 17 * i;
-    spec.agent_seed = 7 + i;
-    spec.trainer.max_episodes = episodes;  // fixed budget per session
-    spec.trainer.solved_threshold = 1e9;   // run the full budget
-    spec.trainer.reset_interval = 0;       // shared network: no §4.3 resets
-    server.add_session(spec);
+    rl::AsyncSessionSpec& spec = specs[i];
+    spec.mode = rl::AsyncSessionMode::kTrain;
+    spec.session.env_id = "ShapedCartPole-v0";
+    spec.session.env_seed = 1000 + 17 * i;
+    spec.session.agent_seed = 7 + i;
+    spec.session.trainer.max_episodes = episodes;  // fixed budget
+    spec.session.trainer.solved_threshold = 1e9;   // run the full budget
+    spec.session.trainer.reset_interval = 0;  // shared network: no resets
   }
 
   ServingRun out;
-  out.result = server.run();
-  for (const rl::TrainResult& r : out.result.sessions) {
-    out.total_steps += r.total_steps;
-    if (r.solved) ++out.solved;
+  const util::WallTimer timer;
+  rl::add_cohort(server, specs);
+  for (const rl::AsyncSessionResult& r : server.drain()) {
+    out.total_steps += r.train.total_steps;
+    if (r.train.solved) ++out.solved;
   }
-  out.sessions_per_sec =
-      static_cast<double>(n_sessions) / out.result.wall_seconds;
+  out.wall_seconds = timer.seconds();
+  out.stats = server.stats();
+  out.sessions_per_sec = static_cast<double>(n_sessions) / out.wall_seconds;
   out.steps_per_sec =
-      static_cast<double>(out.total_steps) / out.result.wall_seconds;
+      static_cast<double>(out.total_steps) / out.wall_seconds;
   return out;
 }
 
@@ -92,16 +102,17 @@ int main(int argc, char** argv) {
   // --- Software backend: measured throughput under coalescing.
   const ServingRun software =
       run_server("software", n_sessions, episodes, hidden_units);
-  std::printf("  software   : %.2f s wall, %zu ticks, %.2f sessions/sec, "
+  std::printf("  software   : %.2f s wall, %llu batches, %.2f sessions/sec, "
               "%.0f steps/sec, mean batch %.2f states/call\n",
-              software.result.wall_seconds, software.result.ticks,
+              software.wall_seconds,
+              static_cast<unsigned long long>(software.stats.batches),
               software.sessions_per_sec, software.steps_per_sec,
-              software.result.mean_batch_rows());
+              software.stats.mean_batch_rows());
 
   // --- FPGA model: modeled PL predict time, coalesced vs N independents.
   const ServingRun fpga =
       run_server("fpga-q20", n_sessions, episodes, hidden_units);
-  const double mean_rows = fpga.result.mean_batch_rows();
+  const double mean_rows = fpga.stats.mean_batch_rows();
 
   // predict_multi_seconds(S, A) is affine in S (per-state work + one
   // pipeline fill + one AXI handshake), so the total over all coalesced
@@ -114,12 +125,12 @@ int main(int argc, char** argv) {
   const double overhead_s =
       cycles.predict_multi_seconds(1, kActions) - per_state_s;
   const double coalesced_predict_s =
-      static_cast<double>(fpga.result.coalesced_rows) * per_state_s +
-      static_cast<double>(fpga.result.coalesced_calls) * overhead_s;
+      static_cast<double>(fpga.stats.batch_rows) * per_state_s +
+      static_cast<double>(fpga.stats.batches) * overhead_s;
   // The same evaluation stream priced as N independent agents: every
   // state becomes its own predict_actions batch with its own overhead.
   const double independent_predict_s =
-      static_cast<double>(fpga.result.coalesced_rows) *
+      static_cast<double>(fpga.stats.batch_rows) *
       cycles.predict_batch_seconds(kActions);
   const double serving_speedup = coalesced_predict_s > 0.0
                                      ? independent_predict_s /
@@ -128,8 +139,8 @@ int main(int argc, char** argv) {
 
   std::printf("  fpga model : %llu coalesced calls carrying %llu states "
               "(mean %.2f/call)\n",
-              static_cast<unsigned long long>(fpga.result.coalesced_calls),
-              static_cast<unsigned long long>(fpga.result.coalesced_rows),
+              static_cast<unsigned long long>(fpga.stats.batches),
+              static_cast<unsigned long long>(fpga.stats.batch_rows),
               mean_rows);
   std::printf("    modeled predict time, coalesced   : %.6f s\n",
               coalesced_predict_s);
@@ -150,19 +161,19 @@ int main(int argc, char** argv) {
       "  \"config\": {\"sessions\": %zu, \"episodes\": %zu, "
       "\"hidden_units\": %zu},\n"
       "  \"software\": {\"wall_seconds\": %.4f, \"sessions_per_sec\": %.3f, "
-      "\"steps_per_sec\": %.1f, \"ticks\": %zu, "
+      "\"steps_per_sec\": %.1f, \"batches\": %llu, "
       "\"mean_batch_states\": %.3f, \"solved\": %zu},\n"
       "  \"fpga_model\": {\"coalesced_calls\": %llu, "
       "\"coalesced_states\": %llu, \"mean_batch_states\": %.3f, "
       "\"coalesced_predict_s\": %.6f, \"independent_predict_s\": %.6f, "
       "\"speedup\": %.3f}\n"
       "}\n",
-      n_sessions, episodes, hidden_units, software.result.wall_seconds,
+      n_sessions, episodes, hidden_units, software.wall_seconds,
       software.sessions_per_sec, software.steps_per_sec,
-      software.result.ticks, software.result.mean_batch_rows(),
-      software.solved,
-      static_cast<unsigned long long>(fpga.result.coalesced_calls),
-      static_cast<unsigned long long>(fpga.result.coalesced_rows),
+      static_cast<unsigned long long>(software.stats.batches),
+      software.stats.mean_batch_rows(), software.solved,
+      static_cast<unsigned long long>(fpga.stats.batches),
+      static_cast<unsigned long long>(fpga.stats.batch_rows),
       mean_rows, coalesced_predict_s, independent_predict_s,
       serving_speedup);
   std::fclose(f);

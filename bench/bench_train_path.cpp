@@ -1,6 +1,6 @@
 // Training hot-path benchmark: the OS-ELM rank-1 sequential update
-// (Eq. 5, k = 1) before and after the SIMD kernel layer, plus QServer
-// serving throughput under sharded environment stepping.
+// (Eq. 5, k = 1) before and after the SIMD kernel layer, plus lockstep
+// serving throughput (rl::AsyncQServer under rl::lockstep_config).
 //
 // Three seq_train_one variants are timed on identical update streams:
 //   * seed scalar  — a self-contained replica of the seed's plain-loop
@@ -25,8 +25,8 @@
 #include "bench_common.hpp"
 #include "elm/os_elm.hpp"
 #include "linalg/kernels.hpp"
+#include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
-#include "rl/serving.hpp"
 #include "util/env_flags.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -176,48 +176,42 @@ TrainMeasurement measure_seq_train(std::size_t hidden_units,
 
 struct ServingPoint {
   std::size_t sessions = 0;
-  double serial_sessions_per_sec = 0.0;
-  double threaded_sessions_per_sec = 0.0;
-  double serial_steps_per_sec = 0.0;
-  double threaded_steps_per_sec = 0.0;
+  double sessions_per_sec = 0.0;
+  double steps_per_sec = 0.0;
 };
 
 ServingPoint measure_serving(std::size_t n_sessions, std::size_t episodes,
                              std::size_t hidden_units) {
-  const auto run_once = [&](std::size_t env_threads) {
-    const oselm::rl::SimplifiedOutputModel model(4, 2);
-    oselm::rl::BackendConfig backend_config;
-    backend_config.input_dim = model.input_dim();
-    backend_config.hidden_units = hidden_units;
-    backend_config.l2_delta = 0.5;
-    backend_config.spectral_normalize = true;
-    backend_config.seed = 404;
-    oselm::rl::QServer server(
-        oselm::rl::make_backend("software", backend_config), model,
-        env_threads);
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-      oselm::rl::ServingSessionSpec spec;
-      spec.env_id = "ShapedCartPole-v0";
-      spec.env_seed = 1000 + 17 * i;
-      spec.agent_seed = 7 + i;
-      spec.trainer.max_episodes = episodes;
-      spec.trainer.solved_threshold = 1e9;
-      spec.trainer.reset_interval = 0;
-      server.add_session(spec);
-    }
-    const oselm::rl::QServerResult result = server.run();
-    std::uint64_t steps = 0;
-    for (const auto& s : result.sessions) steps += s.total_steps;
-    return std::pair<double, double>{
-        static_cast<double>(n_sessions) / result.wall_seconds,
-        static_cast<double>(steps) / result.wall_seconds};
-  };
+  const oselm::rl::SimplifiedOutputModel model(4, 2);
+  oselm::rl::BackendConfig backend_config;
+  backend_config.input_dim = model.input_dim();
+  backend_config.hidden_units = hidden_units;
+  backend_config.l2_delta = 0.5;
+  backend_config.spectral_normalize = true;
+  backend_config.seed = 404;
+  oselm::rl::AsyncQServer server(
+      oselm::rl::make_backend("software", backend_config), model,
+      oselm::rl::lockstep_config(n_sessions));
+  std::vector<oselm::rl::AsyncSessionSpec> specs(n_sessions);
+  for (std::size_t i = 0; i < n_sessions; ++i) {
+    oselm::rl::AsyncSessionSpec& spec = specs[i];
+    spec.mode = oselm::rl::AsyncSessionMode::kTrain;
+    spec.session.env_id = "ShapedCartPole-v0";
+    spec.session.env_seed = 1000 + 17 * i;
+    spec.session.agent_seed = 7 + i;
+    spec.session.trainer.max_episodes = episodes;
+    spec.session.trainer.solved_threshold = 1e9;
+    spec.session.trainer.reset_interval = 0;
+  }
+  const oselm::util::WallTimer timer;
+  oselm::rl::add_cohort(server, specs);
+  std::uint64_t steps = 0;
+  for (const auto& r : server.drain()) steps += r.train.total_steps;
+  const double wall = timer.seconds();
   ServingPoint point;
   point.sessions = n_sessions;
-  std::tie(point.serial_sessions_per_sec, point.serial_steps_per_sec) =
-      run_once(1);
-  std::tie(point.threaded_sessions_per_sec, point.threaded_steps_per_sec) =
-      run_once(0);  // hardware concurrency
+  point.sessions_per_sec = static_cast<double>(n_sessions) / wall;
+  point.steps_per_sec = static_cast<double>(steps) / wall;
   return point;
 }
 
@@ -266,17 +260,14 @@ int main(int argc, char** argv) {
               simd_active ? "avx2" : "scalar", best.simd_ns,
               speedup_vs_seed, speedup_vs_scalar_kernels);
 
-  // --- QServer throughput: serial vs sharded env stepping.
+  // --- Lockstep serving throughput.
   const std::size_t session_counts[] = {1, 8, 32};
   std::vector<ServingPoint> serving;
   for (const std::size_t n : session_counts) {
     serving.push_back(measure_serving(n, serving_episodes, hidden_units));
     const ServingPoint& p = serving.back();
-    std::printf("serving N=%-2zu: %8.2f sessions/sec serial, %8.2f threaded "
-                "(%.0f / %.0f steps/sec)\n",
-                p.sessions, p.serial_sessions_per_sec,
-                p.threaded_sessions_per_sec, p.serial_steps_per_sec,
-                p.threaded_steps_per_sec);
+    std::printf("serving N=%-2zu: %8.2f sessions/sec (%.0f steps/sec)\n",
+                p.sessions, p.sessions_per_sec, p.steps_per_sec);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -302,11 +293,9 @@ int main(int argc, char** argv) {
     const ServingPoint& p = serving[i];
     std::fprintf(
         f,
-        "    {\"sessions\": %zu, \"serial_sessions_per_sec\": %.3f, "
-        "\"threaded_sessions_per_sec\": %.3f, "
-        "\"serial_steps_per_sec\": %.1f, \"threaded_steps_per_sec\": %.1f}%s\n",
-        p.sessions, p.serial_sessions_per_sec, p.threaded_sessions_per_sec,
-        p.serial_steps_per_sec, p.threaded_steps_per_sec,
+        "    {\"sessions\": %zu, \"sessions_per_sec\": %.3f, "
+        "\"steps_per_sec\": %.1f}%s\n",
+        p.sessions, p.sessions_per_sec, p.steps_per_sec,
         i + 1 < serving.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

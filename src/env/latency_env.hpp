@@ -15,7 +15,7 @@
 //
 // Registry integration: env::make_environment accepts
 // "delay:<micros>:<inner-id>" (e.g. "delay:500:ShapedCartPole-v0"), so
-// any component that names environments by id — QServer session specs,
+// any component that names environments by id — serving session specs,
 // benches, examples — can inject latency without new plumbing.
 #pragma once
 

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <thread>
-#include <vector>
 
 #include "linalg/kernels_q20_inline.hpp"
 #include "util/env_flags.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oselm::linalg::kernels {
 
@@ -348,120 +345,8 @@ void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
   OSELM_DISPATCH(mirror_lower_rows, p, n, row_begin, row_end);
 }
 
-namespace {
-
-/// Rows below which sharding the P-update cannot pay for the hand-off:
-/// at 512 the update touches 2 MB and each band still holds tens of
-/// thousands of elements.
-constexpr std::size_t kParallelPUpdateRows = 512;
-
-/// OSELM_P_UPDATE_THREADS: unset/0 = hardware concurrency, 1 = always
-/// single-threaded, k > 1 = exactly k workers. Read once.
-std::size_t p_update_threads() noexcept {
-  static const std::size_t threads = [] {
-    const std::int64_t configured =
-        util::env_int("OSELM_P_UPDATE_THREADS", 0);
-    if (configured > 0) return static_cast<std::size_t>(configured);
-    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }();
-  return threads;
-}
-
-util::ThreadPool& p_update_pool(std::size_t threads) {
-  static util::ThreadPool pool(threads);
-  return pool;
-}
-
-/// Bit-identical parallel sharding: disjoint row bands of the upper-
-/// triangle update, a parallel_for barrier, then disjoint mirror bands
-/// (boundaries from p_update_band_bounds).
-///
-/// Exception safety inside a noexcept caller: the rank-1 update is NOT
-/// idempotent, so a band must never run twice. Band bodies are noexcept
-/// (a claimed band always completes); the only throws come from the
-/// parallel_for submission machinery, after which completed bands are
-/// identified by their flags — stragglers are finished serially. The
-/// mirror phase is pure copies and may simply be redone in full.
-void sym_rank1_update_sharded(double* p, std::size_t n, const double* u,
-                              double inv, double p_scale,
-                              const std::vector<std::size_t>& update_bounds,
-                              const std::vector<std::size_t>& mirror_bounds,
-                              std::vector<std::atomic<bool>>& done) {
-  const std::size_t bands = update_bounds.size() - 1;
-  util::ThreadPool& pool = p_update_pool(bands);
-  try {
-    pool.parallel_for(bands, [&](std::size_t b) {
-      sym_rank1_update_rows(p, n, update_bounds[b], update_bounds[b + 1],
-                            u, inv, p_scale);
-      done[b].store(true, std::memory_order_release);
-    });
-  } catch (...) {
-    // parallel_for drained every lane before rethrowing, so the flags
-    // are final: finish exactly the bands that never ran.
-    for (std::size_t b = 0; b < bands; ++b) {
-      if (!done[b].load(std::memory_order_acquire)) {
-        sym_rank1_update_rows(p, n, update_bounds[b], update_bounds[b + 1],
-                              u, inv, p_scale);
-      }
-    }
-  }
-  try {
-    pool.parallel_for(bands, [&](std::size_t b) {
-      mirror_lower_rows(p, n, mirror_bounds[b], mirror_bounds[b + 1]);
-    });
-  } catch (...) {
-    mirror_lower_rows(p, n, 0, n);  // copies: safe to redo in full
-  }
-}
-
-}  // namespace
-
-void p_update_band_bounds(std::size_t n, std::size_t bands,
-                          std::vector<std::size_t>& update_bounds,
-                          std::vector<std::size_t>& mirror_bounds) {
-  const auto quantize16 = [n](double row) {
-    const auto r = static_cast<std::size_t>(row);
-    return std::min(n, (r / 16) * 16);
-  };
-  update_bounds.assign(bands + 1, 0);
-  mirror_bounds.assign(bands + 1, 0);
-  const auto nd = static_cast<double>(n);
-  for (std::size_t b = 0; b <= bands; ++b) {
-    const double frac = static_cast<double>(b) / static_cast<double>(bands);
-    // Equal-area splits of the two triangles (see header comment).
-    update_bounds[b] = quantize16(nd * (1.0 - std::sqrt(1.0 - frac)));
-    mirror_bounds[b] = quantize16(nd * std::sqrt(frac));
-  }
-  update_bounds[bands] = n;
-  mirror_bounds[bands] = n;
-}
-
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept {
-  const std::size_t threads = p_update_threads();
-  if (n >= kParallelPUpdateRows && threads > 1) {
-    // All fallible setup happens BEFORE P is touched; if any of it
-    // throws, P is pristine and the serial path below is a clean
-    // fallback. Once sym_rank1_update_sharded is entered, it guarantees
-    // every band runs exactly once regardless of submission failures.
-    bool ready = false;
-    std::vector<std::size_t> update_bounds;
-    std::vector<std::size_t> mirror_bounds;
-    std::vector<std::atomic<bool>> done;
-    try {
-      p_update_band_bounds(n, threads, update_bounds, mirror_bounds);
-      done = std::vector<std::atomic<bool>>(threads);
-      (void)p_update_pool(threads);  // lazy pool spawn may throw
-      ready = true;
-    } catch (...) {
-      // Thread or allocation exhaustion: fall through to serial.
-    }
-    if (ready) {
-      sym_rank1_update_sharded(p, n, u, inv, p_scale, update_bounds,
-                               mirror_bounds, done);
-      return;
-    }
-  }
   sym_rank1_update_rows(p, n, 0, n, u, inv, p_scale);
   mirror_lower_rows(p, n, 0, n);
 }

@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace oselm::linalg::kernels {
 
@@ -98,21 +97,13 @@ void act_combine(const double* shared, const double* last_row, double code,
 /// Only the upper triangle is computed; the lower triangle is mirrored
 /// from it afterwards, so P is exactly symmetric on return. p_scale == 1
 /// takes the cheaper no-reinflation path (FOS-ELM lambda == 1).
-///
-/// At n >= 512 the update is sharded across an internal ThreadPool
-/// (disjoint row bands of the upper triangle, then disjoint mirror bands
-/// behind a barrier). Every row's arithmetic is independent of every
-/// other row's, so the result is BIT-IDENTICAL to the single-threaded
-/// kernel for any thread count. OSELM_P_UPDATE_THREADS sizes the pool
-/// (unset/0 = hardware concurrency, 1 = always single-threaded).
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept;
 
 /// Update phase of sym_rank1_update restricted to rows
 /// [row_begin, row_end): row i gets row[j] = (row[j] - (u[i]*inv)*u[j])
 /// * p_scale for j >= i. Rows never read each other, so any partition of
-/// [0, n) reproduces the full kernel's upper triangle bit-for-bit — this
-/// is the parallel sharding primitive (and the test oracle for it).
+/// [0, n) reproduces the full kernel's upper triangle bit-for-bit.
 void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
                            std::size_t row_end, const double* u, double inv,
                            double p_scale) noexcept;
@@ -123,15 +114,6 @@ void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
 /// not change concurrently.
 void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
                        std::size_t row_end) noexcept;
-
-/// The load-balanced row-band boundaries the sharded P-update schedules:
-/// `bands + 1` entries each, equal-triangle-area splits (update row i
-/// costs n - i elements, mirror row i costs i) quantized to multiples of
-/// 16 so the tiled mirror keeps its fast path. Shared with
-/// bench_micro_ops so the benchmark times the production schedule.
-void p_update_band_bounds(std::size_t n, std::size_t bands,
-                          std::vector<std::size_t>& update_bounds,
-                          std::vector<std::size_t>& mirror_bounds);
 
 /// Symmetric rank-k downdate for the general-k OS-ELM chunk update
 /// (Eq. 5): P -= G U^T where G = U K with K = K^T, so G U^T is

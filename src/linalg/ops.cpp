@@ -7,16 +7,11 @@
 
 #include "linalg/kernels.hpp"
 
-#if defined(OSELM_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace oselm::linalg {
 
 namespace {
 
-constexpr std::size_t kBlock = 64;          // fits L1 for double tiles
-constexpr std::size_t kParallelCutoff = 64 * 64 * 64;  // flops/2 heuristic
+constexpr std::size_t kBlock = 64;  // fits L1 for double tiles
 
 void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
@@ -50,32 +45,6 @@ void gemm_band(const MatD& a, const MatD& b, MatD& c, std::size_t r0,
 MatD matmul(const MatD& a, const MatD& b) {
   require(a.cols() == b.rows(), "matmul: inner dimension mismatch");
   MatD c(a.rows(), b.cols());
-  const std::size_t work = a.rows() * a.cols() * b.cols();
-#if defined(OSELM_HAVE_OPENMP)
-  if (work >= kParallelCutoff) {
-    // Parallelize over multi-row bands, not single rows: a height-1 band
-    // defeats gemm_band's i-blocking and re-streams all of B once per row.
-    // Cap the band height at kBlock for the L1 tiling, but shrink it when
-    // the matrix has fewer than threads*kBlock rows so every core still
-    // gets work (e.g. 70 rows on 8 cores -> 9-row bands, not 2x64).
-    const std::size_t rows = a.rows();
-    const auto threads =
-        static_cast<std::size_t>(std::max(1, omp_get_max_threads()));
-    const std::size_t per_thread = (rows + threads - 1) / threads;
-    const std::size_t band_h =
-        std::max<std::size_t>(1, std::min(kBlock, per_thread));
-    const auto bands = static_cast<std::ptrdiff_t>((rows + band_h - 1) /
-                                                   band_h);
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t band = 0; band < bands; ++band) {
-      const std::size_t r0 = static_cast<std::size_t>(band) * band_h;
-      gemm_band(a, b, c, r0, std::min(r0 + band_h, rows));
-    }
-    return c;
-  }
-#else
-  (void)work;
-#endif
   gemm_band(a, b, c, 0, a.rows());
   return c;
 }

@@ -1,5 +1,5 @@
 // Core dense operations. The double-precision GEMM is cache-blocked and
-// OpenMP-parallel; generic element-wise helpers are header templates.
+// serial; generic element-wise helpers are header templates.
 #pragma once
 
 #include <vector>
@@ -8,8 +8,7 @@
 
 namespace oselm::linalg {
 
-/// C = A * B (shapes (m,k)x(k,n)). Blocked and OpenMP-parallel for sizes
-/// where threading pays; falls back to the serial kernel for small inputs.
+/// C = A * B (shapes (m,k)x(k,n)), cache-blocked i-k-j.
 MatD matmul(const MatD& a, const MatD& b);
 
 /// C = A^T * B without materializing A^T.

@@ -128,11 +128,11 @@ class OsElmQBackend {
   ///
   /// Row i of `q_out` is bit-identical to
   /// predict_actions(states.row(i), ...) — the serving front-end
-  /// (rl::QServer) relies on that to coalesce many sessions' greedy/target
-  /// evaluations into one call. The base implementation loops over
-  /// predict_actions; the FPGA model overrides it to charge one amortized
-  /// multi-batch (a single AXI handshake and pipeline fill for the whole
-  /// coalesced batch, see CycleModel::predict_multi_cycles).
+  /// (rl::AsyncQServer) relies on that to coalesce many sessions'
+  /// greedy/target evaluations into one call. The base implementation
+  /// loops over predict_actions; the FPGA model overrides it to charge one
+  /// amortized multi-batch (a single AXI handshake and pipeline fill for
+  /// the whole coalesced batch, see CycleModel::predict_multi_cycles).
   virtual void predict_actions_multi(const linalg::MatD& states,
                                      const linalg::VecD& action_codes,
                                      QNetwork which, linalg::MatD& q_out);

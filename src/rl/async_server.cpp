@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -425,11 +426,11 @@ void AsyncQServer::run_session(Session& s) {
           return;
         }
         if (trainer.max_episodes == 0) {
-          // Empty budget completes immediately, like QServer.
+          // Empty budget completes immediately, like rl::run_training.
           retire(&s, SessionEndCause::kCompleted, {});
           return;
         }
-        // §4.3 reset rule, identical to QServer::begin_episode; the
+        // §4.3 reset rule, identical to rl::run_training; the
         // re-randomization itself must run on the batch thread.
         if (training && !s.result.train.solved &&
             trainer.reset_interval != 0 &&
@@ -482,7 +483,7 @@ void AsyncQServer::run_session(Session& s) {
           break;
         }
         // Observe (Algorithm 1 Store + Update), per-session control flow
-        // identical to the lockstep QServer's Phase C.
+        // identical to OsElmQAgent::observe.
         model_.encode_into(s.transition.state, s.action, s.sa);
         if (!backend_initialized_.load(std::memory_order_acquire)) {
           s.buffer.push_back(s.transition);
@@ -635,24 +636,22 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
   // other servers, which takes their locks. The session is erased from
   // live_ only AFTER the callback returns, so stop()'s live_.empty()
   // wait cannot complete (and tear the owner down) mid-delivery.
-  if (config_.on_retire) {
-    config_.on_retire(std::move(result));
-    const std::scoped_lock lk(sessions_mutex_);
-    live_.erase(id);  // destroys *s — it owns no further control flow
-    live_count_.store(live_.size(), std::memory_order_relaxed);
-    retire_cv_.notify_all();
-    return;
-  }
+  if (config_.on_retire) config_.on_retire(std::move(result));
+  const std::scoped_lock lk(sessions_mutex_);
+  if (!config_.on_retire) results_.emplace(id, std::move(result));
+  live_.erase(id);  // destroys *s — it owns no further control flow
+  live_count_.store(live_.size(), std::memory_order_relaxed);
+  // Notify under the locks: a waiter (stop()/wait()/drain()) may destroy
+  // the server the moment its predicate holds, so no condition variable
+  // may be touched after the mutex is released. The lower live count can
+  // complete batch_full() for pending co-tenants, so the batch thread is
+  // woken too — under queue_mutex_, so the wake cannot fall between its
+  // predicate check and its wait.
   {
-    const std::scoped_lock lk(sessions_mutex_);
-    results_.emplace(id, std::move(result));
-    live_.erase(id);  // destroys *s — it owns no further control flow
-    live_count_.store(live_.size(), std::memory_order_relaxed);
-    // Notify under the lock: a waiter (stop()/wait()/drain()) may destroy
-    // the server the moment its predicate holds, so the condition
-    // variable must not be touched after the mutex is released.
-    retire_cv_.notify_all();
+    const std::scoped_lock queue_lock(queue_mutex_);
+    queue_cv_.notify_all();
   }
+  retire_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -693,12 +692,23 @@ void AsyncQServer::batch_loop() {
         };
         if (config_.max_wait_us > 0 && !batch_full() && exclusive.empty()) {
           // Continuous-batching linger: give co-tenants max_wait_us to
-          // join this batch, then serve whatever is pending.
-          const auto deadline =
-              Clock::now() + std::chrono::microseconds(config_.max_wait_us);
-          queue_cv_.wait_until(lk, deadline, [&] {
-            return batch_stop_ || batch_full();
-          });
+          // join this batch, then serve whatever is pending. A linger
+          // whose deadline the clock cannot represent (UINT64_MAX, the
+          // lockstep configuration) has no deadline at all.
+          const auto ready = [&] { return batch_stop_ || batch_full(); };
+          const auto now = Clock::now();
+          const auto headroom = std::chrono::duration_cast<
+              std::chrono::microseconds>(Clock::time_point::max() - now);
+          if (config_.max_wait_us >=
+              static_cast<std::uint64_t>(headroom.count())) {
+            queue_cv_.wait(lk, ready);
+          } else {
+            queue_cv_.wait_until(
+                lk,
+                now + std::chrono::microseconds(
+                          static_cast<std::int64_t>(config_.max_wait_us)),
+                ready);
+          }
         }
         // Bounded-queue invariant: workers' backpressure wait keeps the
         // ready queue within its configured capacity at every drain.
@@ -879,6 +889,13 @@ void AsyncQServer::apply_init_train(Session& s) {
 
 void AsyncQServer::process_requests(std::vector<Request>& requests) {
   OSELM_TRACE_SPAN("batch", "process_requests");
+  // The slice was taken FIFO; apply it in session-id order so a drain's
+  // backend call sequence does not depend on which worker suspended
+  // first (each session has at most one request in flight).
+  std::sort(requests.begin(), requests.end(),
+            [](const Request& a, const Request& b) {
+              return a.session->result.id < b.session->result.id;
+            });
   // Failure containment: a backend fault in one coalesced batch retires
   // the sessions it carried and leaves the batch thread serving everyone
   // else. (Environment faults never reach this thread — workers catch
@@ -956,8 +973,10 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
     }
   }
 
-  // Apply trains/init/sync/reset in drain order, then resume each session
-  // on the worker pool.
+  // Apply trains/init/sync/reset in session-id order, then resume the
+  // drain's sessions on the worker pool — only after every request is
+  // applied, so no resumed session observes a later kInitTrain/kReset of
+  // the same drain mid-flight.
   OSELM_TRACE_SPAN("train", "seq_train_drain");
   for (Request& r : requests) {
     Session* s = r.session;
@@ -1004,16 +1023,40 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
       backend_failures_.fetch_add(1, std::memory_order_relaxed);
       async_metrics().backend_failures.add();
       OSELM_TRACE_INSTANT("batch", "backend_failure");
+      r.session = nullptr;
       retire(s, SessionEndCause::kBackendError, failure_text(e));
-      continue;
     }
-    pool_->submit([this, s] { advance(s); });
+  }
+  for (const Request& r : requests) {
+    Session* s = r.session;
+    if (s != nullptr) pool_->submit([this, s] { advance(s); });
   }
   if (had_backend_error) {
     consecutive_backend_failures_.fetch_add(1, std::memory_order_relaxed);
   } else {
     consecutive_backend_failures_.store(0, std::memory_order_relaxed);
   }
+}
+
+AsyncQServerConfig lockstep_config(std::size_t sessions) {
+  AsyncQServerConfig config;
+  config.worker_threads = sessions;
+  config.max_live_sessions = sessions;
+  config.max_batch = sessions;
+  config.max_wait_us = std::numeric_limits<std::uint64_t>::max();
+  return config;
+}
+
+std::vector<std::size_t> add_cohort(
+    AsyncQServer& server, const std::vector<AsyncSessionSpec>& specs) {
+  std::vector<std::size_t> ids;
+  ids.reserve(specs.size());
+  server.run_exclusive([&](OsElmQBackend&) {
+    for (const AsyncSessionSpec& spec : specs) {
+      ids.push_back(server.add_session(spec));
+    }
+  });
+  return ids;
 }
 
 }  // namespace oselm::rl

@@ -1,9 +1,7 @@
-// AsyncQServer — asynchronous continuous-batching serving engine.
-//
-// rl::QServer (serving.hpp) advances N sessions in lockstep ticks: every
-// tick waits for EVERY session's environment step, so one slow
-// environment (a remote simulator, a laggy sensor) stalls the whole
-// fleet. AsyncQServer removes the barrier:
+// AsyncQServer — asynchronous continuous-batching serving engine: N
+// episodic sessions multiplexed onto ONE shared OsElmQBackend, with no
+// fleet-wide barrier, so one slow environment (a remote simulator, a
+// laggy sensor) never stalls its co-tenants:
 //
 //   * each session runs on its own logical queue: its environment
 //     stepping, rng draws, and (state, action) encoding execute as tasks
@@ -26,6 +24,15 @@
 // environment failure (the failed session is retired with its error
 // message; the batch thread and its co-tenants are unaffected).
 //
+// Each drain is applied in session-id order, and its sessions resume only
+// after every request in it has been applied.
+//
+// Lockstep serving is a configuration, not a separate engine:
+// lockstep_config(N) lingers without a deadline until every live session
+// has a request pending, and add_cohort() admits the N sessions before
+// the first drain. Every drain then carries the whole live cohort, as a
+// barrier tick would.
+//
 // Determinism contract (pinned in tests/rl/async_server_test.cpp):
 //   * per-session PINNED for kEvaluate sessions: predictions are pure
 //     functions of (weights, state) and a row of a coalesced batch is
@@ -33,12 +40,15 @@
 //     contract), so a fixed-seed session produces the exact same
 //     trajectory for ANY worker-thread count and ANY co-tenants.
 //   * per-session pinned for a kTrain session running ALONE (its requests
-//     are fully ordered, reproducing the lockstep QServer N=1 — and
-//     therefore the single-agent — backend call sequence exactly).
-//   * cross-session batch composition is NOT pinned: which requests share
-//     a batch depends on scheduling. Co-tenant kTrain sessions share
-//     weight updates in a scheduling-dependent order, like any
-//     asynchronous trainer. On the fpga-q20 backend, modeled seconds
+//     are fully ordered, reproducing the single-agent rl::run_training
+//     backend call sequence exactly).
+//   * PINNED for a lockstep cohort of kTrain sessions: trajectories,
+//     batch counts and ledger invocations are identical across reruns
+//     and worker-thread counts.
+//   * otherwise cross-session batch composition is NOT pinned: which
+//     requests share a batch depends on scheduling. Co-tenant kTrain
+//     sessions share weight updates in a scheduling-dependent order, like
+//     any asynchronous trainer. On the fpga-q20 backend, modeled seconds
 //     under scheduling-dependent batching can be made composition-
 //     independent with BackendConfig::multi_charge_per_row
 //     (hw::MultiChargePolicy::kPerRow).
@@ -83,8 +93,9 @@ enum class AsyncSessionMode {
   kEvaluate,
   /// Full Algorithm-1 control flow (buffer -> Eq. 7/8 init -> Eq. 6
   /// sequential updates, §4.3 resets, target syncs) against the shared
-  /// network, like a lockstep QServer session. With co-tenants the
-  /// shared weights evolve in scheduling-dependent order.
+  /// network, step for step like rl::run_training. With co-tenants the
+  /// shared weights evolve in scheduling-dependent order (lockstep
+  /// cohorts excepted).
   kTrain,
 };
 
@@ -137,7 +148,9 @@ struct AsyncQServerConfig {
   /// requests per predict_actions_multi call...
   std::size_t max_batch = 32;
   /// ...and after the first pending request waits at most this long for
-  /// more to arrive (0 = fire immediately with whatever is pending).
+  /// more to arrive (0 = fire immediately with whatever is pending; a
+  /// value whose deadline the clock cannot represent, e.g. UINT64_MAX,
+  /// waits until the batch is full — the lockstep configuration).
   std::uint64_t max_wait_us = 100;
   /// Ready-queue bound for backpressure (0 = max_live_sessions, which can
   /// never block since each live session has at most one request in
@@ -424,5 +437,18 @@ class AsyncQServer {
   std::unique_ptr<util::ThreadPool> pool_;
   std::thread batch_thread_;
 };
+
+/// The lockstep configuration for a cohort of `sessions`: max_batch,
+/// max_live_sessions and worker_threads all equal `sessions`, and
+/// max_wait_us = UINT64_MAX, so the batch thread drains exactly when every
+/// live session has a request pending.
+[[nodiscard]] AsyncQServerConfig lockstep_config(std::size_t sessions);
+
+/// Admits `specs` inside one run_exclusive call: the batch thread is busy
+/// running the admissions, so no drain starts before the whole cohort is
+/// live. Returns the session ids in spec order. Admission errors
+/// propagate; sessions admitted before the failing one keep running.
+std::vector<std::size_t> add_cohort(AsyncQServer& server,
+                                    const std::vector<AsyncSessionSpec>& specs);
 
 }  // namespace oselm::rl

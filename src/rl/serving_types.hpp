@@ -1,9 +1,7 @@
-// Shared serving-session types, hoisted out of serving.hpp so both
-// serving front-ends — the lockstep rl::QServer (serving.hpp) and the
-// asynchronous continuous-batching rl::AsyncQServer (async_server.hpp) —
-// describe their sessions with one vocabulary. A spec that drives a
-// lockstep session drives an async session unchanged; only the scheduling
-// around it differs.
+// Shared serving-session types: the vocabulary rl::AsyncQServer
+// (async_server.hpp), rl::RouterQServer (router.hpp) and the scenario
+// driver use to describe sessions, admission refusals and session
+// endings.
 #pragma once
 
 #include <cstdint>

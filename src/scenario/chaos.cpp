@@ -18,7 +18,6 @@
 #include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
 #include "rl/router.hpp"
-#include "rl/serving.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -367,64 +366,6 @@ void check_server_accounting(ScenarioVerdict& verdict,
           std::to_string(stats.step_latency_us.count()));
 }
 
-ScenarioVerdict run_lockstep(const ScenarioSpec& spec,
-                             const ScenarioSchedule& schedule,
-                             ScenarioVerdict verdict) {
-  const EnvDims dims = probe_dims(schedule);
-  const rl::SimplifiedOutputModel model(dims.state_dim, dims.action_count);
-  rl::QServer server(
-      rl::make_backend(spec.backend_id, backend_for(spec, model)), model,
-      spec.worker_threads);
-  const Clock::time_point start = Clock::now();
-  // Lockstep is the baseline tier: no churn, no stalls, no mid-run stop —
-  // every planned session joins up front and one run() drives them all,
-  // so specs double as reproducible lockstep benchmark workloads. The
-  // burst/stall/stop fields are ignored here (documented in the README).
-  for (const PlannedBurst& burst : schedule.bursts) {
-    for (const PlannedSession& planned : burst.sessions) {
-      rl::ServingSessionSpec session;
-      session.env_id = planned.env_id;
-      session.env_seed = planned.env_seed;
-      session.agent_seed = planned.agent_seed;
-      session.trainer = trainer_for(spec);
-      server.add_session(session);
-      ++verdict.attempted;
-      ++verdict.admitted;
-    }
-  }
-  bool ran = false;
-  std::string error;
-  rl::QServerResult result;
-  try {
-    result = server.run();
-    ran = true;
-  } catch (const std::exception& e) {
-    // A throw-fault env aborts the whole lockstep tick loop — which is
-    // exactly why chaos belongs on the async tiers; surface it as a
-    // verdict failure, not a crash.
-    error = e.what();
-  }
-  push_invariant(verdict, "lockstep-run-completed", ran,
-                 ran ? "run() completed" : "run() threw: " + error);
-  push_invariant(verdict, "sessions-conserved",
-                 ran && result.sessions.size() == verdict.admitted,
-                 "admitted " + std::to_string(verdict.admitted) +
-                     "; results " + std::to_string(result.sessions.size()));
-  verdict.completed = result.sessions.size();
-  verdict.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  char stats[256];
-  std::snprintf(stats, sizeof(stats),
-                "{\"ticks\": %llu, \"coalesced_calls\": %llu, "
-                "\"coalesced_rows\": %llu, \"mean_batch_rows\": %.3f}",
-                static_cast<unsigned long long>(result.ticks),
-                static_cast<unsigned long long>(result.coalesced_calls),
-                static_cast<unsigned long long>(result.coalesced_rows),
-                result.mean_batch_rows());
-  verdict.server_stats_json = stats;
-  return verdict;
-}
-
 ScenarioVerdict run_async(const ScenarioSpec& spec,
                           const ScenarioSchedule& schedule,
                           ScenarioVerdict verdict) {
@@ -729,9 +670,6 @@ ScenarioVerdict run_chaos(const ScenarioSpec& spec,
   verdict.schedule_digest = schedule.digest;
   verdict.planned_sessions = schedule.total_sessions;
   switch (spec.backend) {
-    case ScenarioBackend::kLockstep:
-      verdict = run_lockstep(spec, schedule, std::move(verdict));
-      break;
     case ScenarioBackend::kAsync:
       verdict = run_async(spec, schedule, std::move(verdict));
       break;

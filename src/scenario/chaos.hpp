@@ -2,12 +2,11 @@
 // tier and checks conservation invariants.
 //
 // The driver is the scenario subsystem's muscle: it replays the schedule's
-// mass-join bursts against rl::QServer / rl::AsyncQServer /
-// rl::RouterQServer, injects the planned backend stall (a run_exclusive
-// sleep occupying one batch thread — the chosen replica's, behind the
-// router), lets fault-wrapped environments fail mid-run, attributes every
-// admission refusal by its structured reason (capacity vs stopping vs
-// duplicate id), and — after stopping the tier under a watchdog — asserts
+// mass-join bursts against rl::AsyncQServer / rl::RouterQServer, injects
+// the planned backend stall (a run_exclusive sleep occupying one batch
+// thread — the chosen replica's, behind the router), lets fault-wrapped
+// environments fail mid-run, attributes every admission refusal by its
+// structured reason (capacity vs stopping vs duplicate id), and — after stopping the tier under a watchdog — asserts
 // the invariants that must hold under ANY timing:
 //
 //   sessions-conserved   every attempted join is admitted or rejected
@@ -64,7 +63,7 @@ struct InvariantResult {
 struct ScenarioVerdict {
   // Deterministic core.
   std::string scenario;
-  std::string backend_tier;  ///< "lockstep" | "async" | "router"
+  std::string backend_tier;  ///< "async" | "router"
   std::string backend_id;
   std::uint64_t seed = 0;
   std::uint64_t schedule_digest = 0;

@@ -220,17 +220,6 @@ ScenarioSpec bounded_wait_admission() {
   return spec;
 }
 
-ScenarioSpec lockstep_baseline() {
-  ScenarioSpec spec = base_spec();
-  spec.name = "lockstep-baseline";
-  spec.backend = ScenarioBackend::kLockstep;
-  spec.seed = 807;
-  spec.sessions = 8;
-  spec.bursts = 1;
-  spec.max_live_sessions = 8;
-  return spec;
-}
-
 }  // namespace
 
 std::vector<std::string> builtin_scenarios() {
@@ -239,7 +228,7 @@ std::vector<std::string> builtin_scenarios() {
           "router-replica-stall", "mixed-train-eval",
           "backend-fault-storm",  "replica-kill-rescue",
           "replica-backend-nan",  "averaging-kill-rescue",
-          "bounded-wait-admission", "lockstep-baseline"};
+          "bounded-wait-admission"};
 }
 
 ScenarioSpec builtin_scenario(const std::string& name) {
@@ -254,7 +243,6 @@ ScenarioSpec builtin_scenario(const std::string& name) {
   if (name == "replica-backend-nan") return replica_backend_nan();
   if (name == "averaging-kill-rescue") return averaging_kill_rescue();
   if (name == "bounded-wait-admission") return bounded_wait_admission();
-  if (name == "lockstep-baseline") return lockstep_baseline();
   std::string known;
   for (const std::string& id : builtin_scenarios()) {
     known += (known.empty() ? "" : ", ") + id;

@@ -13,7 +13,6 @@
 //   router-replica-stall router: the same sleep on one replica of three
 //   mixed-train-eval     router: train/eval mix with colliding affinity
 //                        keys (duplicate-id rejections) and a mid-run stop
-//   lockstep-baseline    lockstep: the same spec shape on rl::QServer
 #pragma once
 
 #include <string>

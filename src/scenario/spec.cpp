@@ -12,8 +12,6 @@ namespace oselm::scenario {
 
 std::string_view to_string(ScenarioBackend backend) noexcept {
   switch (backend) {
-    case ScenarioBackend::kLockstep:
-      return "lockstep";
     case ScenarioBackend::kAsync:
       return "async";
     case ScenarioBackend::kRouter:
@@ -140,10 +138,6 @@ void ScenarioSpec::validate() const {
     invalid("backend_fault rate " + format_double(backend_fault_rate) +
             " outside [0, 1]");
   }
-  if (backend_fault_kind != "none" &&
-      backend == ScenarioBackend::kLockstep) {
-    invalid("backend_fault requires the async or router tier");
-  }
   if (backend_fault_kind != "none" && backend == ScenarioBackend::kRouter &&
       backend_fault_replica >= replicas) {
     invalid("backend_fault_replica " + std::to_string(backend_fault_replica) +
@@ -167,9 +161,6 @@ void ScenarioSpec::validate() const {
   }
   if (sync_every_updates > 0 && backend != ScenarioBackend::kRouter) {
     invalid("sync_every_updates requires the router tier");
-  }
-  if (prime && backend == ScenarioBackend::kLockstep) {
-    invalid("prime requires the async or router tier");
   }
 }
 
@@ -260,15 +251,13 @@ ScenarioSpec parse_scenario(const std::string& text) {
     if (key == "name") {
       spec.name = value;
     } else if (key == "backend") {
-      if (value == "lockstep") {
-        spec.backend = ScenarioBackend::kLockstep;
-      } else if (value == "async") {
+      if (value == "async") {
         spec.backend = ScenarioBackend::kAsync;
       } else if (value == "router") {
         spec.backend = ScenarioBackend::kRouter;
       } else {
         fail(line_number, "unknown backend '" + value +
-                          "' (expected lockstep|async|router)");
+                          "' (expected async|router)");
       }
     } else if (key == "seed") {
       spec.seed = parse_u64(value, line_number, key);

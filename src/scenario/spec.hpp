@@ -1,8 +1,8 @@
 // ScenarioSpec — declarative workload + chaos description.
 //
 // A scenario is everything the chaos harness needs to reproduce a serving
-// workload from a single file: which backend tier to drive (lockstep
-// QServer, AsyncQServer, RouterQServer), an environment mix (env::registry
+// workload from a single file: which backend tier to drive
+// (AsyncQServer, RouterQServer), an environment mix (env::registry
 // ids, modifiers included), a fault plan, a session churn schedule (timed
 // mass-join bursts with a train/eval mode mix), step/duration budgets,
 // and ONE master seed. Every random choice the harness makes — which env
@@ -29,12 +29,11 @@ namespace oselm::scenario {
 
 /// Which serving tier the scenario drives.
 enum class ScenarioBackend {
-  kLockstep,  ///< rl::QServer — one-shot lockstep run, no churn/stalls
-  kAsync,     ///< rl::AsyncQServer — continuous batching, full chaos
-  kRouter,    ///< rl::RouterQServer — multi-replica, per-replica stalls
+  kAsync,   ///< rl::AsyncQServer — continuous batching, full chaos
+  kRouter,  ///< rl::RouterQServer — multi-replica, per-replica stalls
 };
 
-/// "lockstep" / "async" / "router" — the spec-file spelling.
+/// "async" / "router" — the spec-file spelling.
 [[nodiscard]] std::string_view to_string(ScenarioBackend backend) noexcept;
 
 /// One fault-plan entry: sessions drawing it get their environment

@@ -1,7 +1,7 @@
 // Debug contract layer — machine-checked invariants for the threaded
 // serving stack.
 //
-// The serving tiers (util::ThreadPool env stepping, rl::AsyncQServer's
+// The serving tiers (util::ThreadPool session workers, rl::AsyncQServer's
 // batch thread, rl::RouterQServer's fleet sync) rest on conventions that
 // code review alone enforces: "all backend calls happen on the batch
 // thread", "P stays symmetric", "ready queues stay bounded". This header

@@ -1,9 +1,8 @@
-// Fixed-size thread pool with a blocking parallel_for, used to run
-// independent RL trials concurrently when averaging Fig. 5 results.
-//
-// Matrix-level parallelism uses OpenMP inside linalg; this pool exists for
-// the coarser trial-level fan-out where per-trial determinism (one Rng per
-// trial) must be preserved regardless of scheduling order.
+// Fixed-size thread pool with a blocking parallel_for — the project's one
+// thread runtime. It runs independent RL trials concurrently when
+// averaging Fig. 5 results (per-trial determinism, one Rng per trial,
+// regardless of scheduling order) and AsyncQServer's session workers.
+// The linalg kernels are single-threaded.
 #pragma once
 
 #include <condition_variable>

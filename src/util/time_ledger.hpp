@@ -7,7 +7,8 @@
 // off the ledger. This mirrors the paper's Fig. 3 split between *what is
 // computed* (the backend's arithmetic) and *where the time goes* (the
 // ledger's categories), and lets several sessions share one backend — and
-// therefore one time account — in the serving front-end (rl/serving.hpp).
+// therefore one time account — in the serving front-end
+// (rl/async_server.hpp).
 //
 // Prediction charges are routed by context: by default they land on
 // kPredictInit/kPredictSeq depending on whether the backend has run its

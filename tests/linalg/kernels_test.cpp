@@ -19,7 +19,6 @@
 
 #include "fixed/fixed_point.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oselm::linalg::kernels {
 namespace {
@@ -254,10 +253,10 @@ std::vector<double> serial_rank1(std::vector<double> p, std::size_t n,
 }
 
 TEST(KernelSymRank1, ArbitraryRowBandPartitionsAreBitIdentical) {
-  // The parallel P-update shards disjoint row bands; each row's arithmetic
-  // never reads another row, so ANY partition — including bands that cut
-  // through the 16-wide mirror tiles — must reproduce the full kernel
-  // bit-for-bit, in both dispatch modes.
+  // Each row's arithmetic never reads another row, so ANY partition of
+  // the banded primitives — including bands that cut through the 16-wide
+  // mirror tiles — must reproduce the full kernel bit-for-bit, in both
+  // dispatch modes.
   util::Rng rng(11);
   const struct RestoreDispatch {
     ~RestoreDispatch() { reset_simd_override(); }
@@ -288,51 +287,6 @@ TEST(KernelSymRank1, ArbitraryRowBandPartitionsAreBitIdentical) {
         }
       }
     }
-  }
-}
-
-TEST(KernelSymRank1, ThreadPoolShardingIsBitIdentical) {
-  // Replays the sharded schedule the dispatcher uses at n >= 512 (disjoint
-  // update bands, a barrier, disjoint mirror bands on a real ThreadPool)
-  // and pins bit-identity against the serial composition. n = 600 makes
-  // the balanced band boundaries land off the 16-wide mirror tiles.
-  util::Rng rng(12);
-  util::ThreadPool pool(4);
-  for (const std::size_t n : {512u, 600u}) {
-    const std::vector<double> p0 = random_spd(n, rng);
-    const std::vector<double> u = random_vec(n, rng);
-    for (const double p_scale : {1.0, 1.0 / 0.97}) {
-      const std::vector<double> reference =
-          serial_rank1(p0, n, u, 0.4, p_scale);
-      std::vector<double> sharded = p0;
-      const std::size_t bands = 4;
-      std::vector<std::size_t> bounds = {0, n / 5, n / 2, (3 * n) / 4, n};
-      pool.parallel_for(bands, [&](std::size_t b) {
-        sym_rank1_update_rows(sharded.data(), n, bounds[b], bounds[b + 1],
-                              u.data(), 0.4, p_scale);
-      });
-      pool.parallel_for(bands, [&](std::size_t b) {
-        mirror_lower_rows(sharded.data(), n, bounds[b], bounds[b + 1]);
-      });
-      ASSERT_EQ(sharded, reference) << "n=" << n << " p_scale=" << p_scale;
-    }
-  }
-}
-
-TEST(KernelSymRank1, DispatcherAtParallelSizeMatchesSerialBitForBit) {
-  // The public entry point may (or may not — thread count is host- and
-  // environment-dependent) take the sharded path at n >= 512; either way
-  // it must equal the serial composition exactly.
-  util::Rng rng(13);
-  const std::size_t n = 512;
-  const std::vector<double> p0 = random_spd(n, rng);
-  const std::vector<double> u = random_vec(n, rng);
-  for (const double p_scale : {1.0, 1.0 / 0.97}) {
-    const std::vector<double> reference =
-        serial_rank1(p0, n, u, 0.19, p_scale);
-    std::vector<double> dispatched = p0;
-    sym_rank1_update(dispatched.data(), n, u.data(), 0.19, p_scale);
-    ASSERT_EQ(dispatched, reference) << "p_scale=" << p_scale;
   }
 }
 

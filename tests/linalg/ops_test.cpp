@@ -43,9 +43,8 @@ TEST(Matmul, DimensionMismatchThrows) {
   EXPECT_THROW(matmul(a, b), std::invalid_argument);
 }
 
-// Parameterized sweep: the blocked/parallel kernel must agree with the
-// naive kernel across shapes, including ones crossing the block size (64)
-// and the OpenMP-parallel cutoff.
+// Parameterized sweep: the blocked kernel must agree with the naive
+// kernel across shapes, including ones crossing the block size (64).
 class MatmulShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -66,9 +65,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{63, 65, 64}, std::tuple{64, 64, 64},
                       std::tuple{65, 63, 66}, std::tuple{128, 32, 96},
                       std::tuple{70, 70, 70}, std::tuple{1, 192, 192},
-                      // Above the OpenMP cutoff (64^3 elements of work)
-                      // with row counts that are not multiples of the
-                      // 64-row band: exercises the banded parallel path.
+                      // Row counts that are not multiples of the 64-row
+                      // block, above 64^3 elements of work.
                       std::tuple{130, 70, 40}, std::tuple{200, 64, 64},
                       std::tuple{65, 100, 80}));
 

@@ -5,9 +5,10 @@
 //     yields the exact same trajectory at ANY worker-thread count, alone
 //     or co-scheduled — even though cross-session batch composition is
 //     scheduling-dependent (the acceptance pin for the async redesign);
-//   * a solo training session reproduces the lockstep QServer N=1 run
-//     (and therefore the single-agent run_training trajectory) exactly,
-//     backend call stream included;
+//   * a solo training session reproduces the single-agent run_training
+//     trajectory exactly, backend call stream included;
+//   * the lockstep configuration (lockstep_config + add_cohort) makes
+//     co-tenant training deterministic across reruns and worker counts;
 //   * lifecycle robustness: admission control rejects past the cap with a
 //     clear error, a session whose environment throws mid-step retires
 //     without poisoning the batch thread, and shutdown with in-flight
@@ -19,12 +20,14 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 
 #include "env/registry.hpp"
 #include "rl/backend_registry.hpp"
-#include "rl/serving.hpp"
+#include "rl/oselm_q_agent.hpp"
+#include "rl/trainer.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -123,82 +126,191 @@ TEST_P(PerBackend, EvalSessionIsDeterministicAcrossThreadsAndCoTenants) {
       << "threads + co-tenants change it";
 }
 
-TEST_P(PerBackend, SoloTrainSessionMatchesTheLockstepQServerExactly) {
-  const std::string backend_id = GetParam();
-  ServingSessionSpec spec;
-  spec.env_id = "ShapedCartPole-v0";
-  spec.env_seed = 913;
-  spec.agent_seed = 37;
-  spec.trainer.max_episodes = 60;
-  spec.trainer.reset_interval = 25;  // exercise the §4.3 reset round trip
+/// The single-agent reference for a spec, on a fresh backend of the same
+/// id/seed (exactly what the server multiplexes).
+TrainResult single_agent_reference(const std::string& backend_id,
+                                   std::uint64_t backend_seed,
+                                   const ServingSessionSpec& spec,
+                                   util::OpBreakdown* breakdown_out) {
+  OsElmQBackendPtr backend =
+      make_backend(backend_id, backend_config(backend_seed));
+  OsElmQBackend* raw = backend.get();
+  OsElmQAgent agent(std::move(backend), SimplifiedOutputModel(4, 2),
+                    spec.agent, spec.agent_seed);
+  const env::EnvironmentPtr env =
+      env::make_environment(spec.env_id, spec.env_seed);
+  const TrainResult result = run_training(agent, *env, spec.trainer);
+  if (breakdown_out != nullptr) *breakdown_out = raw->ledger().breakdown();
+  return result;
+}
 
-  // Lockstep reference on a fresh backend of the same seed.
-  QServer lockstep(make_backend(backend_id, backend_config(5150)),
-                   SimplifiedOutputModel(4, 2));
-  lockstep.add_session(spec);
-  const QServerResult reference = lockstep.run();
+AsyncSessionSpec train_spec(std::uint64_t env_seed, std::uint64_t agent_seed,
+                            std::size_t episodes) {
+  AsyncSessionSpec spec;
+  spec.mode = AsyncSessionMode::kTrain;
+  spec.session.env_seed = env_seed;
+  spec.session.agent_seed = agent_seed;
+  spec.session.trainer.max_episodes = episodes;
+  spec.session.trainer.reset_interval = 0;  // shared network: no resets
+  return spec;
+}
 
-  OsElmQBackendPtr backend = make_backend(backend_id, backend_config(5150));
+/// One lockstep cohort run on a fresh backend: results in spec order, the
+/// server's counters, the shared ledger and the trained weights.
+struct LockstepRun {
+  std::vector<AsyncSessionResult> sessions;
+  AsyncServerStats stats;
+  util::OpBreakdown ledger;
+  QNetState weights;
+};
+
+LockstepRun run_lockstep(const std::string& backend_id,
+                         std::uint64_t backend_seed,
+                         const std::vector<AsyncSessionSpec>& specs,
+                         std::size_t workers = 0) {
+  OsElmQBackendPtr backend =
+      make_backend(backend_id, backend_config(backend_seed));
   const OsElmQBackend* raw = backend.get();
-  AsyncQServer server(std::move(backend), SimplifiedOutputModel(4, 2));
-  AsyncSessionSpec async_spec;
-  async_spec.session = spec;
-  async_spec.mode = AsyncSessionMode::kTrain;
-  const AsyncSessionResult served =
-      server.wait(server.add_session(async_spec));
+  AsyncQServerConfig config = lockstep_config(specs.size());
+  if (workers != 0) config.worker_threads = workers;
+  AsyncQServer server(std::move(backend), SimplifiedOutputModel(4, 2),
+                      config);
+  add_cohort(server, specs);
+  LockstepRun out;
+  out.sessions = server.drain();
+  out.stats = server.stats();
+  server.stop();  // the backend is quiescent from here on
+  out.ledger = raw->ledger().breakdown();
+  if (raw->initialized()) out.weights = raw->export_state();
+  return out;
+}
 
-  ASSERT_TRUE(served.completed);
-  EXPECT_EQ(Trajectory(served.train),
-            Trajectory(reference.sessions.at(0)));
-  EXPECT_EQ(served.train.resets, reference.sessions.at(0).resets);
-  EXPECT_EQ(served.train.solved, reference.sessions.at(0).solved);
-  EXPECT_EQ(served.train.first_solved_episode,
-            reference.sessions.at(0).first_solved_episode);
+constexpr util::OpCategory kBackendCategories[] = {
+    util::OpCategory::kPredictInit, util::OpCategory::kPredictSeq,
+    util::OpCategory::kSeqTrain, util::OpCategory::kInitTrain};
 
-  // The backend call stream is identical, so the shared ledger's
-  // invocation counts match the lockstep server's.
-  using util::OpCategory;
-  for (const OpCategory cat :
-       {OpCategory::kPredictInit, OpCategory::kPredictSeq,
-        OpCategory::kSeqTrain, OpCategory::kInitTrain}) {
-    EXPECT_EQ(raw->ledger().breakdown().invocations(cat),
-              reference.breakdown.invocations(cat))
+class SingleSessionFidelity : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SingleSessionFidelity, ReproducesTheSingleAgentTrajectoryExactly) {
+  // N=1 lockstep serving must reproduce rl::run_training EXACTLY (same rng
+  // streams, same backend call order, same §4.3 reset and target-sync
+  // schedules): serving may change WHERE predictions are batched, never
+  // WHAT is computed.
+  const std::string backend_id = GetParam();
+  AsyncSessionSpec spec = train_spec(913, 37, 60);
+  spec.session.trainer.reset_interval = 25;  // exercise the §4.3 reset too
+
+  util::OpBreakdown agent_breakdown;
+  const TrainResult reference =
+      single_agent_reference(backend_id, 5150, spec.session, &agent_breakdown);
+  const LockstepRun run = run_lockstep(backend_id, 5150, {spec});
+  ASSERT_EQ(run.sessions.size(), 1u);
+  const TrainResult& served = run.sessions[0].train;
+
+  ASSERT_TRUE(run.sessions[0].completed);
+  EXPECT_EQ(Trajectory(served), Trajectory(reference));
+  EXPECT_EQ(served.resets, reference.resets);
+  EXPECT_EQ(served.solved, reference.solved);
+  EXPECT_EQ(served.first_solved_episode, reference.first_solved_episode);
+  // The server issued exactly the backend calls the agent would have.
+  for (const util::OpCategory cat : kBackendCategories) {
+    EXPECT_EQ(run.ledger.invocations(cat), agent_breakdown.invocations(cat))
         << util::op_category_name(cat);
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(AllRegisteredBackends, SingleSessionFidelity,
+                         ::testing::ValuesIn(registered_backends()),
+                         [](const ::testing::TestParamInfo<std::string>& i) {
+                           std::string name = i.param;
+                           for (char& c : name) {
+                             if (c == '-' || c == '.') c = '_';
+                           }
+                           return name;
+                         });
+
 TEST(AsyncQServer, SoloTrainFpgaModeledTimeMatchesBitForBit) {
   // Deterministic modeled PL seconds: with one session every coalesced
   // batch carries one state, so the as-batched charges degenerate to the
-  // lockstep N=1 stream bit-for-bit.
-  ServingSessionSpec spec;
-  spec.env_seed = 4242;
-  spec.agent_seed = 11;
-  spec.trainer.max_episodes = 40;
-  spec.trainer.reset_interval = 0;
-
-  QServer lockstep(make_backend("fpga-q20", backend_config(999)),
-                   SimplifiedOutputModel(4, 2));
-  lockstep.add_session(spec);
-  const QServerResult reference = lockstep.run();
-
-  OsElmQBackendPtr backend = make_backend("fpga-q20", backend_config(999));
-  const OsElmQBackend* raw = backend.get();
-  AsyncQServer server(std::move(backend), SimplifiedOutputModel(4, 2));
-  AsyncSessionSpec async_spec;
-  async_spec.session = spec;
-  async_spec.mode = AsyncSessionMode::kTrain;
-  (void)server.wait(server.add_session(async_spec));
+  // single agent's per-call stream bit-for-bit.
+  const AsyncSessionSpec spec = train_spec(4242, 11, 40);
+  util::OpBreakdown agent_breakdown;
+  (void)single_agent_reference("fpga-q20", 999, spec.session,
+                               &agent_breakdown);
+  const LockstepRun run = run_lockstep("fpga-q20", 999, {spec});
 
   // kInitTrain is excluded: the Eq. 7/8 solve runs on the CPU side of the
   // Fig. 3 split and charges measured wall-clock, never bit-stable.
-  using util::OpCategory;
-  for (const OpCategory cat :
-       {OpCategory::kPredictInit, OpCategory::kPredictSeq,
-        OpCategory::kSeqTrain}) {
-    EXPECT_DOUBLE_EQ(raw->ledger().breakdown().get(cat),
-                     reference.breakdown.get(cat))
+  for (const util::OpCategory cat :
+       {util::OpCategory::kPredictInit, util::OpCategory::kPredictSeq,
+        util::OpCategory::kSeqTrain}) {
+    EXPECT_DOUBLE_EQ(run.ledger.get(cat), agent_breakdown.get(cat))
         << util::op_category_name(cat);
+  }
+}
+
+/// A three-session lockstep training cohort with shared §4.3 resets.
+/// Session 0 sleeps in every env step, so with several workers its
+/// requests arrive last while with one worker they arrive first.
+std::vector<AsyncSessionSpec> lockstep_cohort() {
+  std::vector<AsyncSessionSpec> specs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    specs.push_back(train_spec(500 + i, 130 + i, 12));
+  }
+  specs[0].session.trainer.reset_interval = 5;
+  specs[0].session.env_id = "delay:50:ShapedCartPole-v0";
+  return specs;
+}
+
+/// Pins two lockstep runs bit-identical: trajectories, resets, batch
+/// composition, backend call stream and the trained weights.
+void expect_identical_runs(const LockstepRun& run, const LockstepRun& ref,
+                           const std::string& label) {
+  ASSERT_EQ(run.sessions.size(), ref.sessions.size()) << label;
+  for (std::size_t i = 0; i < ref.sessions.size(); ++i) {
+    EXPECT_EQ(Trajectory(run.sessions[i].train),
+              Trajectory(ref.sessions[i].train))
+        << label << " session " << i;
+    EXPECT_EQ(run.sessions[i].train.resets, ref.sessions[i].train.resets)
+        << label << " session " << i;
+  }
+  EXPECT_EQ(run.stats.batches, ref.stats.batches) << label;
+  EXPECT_EQ(run.stats.batch_rows, ref.stats.batch_rows) << label;
+  EXPECT_EQ(run.stats.train_updates, ref.stats.train_updates) << label;
+  EXPECT_EQ(run.weights.beta.storage(), ref.weights.beta.storage()) << label;
+  EXPECT_EQ(run.weights.p.storage(), ref.weights.p.storage()) << label;
+  for (const util::OpCategory cat : kBackendCategories) {
+    EXPECT_EQ(run.ledger.invocations(cat), ref.ledger.invocations(cat))
+        << label << " " << util::op_category_name(cat);
+  }
+}
+
+// QServer.* pins the lockstep Q-serving schedule: every drain carries the
+// whole live cohort and is applied in session-id order, so co-tenant
+// training evolves the shared weights bit-identically.
+
+TEST(QServer, MultiSessionRunIsDeterministic) {
+  const std::vector<AsyncSessionSpec> specs = lockstep_cohort();
+  for (const std::string& backend_id : registered_backends()) {
+    const LockstepRun first = run_lockstep(backend_id, 33, specs);
+    ASSERT_EQ(first.sessions.size(), 3u) << backend_id;
+    ASSERT_TRUE(first.weights.initialized) << backend_id;
+    EXPECT_GT(first.stats.train_updates, 0u) << backend_id;
+    expect_identical_runs(run_lockstep(backend_id, 33, specs), first,
+                          backend_id + " rerun");
+  }
+}
+
+TEST(QServer, ParallelEnvSteppingMatchesSerialExactly) {
+  // Per-session envs, RNGs and scratch make the result independent of the
+  // worker count; 4 workers oversubscribe 3 sessions on purpose.
+  const std::vector<AsyncSessionSpec> specs = lockstep_cohort();
+  for (const std::string& backend_id : registered_backends()) {
+    const LockstepRun serial = run_lockstep(backend_id, 77, specs, 1);
+    ASSERT_EQ(serial.sessions.size(), 3u) << backend_id;
+    ASSERT_TRUE(serial.weights.initialized) << backend_id;
+    expect_identical_runs(run_lockstep(backend_id, 77, specs, 4), serial,
+                          backend_id + " 4 workers");
   }
 }
 
@@ -659,6 +771,112 @@ TEST(AsyncQServer, ResultsCarryTheConfiguredServerName) {
   const AsyncSessionResult result =
       server.wait(server.add_session(eval_spec(70, 71, 2)));
   EXPECT_EQ(result.served_by, "edge-0");
+}
+
+TEST(AsyncQServer, PerSessionBreakdownCarriesOnlyEnvironmentTime) {
+  // Backend time is shared and lives on the backend's ledger; a session's
+  // TrainResult accounts its own environment stepping only.
+  const LockstepRun run =
+      run_lockstep("software", 77, {train_spec(500, 120, 5)});
+  const util::OpBreakdown& session = run.sessions.at(0).train.breakdown;
+  EXPECT_GT(session.get(util::OpCategory::kEnvironment), 0.0);
+  EXPECT_DOUBLE_EQ(session.total_excluding_env(), 0.0);
+  EXPECT_GT(run.ledger.invocations(util::OpCategory::kSeqTrain), 0u);
+}
+
+TEST(AsyncQServer, UnrepresentableLingerMeansNoDeadline) {
+  // max_wait_us = UINT64_MAX must linger until the batch is full, never
+  // fire at once. Two sessions with identical seeds walk identical
+  // trajectories, so with no deadline every batch carries both rows even
+  // though one of them always arrives 200 us after the other.
+  OsElmQBackendPtr backend = make_backend("software", backend_config(2024));
+  prime_backend(*backend, 77);
+  AsyncQServerConfig config;
+  config.max_batch = 2;
+  config.max_wait_us = std::numeric_limits<std::uint64_t>::max();
+  AsyncQServer server(std::move(backend), SimplifiedOutputModel(4, 2),
+                      config);
+  AsyncSessionSpec late = eval_spec(913, 37, 3);
+  late.session.env_id = "delay:200:ShapedCartPole-v0";
+  add_cohort(server, {eval_spec(913, 37, 3), late});
+  const std::vector<AsyncSessionResult> results = server.drain();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(Trajectory(results[0].train), Trajectory(results[1].train));
+  const AsyncServerStats stats = server.stats();
+  ASSERT_GT(stats.batches, 0u);
+  EXPECT_EQ(stats.batch_rows_hist.min(), 2.0);
+  EXPECT_EQ(stats.batch_rows, 2 * stats.batches);
+}
+
+TEST(AsyncQServer, RetirementWakesTheBatchThread) {
+  // A retirement can complete batch_full() for a co-tenant already
+  // waiting in the ready queue; the batch thread must serve it at once,
+  // not after the linger. The slow session's last slice ends in a 2 ms
+  // env step, so the fast one is usually pending when it retires.
+  AsyncQServerConfig config;
+  config.max_batch = 2;
+  config.max_wait_us = 10'000'000;
+  AsyncQServer server(make_backend("software", backend_config(2025)),
+                      SimplifiedOutputModel(4, 2), config);
+  AsyncSessionSpec slow = eval_spec(10, 20, 1);
+  slow.session.env_id = "delay:2000:ShapedCartPole-v0";
+  const auto start = std::chrono::steady_clock::now();
+  add_cohort(server, {slow, eval_spec(11, 21, 6)});
+  for (const AsyncSessionResult& r : server.drain()) {
+    EXPECT_TRUE(r.completed) << r.id;
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 3.0) << "a retirement left its co-tenant lingering";
+}
+
+TEST(LockstepServing, SessionsEndIndependently) {
+  // Sessions with different budgets retire at different drains; every
+  // retirement re-arms the barrier for the survivors, which keep being
+  // served (with no linger deadline a missed wake would hang here).
+  const LockstepRun run = run_lockstep(
+      "software", 66, {train_spec(400, 110, 3), train_spec(401, 111, 20)});
+  ASSERT_EQ(run.sessions.size(), 2u);
+  EXPECT_TRUE(run.sessions[0].completed);
+  EXPECT_TRUE(run.sessions[1].completed);
+  EXPECT_EQ(run.sessions[0].train.episodes, 3u);
+  EXPECT_EQ(run.sessions[1].train.episodes, 20u);
+}
+
+TEST(LockstepServing, SharedBackendInitTrainsOnceAcrossSessions) {
+  // With N sessions buffering toward one shared network, exactly one
+  // session's Eq. 7/8 chunk initializes it; everyone else switches
+  // straight to sequential updates against the initialized core.
+  std::vector<AsyncSessionSpec> specs;
+  for (std::size_t i = 0; i < 4; ++i) {
+    specs.push_back(train_spec(200 + i, 70 + i, 15));
+  }
+  const LockstepRun run = run_lockstep("software", 44, specs);
+  EXPECT_EQ(run.stats.init_trains, 1u);
+  // kInitTrain counts the Eq. 7/8 solve plus its TD-target evaluations
+  // (at most 2 per buffered sample): one session's chunk bounds it at
+  // 1 + 2 * N-tilde. Four independent init trainings would blow past it.
+  const std::uint64_t init_counts =
+      run.ledger.invocations(util::OpCategory::kInitTrain);
+  EXPECT_GE(init_counts, 1u);
+  EXPECT_LE(init_counts, 1u + 2u * kHidden);
+  EXPECT_GT(run.ledger.invocations(util::OpCategory::kSeqTrain), 0u);
+}
+
+TEST(LockstepServing, CoalescesAcrossSessions) {
+  constexpr std::size_t kSessions = 6;
+  std::vector<AsyncSessionSpec> specs;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    specs.push_back(train_spec(300 + i, 90 + i, 15));
+  }
+  const LockstepRun run = run_lockstep("software", 55, specs);
+  EXPECT_GT(run.stats.batches, 0u);
+  // With 6 concurrent sessions at epsilon_1 = 0.7, batches must actually
+  // coalesce (mean well above one state per call)...
+  EXPECT_GT(run.stats.mean_batch_rows(), 1.5);
+  // ... and can never exceed the session count.
+  EXPECT_LE(run.stats.mean_batch_rows(), static_cast<double>(kSessions));
 }
 
 }  // namespace

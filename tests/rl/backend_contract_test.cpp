@@ -314,7 +314,7 @@ TEST_P(BackendContract, BatchedPredictReadsTheRequestedNetwork) {
 
 TEST_P(BackendContract, MultiStatePredictMatchesPerStateBatches) {
   // Row i of predict_actions_multi must be bit-identical to a
-  // predict_actions call on states.row(i) — the property QServer's
+  // predict_actions call on states.row(i) — the property AsyncQServer's
   // cross-session coalescing rests on (for every backend, including the
   // fixed-point model: same dataflow order per state).
   const auto backend = make(25);

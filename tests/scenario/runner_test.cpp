@@ -87,21 +87,6 @@ TEST(ScenarioRunner, RouterChurnStormKeepsPlacementConsistent) {
                 verdict.rejected_stopping + verdict.rejected_duplicate);
 }
 
-TEST(ScenarioRunner, LockstepBaselineRuns) {
-  ScenarioSpec spec = small_async();
-  spec.name = "test-lockstep";
-  spec.backend = ScenarioBackend::kLockstep;
-  spec.sessions = 4;
-  spec.bursts = 1;
-  spec.max_live_sessions = 4;
-  const ScenarioVerdict verdict = ScenarioRunner(spec).run();
-  EXPECT_TRUE(verdict.pass);
-  expect_invariant(verdict, "lockstep-run-completed");
-  expect_invariant(verdict, "sessions-conserved");
-  EXPECT_EQ(verdict.backend_tier, "lockstep");
-  EXPECT_EQ(verdict.admitted, 4u);
-}
-
 TEST(ScenarioRunner, DeterministicJsonIsByteIdenticalAcrossRuns) {
   // The reproducibility contract: same spec + seed => identical
   // deterministic core (identity, digest, invariant outcomes), however

@@ -135,6 +135,8 @@ TEST(ScenarioSpec, StrictParsingRejectsEveryMalformation) {
                      "not a number");
   expect_parse_error(minimal_text("backend = turbo\n"),
                      "unknown backend 'turbo'");
+  expect_parse_error(minimal_text("backend = lockstep\n"),
+                     "unknown backend 'lockstep' (expected async|router)");
   expect_parse_error(minimal_text("fault = drop\n"),
                      "expected none or <kind>:<rate>");
   expect_parse_error(minimal_text("fault = flood:0.5\n"),
@@ -174,9 +176,6 @@ TEST(ScenarioSpec, ValidateCatchesStructuralErrors) {
   // The same configs are fine when no stall is armed.
   EXPECT_NO_THROW(parse_scenario(minimal_text("stall_at_burst = 4\n")));
   // The robustness axes are tier- and range-checked the same way.
-  expect_parse_error(minimal_text("backend = lockstep\n"
-                                  "backend_fault = throw:0.5\n"),
-                     "requires the async or router tier");
   expect_parse_error(minimal_text("backend = router\n"
                                   "backend_fault = nan:0.5\n"
                                   "backend_fault_replica = 2\n"),
@@ -193,8 +192,6 @@ TEST(ScenarioSpec, ValidateCatchesStructuralErrors) {
                      "sync_every_updates requires the router tier");
   EXPECT_NO_THROW(parse_scenario(
       minimal_text("backend = router\nsync_every_updates = 16\n")));
-  expect_parse_error(minimal_text("backend = lockstep\nprime = 1\n"),
-                     "prime requires the async or router tier");
 
   ScenarioSpec bad = full_spec();
   bad.name.clear();

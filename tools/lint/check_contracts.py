@@ -10,9 +10,8 @@ fail the gate; fixing old ones requires refreshing the baseline with
 Rules:
   kernel-heap-alloc
       No heap allocation inside src/linalg/kernels*.cpp. The kernel layer
-      is the hot path under every OS-ELM update; the few allocations that
-      exist live in one-time parallel-setup code and are baselined — new
-      ones are rejected.
+      is the hot path under every OS-ELM update, and it allocates
+      nothing — new allocations are rejected.
   backend-call-outside-batch
       Inside src/rl/async_server.cpp, mutating/predicting OsElmQBackend
       virtuals must go through checked_backend() (which asserts
