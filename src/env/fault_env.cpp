@@ -1,6 +1,6 @@
 #include "env/fault_env.hpp"
 
-#include <cstdio>
+#include <array>
 #include <thread>
 #include <utility>
 
@@ -8,98 +8,55 @@
 
 namespace oselm::env {
 
-std::string_view to_string(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kDrop:
-      return "drop";
-    case FaultKind::kReorder:
-      return "reorder";
-    case FaultKind::kThrow:
-      return "throw";
-    case FaultKind::kSpike:
-      return "spike";
-  }
-  return "unknown";
-}
-
-std::string_view fault_kinds() noexcept { return "drop|reorder|throw|spike"; }
-
-std::vector<bool> fault_schedule_preview(double rate, std::uint64_t seed,
-                                         std::size_t draws) {
-  util::Rng rng(seed);
-  std::vector<bool> schedule(draws);
-  for (std::size_t i = 0; i < draws; ++i) schedule[i] = rng.bernoulli(rate);
-  return schedule;
-}
-
 namespace {
 
-std::string format_rate(double rate) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", rate);
-  return buffer;
-}
+/// FaultKind declaration order; trace names in the same order.
+constexpr std::string_view kKinds = "drop|reorder|throw|spike";
+constexpr std::array<const char*, 4> kTraceNames = {
+    "env_drop", "env_reorder", "env_throw", "env_spike"};
 
 }  // namespace
+
+std::string_view to_string(FaultKind kind) noexcept {
+  return util::kind_name(kKinds, static_cast<std::size_t>(kind));
+}
+
+std::string_view fault_kinds() noexcept { return kKinds; }
 
 FaultEnv::FaultEnv(EnvironmentPtr inner, FaultKind kind, double rate,
                    std::uint64_t seed, std::chrono::microseconds spike)
     : inner_(std::move(inner)),
       kind_(kind),
-      rate_(rate),
-      seed_(seed),
-      spike_(spike),
-      fault_rng_(seed) {
+      schedule_("FaultEnv", rate, seed),
+      spike_(spike) {
   if (!inner_) throw std::invalid_argument("FaultEnv: null inner env");
-  if (!(rate_ >= 0.0 && rate_ <= 1.0)) {
-    throw std::invalid_argument("FaultEnv: rate " + format_rate(rate_) +
-                                " outside [0, 1]");
-  }
   if (spike_.count() < 0) {
     throw std::invalid_argument("FaultEnv: negative spike duration");
   }
-  name_ = "fault:" + std::string(to_string(kind_)) + ":" +
-          format_rate(rate_) + ":" + std::to_string(seed_) + ":" +
-          std::string(inner_->name());
+  name_ = util::format_fault_id(to_string(kind_), rate, seed, inner_->name());
 }
 
-bool FaultEnv::draw_fault() {
-  ++calls_;
-  // The schedule stream is consumed on EVERY call — even kinds that treat
-  // a firing reset as a no-op — so the decision sequence stays aligned
-  // with fault_schedule_preview() regardless of kind.
-  const bool fired = fault_rng_.bernoulli(rate_);
-  if (fired) {
-    ++fault_count_;
-    switch (kind_) {
-      case FaultKind::kDrop:
-        OSELM_TRACE_INSTANT("fault", "env_drop");
-        break;
-      case FaultKind::kReorder:
-        OSELM_TRACE_INSTANT("fault", "env_reorder");
-        break;
-      case FaultKind::kThrow:
-        OSELM_TRACE_INSTANT("fault", "env_throw");
-        break;
-      case FaultKind::kSpike:
-        OSELM_TRACE_INSTANT("fault", "env_spike");
-        break;
-    }
+bool FaultEnv::draw_fault(const char* call) {
+  // The schedule is consumed on EVERY call — even kinds that treat a
+  // firing reset as a no-op — so the decision sequence stays aligned with
+  // util::FaultSchedule::preview() regardless of kind.
+  if (!schedule_.draw()) return false;
+  OSELM_TRACE_INSTANT("fault", kTraceNames[static_cast<std::size_t>(kind_)]);
+  if (kind_ == FaultKind::kThrow) {
+    throw FaultInjected("FaultEnv: injected failure on " + std::string(call) +
+                        " #" + std::to_string(schedule_.draws()) + " of '" +
+                        name_ + "'");
   }
-  return fired;
-}
-
-void FaultEnv::throw_fault(const char* call) {
-  throw FaultInjected("FaultEnv: injected failure on " + std::string(call) +
-                      " #" + std::to_string(calls_) + " of '" + name_ + "'");
+  if (kind_ == FaultKind::kSpike) std::this_thread::sleep_for(spike_);
+  return true;
 }
 
 void FaultEnv::seed(std::uint64_t seed_value) {
   inner_->seed(seed_value);
-  // Rewind the fault stream to ITS OWN seed: reseeding the dynamics must
-  // reproduce the whole run, faults included, and the env seed must never
-  // leak into the fault schedule.
-  fault_rng_ = util::Rng(seed_);
+  // Rewind the fault schedule to ITS OWN seed: reseeding the dynamics
+  // must reproduce the whole run, faults included, and the env seed must
+  // never leak into the fault schedule.
+  schedule_.rewind();
 }
 
 Observation FaultEnv::reset() {
@@ -108,31 +65,15 @@ Observation FaultEnv::reset() {
   lagging_ = false;
   held_.clear();
   has_delivered_ = false;
-  const bool fired = draw_fault();
-  if (fired) {
-    switch (kind_) {
-      case FaultKind::kThrow:
-        throw_fault("reset");
-        break;
-      case FaultKind::kSpike:
-        std::this_thread::sleep_for(spike_);
-        break;
-      case FaultKind::kDrop:
-      case FaultKind::kReorder:
-        break;  // nothing delivered yet — nothing to drop or reorder
-    }
-  }
+  // A firing kDrop/kReorder is a no-op here: nothing delivered yet.
+  draw_fault("reset");
   last_delivered_ = inner_->reset();
   has_delivered_ = true;
   return last_delivered_;
 }
 
 StepResult FaultEnv::step(std::size_t action) {
-  const bool fired = draw_fault();
-  if (fired && kind_ == FaultKind::kThrow) throw_fault("step");
-  if (fired && kind_ == FaultKind::kSpike) {
-    std::this_thread::sleep_for(spike_);
-  }
+  const bool fired = draw_fault("step");
   StepResult result = inner_->step(action);
   switch (kind_) {
     case FaultKind::kThrow:

@@ -3,19 +3,15 @@
 // The serving stack is built for edge deployments where environments
 // misbehave: sensors drop frames, telemetry arrives out of order, remote
 // simulators throw, and I/O latency spikes. FaultEnv decorates any
-// Environment with exactly those failure modes, driven by a DEDICATED
-// util::Rng stream so the schedule is a pure function of (rate, seed):
+// Environment with exactly those failure modes, driven by a
+// util::FaultSchedule: the schedule is a pure function of (rate, seed),
+// util::FaultSchedule::preview() pins it without stepping an environment,
+// and the wrapped environment's rng is never touched, so the inner
+// dynamics under a given env seed are bit-identical with and without the
+// wrapper.
 //
-//   * the fault generator never draws from — and never perturbs — the
-//     wrapped environment's rng, so the inner dynamics under a given
-//     env seed are bit-identical with and without the wrapper;
-//   * the same (rate, seed) pair produces the same fire/no-fire decision
-//     sequence on every run and platform (util::Rng is platform-stable);
-//     fault_schedule_preview() exposes that sequence so tests and the
-//     scenario layer can pin it without stepping an environment.
-//
-// One bernoulli(rate) decision is drawn per reset() AND per step(), in
-// call order. What a firing fault does depends on the kind:
+// One schedule decision is drawn per reset() AND per step(), in call
+// order. What a firing fault does depends on the kind:
 //
 //   kDrop     step: the inner environment advances normally but the STALE
 //             previously-delivered observation is returned (a dropped
@@ -44,10 +40,9 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "env/environment.hpp"
-#include "util/rng.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::env {
 
@@ -58,22 +53,16 @@ class FaultInjected : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Declared in fault_kinds() order.
 enum class FaultKind { kDrop, kReorder, kThrow, kSpike };
 
 /// "drop" / "reorder" / "throw" / "spike" — the registry-id spelling.
 [[nodiscard]] std::string_view to_string(FaultKind kind) noexcept;
 
-/// The valid <kind> spellings for "fault:<kind>:..." ids, in declaration
-/// order — the single source for registry error messages and docs.
+/// The valid <kind> spellings for "fault:<kind>:..." ids, '|'-separated
+/// in declaration order — the single source for the registry, the
+/// scenario spec's validation and their error messages.
 [[nodiscard]] std::string_view fault_kinds() noexcept;
-
-/// The exact fire/no-fire sequence a FaultEnv built with (rate, seed)
-/// will draw over its next `draws` reset()/step() calls. This IS the
-/// schedule contract: element k equals the decision of the k-th call
-/// after construction (or after seed(), which rewinds the stream).
-[[nodiscard]] std::vector<bool> fault_schedule_preview(double rate,
-                                                       std::uint64_t seed,
-                                                       std::size_t draws);
 
 class FaultEnv final : public Environment {
  public:
@@ -86,9 +75,9 @@ class FaultEnv final : public Environment {
 
   Observation reset() override;
   StepResult step(std::size_t action) override;
-  /// Reseeds the inner environment AND rewinds the fault stream to its
+  /// Reseeds the inner environment AND rewinds the fault schedule to its
   /// constructed seed, so seed()-then-run reproduces faults and dynamics
-  /// alike. The env seed never feeds the fault stream.
+  /// alike. The env seed never feeds the fault schedule.
   void seed(std::uint64_t seed_value) override;
 
   [[nodiscard]] const BoxSpace& observation_space() const override {
@@ -103,33 +92,31 @@ class FaultEnv final : public Environment {
   }
 
   [[nodiscard]] FaultKind kind() const noexcept { return kind_; }
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-  [[nodiscard]] std::uint64_t fault_seed() const noexcept { return seed_; }
+  [[nodiscard]] double rate() const noexcept { return schedule_.rate(); }
+  [[nodiscard]] std::uint64_t fault_seed() const noexcept {
+    return schedule_.seed();
+  }
   [[nodiscard]] std::chrono::microseconds spike_duration() const noexcept {
     return spike_;
   }
   /// Faults injected so far (draws that fired, across resets and steps).
   [[nodiscard]] std::uint64_t fault_count() const noexcept {
-    return fault_count_;
+    return schedule_.fires();
   }
 
   static constexpr std::chrono::microseconds kDefaultSpike{5000};
 
  private:
-  /// One schedule draw; counts and returns whether this call faults.
-  bool draw_fault();
-  void throw_fault(const char* call);
+  /// One schedule draw for `call`; a firing kThrow throws and a firing
+  /// kSpike sleeps before it returns. Returns whether the call faults.
+  bool draw_fault(const char* call);
 
   EnvironmentPtr inner_;
   FaultKind kind_;
-  double rate_;
-  std::uint64_t seed_;
+  util::FaultSchedule schedule_;
   std::chrono::microseconds spike_;
-  util::Rng fault_rng_;
   std::string name_;
 
-  std::uint64_t fault_count_ = 0;
-  std::uint64_t calls_ = 0;          ///< reset+step calls (error messages)
   Observation last_delivered_;       ///< stale frame for kDrop/kReorder
   Observation held_;                 ///< in-flight frame while lagging
   bool lagging_ = false;             ///< kReorder one-frame lag active

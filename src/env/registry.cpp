@@ -1,9 +1,7 @@
 #include "env/registry.hpp"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 
@@ -14,146 +12,34 @@
 #include "env/latency_env.hpp"
 #include "env/mountain_car.hpp"
 #include "env/shaping.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::env {
 
-namespace {
-
-EnvironmentPtr make_inner(const std::string& outer_id,
-                          const std::string& inner_id,
-                          std::uint64_t seed_value);
-
-/// Parses "delay:<micros>:<inner-id>" and builds the wrapped environment.
-/// `id` is known to start with "delay:".
-EnvironmentPtr make_delayed(const std::string& id, std::uint64_t seed_value) {
-  const std::size_t micros_begin = 6;  // past "delay:"
-  const std::size_t sep = id.find(':', micros_begin);
-  if (sep == std::string::npos || sep == micros_begin ||
-      sep + 1 == id.size()) {
-    throw std::invalid_argument(
-        "make_environment: malformed delay id '" + id +
-        "' (expected delay:<micros>:<inner-id>)");
-  }
-  std::uint64_t micros = 0;
-  // One hour per step is already absurd; the bound doubles as an
-  // overflow guard so an over-long field throws instead of wrapping.
-  constexpr std::uint64_t kMaxDelayMicros = 3'600'000'000;
-  for (std::size_t i = micros_begin; i < sep; ++i) {
-    const char c = id[i];
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument(
-          "make_environment: non-numeric delay in '" + id + "'");
-    }
-    micros = micros * 10 + static_cast<std::uint64_t>(c - '0');
-    if (micros > kMaxDelayMicros) {
-      throw std::invalid_argument(
-          "make_environment: delay in '" + id + "' exceeds " +
-          std::to_string(kMaxDelayMicros) + " us");
-    }
-  }
-  EnvironmentPtr inner = make_inner(id, id.substr(sep + 1), seed_value);
-  return std::make_unique<LatencyEnv>(std::move(inner),
-                                      std::chrono::microseconds(micros));
-}
-
-/// Builds the inner environment for a modifier id, surfacing the FULL
-/// outer id on nested failure — callers built the outer string, and an
-/// error naming only the innermost fragment is undebuggable from their
-/// logs. Shared by every modifier family for reporting parity.
-EnvironmentPtr make_inner(const std::string& outer_id,
-                          const std::string& inner_id,
-                          std::uint64_t seed_value) {
-  try {
-    return make_environment(inner_id, seed_value);
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    if (what.find("'" + outer_id + "'") != std::string::npos) throw;
-    throw std::invalid_argument(what + " (inside modifier id '" + outer_id +
-                                "')");
-  }
-}
-
-/// Parses "fault:<kind>:<rate>:<seed>:<inner-id>" and builds the wrapped
-/// environment. `id` is known to start with "fault:".
-EnvironmentPtr make_faulted(const std::string& id, std::uint64_t seed_value) {
-  const auto malformed = [&id]() {
-    return std::invalid_argument(
-        "make_environment: malformed fault id '" + id +
-        "' (expected fault:<kind>:<rate>:<seed>:<inner-id>)");
-  };
-  const std::size_t kind_begin = 6;  // past "fault:"
-  const std::size_t kind_end = id.find(':', kind_begin);
-  if (kind_end == std::string::npos) throw malformed();
-  const std::size_t rate_begin = kind_end + 1;
-  const std::size_t rate_end = id.find(':', rate_begin);
-  if (rate_end == std::string::npos) throw malformed();
-  const std::size_t seed_begin = rate_end + 1;
-  const std::size_t seed_end = id.find(':', seed_begin);
-  if (seed_end == std::string::npos || seed_end + 1 == id.size()) {
-    throw malformed();
-  }
-
-  const std::string kind_text = id.substr(kind_begin, kind_end - kind_begin);
-  FaultKind kind;
-  if (kind_text == "drop") {
-    kind = FaultKind::kDrop;
-  } else if (kind_text == "reorder") {
-    kind = FaultKind::kReorder;
-  } else if (kind_text == "throw") {
-    kind = FaultKind::kThrow;
-  } else if (kind_text == "spike") {
-    kind = FaultKind::kSpike;
-  } else {
-    // The valid-kind listing comes from fault_kinds() — the same single
-    // source the docs use — for parity with how unknown env ids report
-    // the registered alternatives below.
-    throw std::invalid_argument(
-        "make_environment: unknown fault kind '" + kind_text + "' in '" +
-        id + "' (expected " + std::string(fault_kinds()) + ")");
-  }
-
-  const std::string rate_text = id.substr(rate_begin, rate_end - rate_begin);
-  if (rate_text.empty()) throw malformed();
-  errno = 0;
-  char* rate_tail = nullptr;
-  const double rate = std::strtod(rate_text.c_str(), &rate_tail);
-  if (errno != 0 || rate_tail == rate_text.c_str() || *rate_tail != '\0' ||
-      !(rate >= 0.0 && rate <= 1.0)) {
-    throw std::invalid_argument(
-        "make_environment: fault rate '" + rate_text + "' in '" + id +
-        "' is not a number in [0, 1]");
-  }
-
-  std::uint64_t fault_seed = 0;
-  if (seed_end == seed_begin) throw malformed();
-  constexpr std::uint64_t kMaxSeed = UINT64_MAX;
-  for (std::size_t i = seed_begin; i < seed_end; ++i) {
-    const char c = id[i];
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument(
-          "make_environment: non-numeric fault seed in '" + id + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (fault_seed > (kMaxSeed - digit) / 10) {
-      throw std::invalid_argument(
-          "make_environment: fault seed in '" + id +
-          "' exceeds 64 bits");
-    }
-    fault_seed = fault_seed * 10 + digit;
-  }
-
-  EnvironmentPtr inner =
-      make_inner(id, id.substr(seed_end + 1), seed_value);
-  return std::make_unique<FaultEnv>(std::move(inner), kind, rate,
-                                    fault_seed);
-}
-
-}  // namespace
-
 EnvironmentPtr make_environment(const std::string& id,
                                 std::uint64_t seed_value) {
-  if (id.starts_with("delay:")) return make_delayed(id, seed_value);
-  if (id.starts_with("fault:")) return make_faulted(id, seed_value);
+  // Modifier ids wrap an inner id; a nested construction failure names
+  // the full outer id (util::within_modifier).
+  if (id.starts_with("delay:")) {
+    const util::ModifierId delay("make_environment", id,
+                                 "delay:<micros>:<inner-id>");
+    // One hour per step is already absurd; the bound doubles as an
+    // overflow guard so an over-long field throws instead of wrapping.
+    constexpr std::uint64_t kMaxDelayMicros = 3'600'000'000;
+    const std::uint64_t micros = delay.u64(0, "delay", kMaxDelayMicros, "us");
+    return std::make_unique<LatencyEnv>(
+        util::within_modifier(
+            id, [&] { return make_environment(delay.inner(), seed_value); }),
+        std::chrono::microseconds(micros));
+  }
+  if (id.starts_with("fault:")) {
+    const util::FaultId fault =
+        util::parse_fault_id("make_environment", id, fault_kinds());
+    return std::make_unique<FaultEnv>(
+        util::within_modifier(
+            id, [&] { return make_environment(fault.inner_id, seed_value); }),
+        static_cast<FaultKind>(fault.kind), fault.rate, fault.seed);
+  }
   if (id == "CartPole-v0") {
     return std::make_unique<CartPole>(CartPoleParams{}, seed_value);
   }

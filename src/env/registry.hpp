@@ -21,7 +21,7 @@ namespace oselm::env {
 ///     serving benches).
 ///   * "fault:<kind>:<rate>:<seed>:<inner-id>" (e.g.
 ///     "fault:throw:0.01:9:CartPole-v0") wraps it in env::FaultEnv —
-///     kind is drop|reorder|throw|spike, rate in [0, 1] is the per-call
+///     kind is one of env::fault_kinds(), rate in [0, 1] is the per-call
 ///     fault probability, and seed fixes the fault schedule
 ///     independently of the env seed (see fault_env.hpp).
 ///

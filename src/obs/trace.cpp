@@ -17,8 +17,12 @@ namespace {
 // 2*w+2 once complete. The drainer validates a slot against the index it
 // expects; a larger sequence means the slot was recycled for a newer
 // event (the old one was dropped — the producer counted that at
-// overwrite time). Payload fields are relaxed atomics so the concurrent
-// seqlock read is race-free by construction.
+// overwrite time). Payload fields are atomics so the concurrent seqlock
+// read is race-free by construction. The seqlock needs no standalone
+// fences (which ThreadSanitizer does not model): payload stores are
+// release and payload loads acquire, so a load that observes a newer
+// event's payload happens-after that event's odd `seq` store, and the
+// drainer's second `seq` read is guaranteed to see the recycle.
 struct Slot {
   std::atomic<std::uint64_t> seq{0};
   std::atomic<std::uint64_t> ts_us{0};
@@ -56,12 +60,11 @@ class ThreadRing {
     }
     Slot& slot = slots_[w & mask_];
     slot.seq.store(2 * w + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    slot.ts_us.store(ts, std::memory_order_relaxed);
-    slot.dur_us.store(dur, std::memory_order_relaxed);
-    slot.category.store(category, std::memory_order_relaxed);
-    slot.name.store(name, std::memory_order_relaxed);
-    slot.phase.store(phase, std::memory_order_relaxed);
+    slot.ts_us.store(ts, std::memory_order_release);
+    slot.dur_us.store(dur, std::memory_order_release);
+    slot.category.store(category, std::memory_order_release);
+    slot.name.store(name, std::memory_order_release);
+    slot.phase.store(phase, std::memory_order_release);
     slot.seq.store(2 * w + 2, std::memory_order_release);
     write_index_.store(w + 1, std::memory_order_release);
   }
@@ -76,13 +79,12 @@ class ThreadRing {
       const Slot& slot = slots_[r & mask_];
       const std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
       TraceEvent event;
-      event.ts_us = slot.ts_us.load(std::memory_order_relaxed);
-      event.dur_us = slot.dur_us.load(std::memory_order_relaxed);
-      event.category = slot.category.load(std::memory_order_relaxed);
-      event.name = slot.name.load(std::memory_order_relaxed);
-      event.phase = slot.phase.load(std::memory_order_relaxed);
+      event.ts_us = slot.ts_us.load(std::memory_order_acquire);
+      event.dur_us = slot.dur_us.load(std::memory_order_acquire);
+      event.category = slot.category.load(std::memory_order_acquire);
+      event.name = slot.name.load(std::memory_order_acquire);
+      event.phase = slot.phase.load(std::memory_order_acquire);
       event.tid = tid_;
-      std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
       // A mismatch means the producer recycled this slot mid-read; the
       // event it held was dropped (already counted by the producer).

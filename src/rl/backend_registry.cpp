@@ -1,107 +1,19 @@
 #include "rl/backend_registry.hpp"
 
-#include <cerrno>
-#include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 
 #include "hw/fpga_backend.hpp"
 #include "rl/fault_backend.hpp"
 #include "rl/software_backend.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::rl {
 
 namespace {
 
-/// Parsed form of "fault:<kind>:<rate>:<seed>:<inner-id>".
-struct ParsedFaultId {
-  BackendFaultKind kind = BackendFaultKind::kThrow;
-  double rate = 0.0;
-  std::uint64_t seed = 0;
-  std::string inner_id;
-};
-
-/// Parses a "fault:" backend id (known to start with the prefix),
-/// mirroring env::make_environment's fault-id grammar and error style.
-ParsedFaultId parse_fault_id(const std::string& id) {
-  const auto malformed = [&id]() {
-    return std::invalid_argument(
-        "make_backend: malformed fault id '" + id +
-        "' (expected fault:<kind>:<rate>:<seed>:<inner-id>)");
-  };
-  const std::size_t kind_begin = 6;  // past "fault:"
-  const std::size_t kind_end = id.find(':', kind_begin);
-  if (kind_end == std::string::npos) throw malformed();
-  const std::size_t rate_begin = kind_end + 1;
-  const std::size_t rate_end = id.find(':', rate_begin);
-  if (rate_end == std::string::npos) throw malformed();
-  const std::size_t seed_begin = rate_end + 1;
-  const std::size_t seed_end = id.find(':', seed_begin);
-  if (seed_end == std::string::npos || seed_end + 1 == id.size()) {
-    throw malformed();
-  }
-
-  ParsedFaultId parsed;
-  const std::string kind_text = id.substr(kind_begin, kind_end - kind_begin);
-  if (kind_text == "throw") {
-    parsed.kind = BackendFaultKind::kThrow;
-  } else if (kind_text == "stall") {
-    parsed.kind = BackendFaultKind::kStall;
-  } else if (kind_text == "nan") {
-    parsed.kind = BackendFaultKind::kNan;
-  } else {
-    throw std::invalid_argument(
-        "make_backend: unknown fault kind '" + kind_text + "' in '" + id +
-        "' (expected " + std::string(backend_fault_kinds()) + ")");
-  }
-
-  const std::string rate_text = id.substr(rate_begin, rate_end - rate_begin);
-  if (rate_text.empty()) throw malformed();
-  errno = 0;
-  char* rate_tail = nullptr;
-  parsed.rate = std::strtod(rate_text.c_str(), &rate_tail);
-  if (errno != 0 || rate_tail == rate_text.c_str() || *rate_tail != '\0' ||
-      !(parsed.rate >= 0.0 && parsed.rate <= 1.0)) {
-    throw std::invalid_argument(
-        "make_backend: fault rate '" + rate_text + "' in '" + id +
-        "' is not a number in [0, 1]");
-  }
-
-  if (seed_end == seed_begin) throw malformed();
-  constexpr std::uint64_t kMaxSeed = UINT64_MAX;
-  for (std::size_t i = seed_begin; i < seed_end; ++i) {
-    const char c = id[i];
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument(
-          "make_backend: non-numeric fault seed in '" + id + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (parsed.seed > (kMaxSeed - digit) / 10) {
-      throw std::invalid_argument("make_backend: fault seed in '" + id +
-                                  "' exceeds 64 bits");
-    }
-    parsed.seed = parsed.seed * 10 + digit;
-  }
-
-  parsed.inner_id = id.substr(seed_end + 1);
-  return parsed;
-}
-
-/// Runs `build` for a modifier's inner id, surfacing the FULL outer id on
-/// nested failure — reporting parity with env::make_environment's
-/// make_inner helper.
-template <typename Fn>
-auto with_outer_id(const std::string& outer_id, Fn&& build)
-    -> decltype(build()) {
-  try {
-    return build();
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    if (what.find("'" + outer_id + "'") != std::string::npos) throw;
-    throw std::invalid_argument(what + " (inside modifier id '" + outer_id +
-                                "')");
-  }
+util::FaultId parse_backend_fault_id(const std::string& id) {
+  return util::parse_fault_id("make_backend", id, backend_fault_kinds());
 }
 
 std::string missing_capabilities(const BackendCapabilities& have,
@@ -181,13 +93,14 @@ OsElmQBackendPtr BackendRegistry::make(
     const std::string& id, const BackendConfig& config,
     const BackendCapabilities& required) const {
   if (id.starts_with("fault:")) {
-    const ParsedFaultId parsed = parse_fault_id(id);
+    const util::FaultId fault = parse_backend_fault_id(id);
     // The capability requirement travels to the innermost backend — the
     // decorator adds failure modes, never capabilities.
-    OsElmQBackendPtr inner = with_outer_id(
-        id, [&] { return make(parsed.inner_id, config, required); });
-    return std::make_shared<FaultBackend>(std::move(inner), parsed.kind,
-                                          parsed.rate, parsed.seed);
+    OsElmQBackendPtr inner = util::within_modifier(
+        id, [&] { return make(fault.inner_id, config, required); });
+    return std::make_shared<FaultBackend>(
+        std::move(inner), static_cast<BackendFaultKind>(fault.kind),
+        fault.rate, fault.seed);
   }
   const Entry* entry = find(id);
   if (entry == nullptr) {
@@ -198,9 +111,14 @@ OsElmQBackendPtr BackendRegistry::make(
       if (!known.empty()) known += ", ";
       known += e.id;
     }
+    std::string modifiers;
+    for (const std::string& prefix : registered_backend_modifiers()) {
+      if (!modifiers.empty()) modifiers += ", ";
+      modifiers += prefix;
+    }
     throw std::invalid_argument("make_backend: unknown backend id '" + id +
                                 "' (known: " + known +
-                                "; modifiers: fault:)");
+                                "; modifiers: " + modifiers + ")");
   }
   if (!entry->caps.covers(required)) {
     throw std::invalid_argument(
@@ -222,7 +140,7 @@ OsElmQBackendPtr BackendRegistry::make(
 bool BackendRegistry::contains(const std::string& id) const noexcept {
   if (id.starts_with("fault:")) {
     try {
-      return contains(parse_fault_id(id).inner_id);
+      return contains(parse_backend_fault_id(id).inner_id);
     } catch (const std::invalid_argument&) {
       return false;
     }
@@ -235,9 +153,9 @@ const BackendCapabilities& BackendRegistry::capabilities(
   if (id.starts_with("fault:")) {
     // FaultBackend forwards every capability-bearing call, so a modifier
     // id's capabilities ARE the innermost backend's.
-    const ParsedFaultId parsed = parse_fault_id(id);
-    return with_outer_id(id, [&]() -> const BackendCapabilities& {
-      return capabilities(parsed.inner_id);
+    const util::FaultId fault = parse_backend_fault_id(id);
+    return util::within_modifier(id, [&]() -> const BackendCapabilities& {
+      return capabilities(fault.inner_id);
     });
   }
   const Entry* entry = find(id);

@@ -11,8 +11,9 @@
 //
 // Modifier ids, mirroring env::make_environment's "delay:"/"fault:"
 // families: "fault:<kind>:<rate>:<seed>:<inner-id>" wraps any registered
-// backend in an rl::FaultBackend (seeded throw/stall/NaN injection, see
-// fault_backend.hpp), nests with itself, reports nested construction
+// backend in an rl::FaultBackend (seeded injection, kind one of
+// rl::backend_fault_kinds(); see fault_backend.hpp), nests with itself,
+// reports nested construction
 // errors with the FULL outer id, and inherits the inner backend's
 // capability flags — the decorator is failure-transparent to callers.
 #pragma once

@@ -1,6 +1,6 @@
 #include "rl/fault_backend.hpp"
 
-#include <cstdio>
+#include <array>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -9,40 +9,22 @@
 
 namespace oselm::rl {
 
-std::string_view to_string(BackendFaultKind kind) noexcept {
-  switch (kind) {
-    case BackendFaultKind::kThrow:
-      return "throw";
-    case BackendFaultKind::kStall:
-      return "stall";
-    case BackendFaultKind::kNan:
-      return "nan";
-  }
-  return "unknown";
-}
-
-std::string_view backend_fault_kinds() noexcept { return "throw|stall|nan"; }
-
-std::vector<bool> backend_fault_schedule_preview(double rate,
-                                                 std::uint64_t seed,
-                                                 std::size_t draws) {
-  util::Rng rng(seed);
-  std::vector<bool> schedule(draws);
-  for (std::size_t i = 0; i < draws; ++i) schedule[i] = rng.bernoulli(rate);
-  return schedule;
-}
-
 namespace {
 
-std::string format_rate(double rate) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", rate);
-  return buffer;
-}
+/// BackendFaultKind declaration order; trace names in the same order.
+constexpr std::string_view kKinds = "throw|stall|nan";
+constexpr std::array<const char*, 3> kTraceNames = {
+    "backend_throw", "backend_stall", "backend_nan"};
 
 constexpr double kQuietNan = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
+
+std::string_view to_string(BackendFaultKind kind) noexcept {
+  return util::kind_name(kKinds, static_cast<std::size_t>(kind));
+}
+
+std::string_view backend_fault_kinds() noexcept { return kKinds; }
 
 FaultBackend::FaultBackend(OsElmQBackendPtr inner, BackendFaultKind kind,
                            double rate, std::uint64_t seed,
@@ -52,59 +34,33 @@ FaultBackend::FaultBackend(OsElmQBackendPtr inner, BackendFaultKind kind,
     : OsElmQBackend(inner ? inner->ledger_ptr() : nullptr),
       inner_(std::move(inner)),
       kind_(kind),
-      rate_(rate),
-      seed_(seed),
-      stall_(stall),
-      fault_rng_(seed) {
+      schedule_("FaultBackend", rate, seed),
+      stall_(stall) {
   if (!inner_) {
     throw std::invalid_argument("FaultBackend: null inner backend");
-  }
-  if (!(rate_ >= 0.0 && rate_ <= 1.0)) {
-    throw std::invalid_argument("FaultBackend: rate " + format_rate(rate_) +
-                                " outside [0, 1]");
   }
   if (stall_.count() < 0) {
     throw std::invalid_argument("FaultBackend: negative stall duration");
   }
 }
 
-bool FaultBackend::draw_fault() {
-  ++calls_;
-  // The schedule stream is consumed on EVERY serving-path call — even
-  // kinds whose effect on this call is a no-op (kNan on train/sync) — so
-  // the decision sequence stays aligned with
-  // backend_fault_schedule_preview() regardless of kind.
-  const bool fired = fault_rng_.bernoulli(rate_);
-  if (fired) {
-    ++fault_count_;
-    switch (kind_) {
-      case BackendFaultKind::kThrow:
-        OSELM_TRACE_INSTANT("fault", "backend_throw");
-        break;
-      case BackendFaultKind::kStall:
-        OSELM_TRACE_INSTANT("fault", "backend_stall");
-        break;
-      case BackendFaultKind::kNan:
-        OSELM_TRACE_INSTANT("fault", "backend_nan");
-        break;
-    }
+bool FaultBackend::draw_fault(const char* call) {
+  // The schedule is consumed on EVERY serving-path call — even kinds
+  // whose effect on this call is a no-op (kNan on train/sync) — so the
+  // decision sequence stays aligned with util::FaultSchedule::preview()
+  // regardless of kind.
+  if (!schedule_.draw()) return false;
+  OSELM_TRACE_INSTANT("fault", kTraceNames[static_cast<std::size_t>(kind_)]);
+  if (kind_ == BackendFaultKind::kThrow) {
+    // The wrapped backend's id is unknown here: name the modifier prefix.
+    throw BackendFaultInjected(
+        "FaultBackend: injected failure on " + std::string(call) + " #" +
+        std::to_string(schedule_.draws()) + " of '" +
+        util::format_fault_id(to_string(kind_), rate(), fault_seed(), {}) +
+        "'");
   }
-  return fired;
-}
-
-void FaultBackend::throw_fault(const char* call) {
-  throw BackendFaultInjected(
-      "FaultBackend: injected failure on " + std::string(call) + " #" +
-      std::to_string(calls_) + " of 'fault:" + std::string(to_string(kind_)) +
-      ":" + format_rate(rate_) + ":" + std::to_string(seed_) + "'");
-}
-
-void FaultBackend::fire_before(bool fired, const char* call) {
-  if (!fired) return;
-  if (kind_ == BackendFaultKind::kThrow) throw_fault(call);
-  if (kind_ == BackendFaultKind::kStall) {
-    std::this_thread::sleep_for(stall_);
-  }
+  if (kind_ == BackendFaultKind::kStall) std::this_thread::sleep_for(stall_);
+  return true;
 }
 
 void FaultBackend::initialize() {
@@ -113,15 +69,13 @@ void FaultBackend::initialize() {
 }
 
 double FaultBackend::predict_main(const linalg::VecD& sa) {
-  const bool fired = draw_fault();
-  fire_before(fired, "predict_main");
+  const bool fired = draw_fault("predict_main");
   const double q = inner_->predict_main(sa);
   return fired && kind_ == BackendFaultKind::kNan ? kQuietNan : q;
 }
 
 double FaultBackend::predict_target(const linalg::VecD& sa) {
-  const bool fired = draw_fault();
-  fire_before(fired, "predict_target");
+  const bool fired = draw_fault("predict_target");
   const double q = inner_->predict_target(sa);
   return fired && kind_ == BackendFaultKind::kNan ? kQuietNan : q;
 }
@@ -129,8 +83,7 @@ double FaultBackend::predict_target(const linalg::VecD& sa) {
 void FaultBackend::predict_actions(const linalg::VecD& state,
                                    const linalg::VecD& action_codes,
                                    QNetwork which, linalg::VecD& q_out) {
-  const bool fired = draw_fault();
-  fire_before(fired, "predict_actions");
+  const bool fired = draw_fault("predict_actions");
   inner_->predict_actions(state, action_codes, which, q_out);
   if (fired && kind_ == BackendFaultKind::kNan) {
     for (std::size_t i = 0; i < q_out.size(); ++i) q_out[i] = kQuietNan;
@@ -141,8 +94,7 @@ void FaultBackend::predict_actions_multi(const linalg::MatD& states,
                                          const linalg::VecD& action_codes,
                                          QNetwork which,
                                          linalg::MatD& q_out) {
-  const bool fired = draw_fault();
-  fire_before(fired, "predict_actions_multi");
+  const bool fired = draw_fault("predict_actions_multi");
   inner_->predict_actions_multi(states, action_codes, which, q_out);
   if (fired && kind_ == BackendFaultKind::kNan) {
     for (std::size_t r = 0; r < q_out.rows(); ++r) {
@@ -154,20 +106,17 @@ void FaultBackend::predict_actions_multi(const linalg::MatD& states,
 }
 
 void FaultBackend::init_train(const linalg::MatD& x, const linalg::MatD& t) {
-  const bool fired = draw_fault();
-  fire_before(fired, "init_train");
+  draw_fault("init_train");
   inner_->init_train(x, t);  // kNan passes training through unchanged
 }
 
 void FaultBackend::seq_train(const linalg::VecD& sa, double target) {
-  const bool fired = draw_fault();
-  fire_before(fired, "seq_train");
+  draw_fault("seq_train");
   inner_->seq_train(sa, target);
 }
 
 void FaultBackend::sync_target() {
-  const bool fired = draw_fault();
-  fire_before(fired, "sync_target");
+  draw_fault("sync_target");
   inner_->sync_target();
 }
 

@@ -5,18 +5,14 @@
 // needs *backend* failures it can reproduce bit-for-bit: a replica whose
 // arithmetic substrate throws mid-batch, stalls the batch thread, or
 // silently corrupts predictions to NaN. FaultBackend decorates any
-// registered backend with exactly those modes, driven by a DEDICATED
-// util::Rng stream so the schedule is a pure function of (rate, seed):
+// registered backend with exactly those modes, driven by a
+// util::FaultSchedule: the schedule is a pure function of (rate, seed),
+// util::FaultSchedule::preview() pins it without training a network, and
+// the wrapped backend's rng is never touched, so the learned weights
+// under a given config seed are bit-identical with and without the
+// wrapper.
 //
-//   * the fault generator never draws from — and never perturbs — the
-//     wrapped backend's rng, so the learned weights under a given config
-//     seed are bit-identical with and without the wrapper;
-//   * the same (rate, seed) pair produces the same fire/no-fire decision
-//     sequence on every run and platform (util::Rng is platform-stable);
-//     backend_fault_schedule_preview() exposes that sequence so tests and
-//     the scenario layer can pin it without training a network.
-//
-// One bernoulli(rate) decision is drawn per SERVING-PATH call —
+// One schedule decision is drawn per SERVING-PATH call —
 // predict_main, predict_target, predict_actions, predict_actions_multi,
 // init_train, seq_train, sync_target — in call order. What a firing fault
 // does depends on the kind:
@@ -52,10 +48,9 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "rl/agent.hpp"
-#include "util/rng.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::rl {
 
@@ -66,21 +61,16 @@ class BackendFaultInjected : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Declared in backend_fault_kinds() order.
 enum class BackendFaultKind { kThrow, kStall, kNan };
 
 /// "throw" / "stall" / "nan" — the registry-id spelling.
 [[nodiscard]] std::string_view to_string(BackendFaultKind kind) noexcept;
 
-/// The valid <kind> spellings for "fault:<kind>:..." backend ids, in
-/// registry order — the single source for error messages and docs.
+/// The valid <kind> spellings for "fault:<kind>:..." backend ids,
+/// '|'-separated in declaration order — the single source for the
+/// registry, the scenario spec's validation and their error messages.
 [[nodiscard]] std::string_view backend_fault_kinds() noexcept;
-
-/// The exact fire/no-fire sequence a FaultBackend built with (rate, seed)
-/// will draw over its next `draws` serving-path calls. This IS the
-/// schedule contract: element k equals the decision of the k-th
-/// draw-consuming call after construction.
-[[nodiscard]] std::vector<bool> backend_fault_schedule_preview(
-    double rate, std::uint64_t seed, std::size_t draws);
 
 class FaultBackend final : public OsElmQBackend {
  public:
@@ -114,14 +104,16 @@ class FaultBackend final : public OsElmQBackend {
   void import_state(const QNetState& state) override;
 
   [[nodiscard]] BackendFaultKind kind() const noexcept { return kind_; }
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-  [[nodiscard]] std::uint64_t fault_seed() const noexcept { return seed_; }
+  [[nodiscard]] double rate() const noexcept { return schedule_.rate(); }
+  [[nodiscard]] std::uint64_t fault_seed() const noexcept {
+    return schedule_.seed();
+  }
   [[nodiscard]] std::chrono::microseconds stall_duration() const noexcept {
     return stall_;
   }
   /// Faults injected so far (draws that fired, across all serving calls).
   [[nodiscard]] std::uint64_t fault_count() const noexcept {
-    return fault_count_;
+    return schedule_.fires();
   }
   [[nodiscard]] const OsElmQBackendPtr& inner() const noexcept {
     return inner_;
@@ -130,21 +122,14 @@ class FaultBackend final : public OsElmQBackend {
   static constexpr std::chrono::microseconds kDefaultStall{2000};
 
  private:
-  /// One schedule draw; counts and returns whether this call faults.
-  bool draw_fault();
-  [[noreturn]] void throw_fault(const char* call);
-  /// Applies the firing fault's pre-delegation effect (throw or stall).
-  void fire_before(bool fired, const char* call);
+  /// One schedule draw for `call`; a firing kThrow throws and a firing
+  /// kStall sleeps before it returns. Returns whether the call faults.
+  bool draw_fault(const char* call);
 
   OsElmQBackendPtr inner_;
   BackendFaultKind kind_;
-  double rate_;
-  std::uint64_t seed_;
+  util::FaultSchedule schedule_;
   std::chrono::microseconds stall_;
-  util::Rng fault_rng_;
-
-  std::uint64_t fault_count_ = 0;
-  std::uint64_t calls_ = 0;  ///< serving-path calls (error messages)
 };
 
 }  // namespace oselm::rl

@@ -18,6 +18,7 @@
 #include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
 #include "rl/router.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -118,11 +119,9 @@ rl::BackendConfig backend_for(const ScenarioSpec& spec,
 /// backend wrapped in the seeded rl::FaultBackend modifier.
 std::string faulted_backend_id(const ScenarioSpec& spec,
                                const ScenarioSchedule& schedule) {
-  char rate[64];
-  std::snprintf(rate, sizeof(rate), "%.12g", schedule.backend_fault_rate);
-  return "fault:" + schedule.backend_fault_kind + ":" + rate + ":" +
-         std::to_string(schedule.backend_fault_seed) + ":" +
-         spec.backend_id;
+  return util::format_fault_id(schedule.backend_fault_kind,
+                               schedule.backend_fault_rate,
+                               schedule.backend_fault_seed, spec.backend_id);
 }
 
 /// Paper Eq. 8 initial training on deterministic seeded random data,

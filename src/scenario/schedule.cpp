@@ -3,20 +3,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/fault.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace oselm::scenario {
-
-namespace {
-
-std::string format_rate(double rate) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", rate);
-  return buffer;
-}
-
-}  // namespace
 
 std::string ScenarioSchedule::to_text() const {
   std::ostringstream out;
@@ -27,7 +18,7 @@ std::string ScenarioSchedule::to_text() const {
   }
   if (backend_fault_planned) {
     out << "backend fault on replica " << backend_fault_replica << ": "
-        << backend_fault_kind << ":" << format_rate(backend_fault_rate)
+        << backend_fault_kind << ":" << util::canonical_rate(backend_fault_rate)
         << " seed=" << backend_fault_seed << "\n";
   }
   if (kill_planned) {
@@ -79,8 +70,8 @@ ScenarioSchedule expand_schedule(const ScenarioSpec& spec) {
           spec.faults[rng.uniform_index(spec.faults.size())];
       const std::uint64_t fault_seed = rng();
       if (entry.kind != "none") {
-        env_id = "fault:" + entry.kind + ":" + format_rate(entry.rate) +
-                 ":" + std::to_string(fault_seed) + ":" + env_id;
+        env_id =
+            util::format_fault_id(entry.kind, entry.rate, fault_seed, env_id);
       }
     }
     session.env_id = std::move(env_id);

@@ -1,12 +1,15 @@
 #include "scenario/spec.hpp"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "env/fault_env.hpp"
+#include "rl/fault_backend.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::scenario {
 
@@ -67,34 +70,27 @@ double parse_double(const std::string& value, std::size_t line,
   return out;
 }
 
-std::string format_double(double value) {
-  // %.12g round-trips every value a human writes in a spec file while
-  // staying readable ("0.05", not "0.050000000000000003"); to_text() is
-  // both the round-trip canonical form and the digest input.
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
-}
-
-FaultPlanEntry parse_fault_entry(const std::string& value,
-                                 std::size_t line) {
+/// Parses "none" or "<kind>:<rate>" for the `key` fault axis ("fault" or
+/// "backend_fault"), validating the kind against the decorator's `kinds`.
+FaultPlanEntry parse_fault_entry(const std::string& value, std::size_t line,
+                                 const std::string& key,
+                                 std::string_view kinds) {
   FaultPlanEntry entry;
   if (value == "none") return entry;
   const std::size_t sep = value.find(':');
   if (sep == std::string::npos || sep == 0 || sep + 1 == value.size()) {
-    fail(line, "fault entry '" + value +
-               "' (expected none or <kind>:<rate>)");
+    fail(line, key + " '" + value + "' (expected none or <kind>:<rate>)");
   }
   entry.kind = value.substr(0, sep);
-  if (entry.kind != "drop" && entry.kind != "reorder" &&
-      entry.kind != "throw" && entry.kind != "spike") {
-    fail(line, "unknown fault kind '" + entry.kind +
-               "' (expected drop|reorder|throw|spike)");
+  if (util::kind_index(kinds, entry.kind) == std::string_view::npos) {
+    fail(line, "unknown " + key + " kind '" + entry.kind + "' (expected " +
+               std::string(kinds) + ")");
   }
-  entry.rate = parse_double(value.substr(sep + 1), line, "fault rate");
+  const std::string rate_key = key + " rate";
+  entry.rate = parse_double(value.substr(sep + 1), line, rate_key);
   if (!(entry.rate >= 0.0 && entry.rate <= 1.0)) {
-    fail(line, "fault rate " + format_double(entry.rate) +
-               " outside [0, 1]");
+    const std::string rate = util::canonical_rate(entry.rate);
+    fail(line, rate_key + " " + rate + " outside [0, 1]");
   }
   return entry;
 }
@@ -116,7 +112,7 @@ void ScenarioSpec::validate() const {
   if (replicas == 0) invalid("replicas == 0");
   if (backend_id.empty()) invalid("empty backend_id");
   if (!(train_fraction >= 0.0 && train_fraction <= 1.0)) {
-    invalid("train_fraction " + format_double(train_fraction) +
+    invalid("train_fraction " + util::canonical_rate(train_fraction) +
             " outside [0, 1]");
   }
   if (stall_ms > 0 && stall_at_burst >= bursts) {
@@ -129,13 +125,16 @@ void ScenarioSpec::validate() const {
             " out of range (replicas = " + std::to_string(replicas) + ")");
   }
   if (stop_deadline_ms == 0) invalid("stop_deadline_ms == 0");
-  if (backend_fault_kind != "none" && backend_fault_kind != "throw" &&
-      backend_fault_kind != "stall" && backend_fault_kind != "nan") {
+  const std::string backend_kinds(rl::backend_fault_kinds());
+  const bool known_backend_fault =
+      backend_fault_kind == "none" ||
+      util::kind_index(backend_kinds, backend_fault_kind) != std::string::npos;
+  if (!known_backend_fault) {
     invalid("unknown backend_fault kind '" + backend_fault_kind +
-            "' (expected none|throw|stall|nan)");
+            "' (expected none|" + backend_kinds + ")");
   }
   if (!(backend_fault_rate >= 0.0 && backend_fault_rate <= 1.0)) {
-    invalid("backend_fault rate " + format_double(backend_fault_rate) +
+    invalid("backend_fault rate " + util::canonical_rate(backend_fault_rate) +
             " outside [0, 1]");
   }
   if (backend_fault_kind != "none" && backend == ScenarioBackend::kRouter &&
@@ -174,11 +173,11 @@ std::string ScenarioSpec::to_text() const {
     if (entry.kind == "none") {
       out << "fault = none\n";
     } else {
-      out << "fault = " << entry.kind << ":" << format_double(entry.rate)
+      out << "fault = " << entry.kind << ":" << util::canonical_rate(entry.rate)
           << "\n";
     }
   }
-  out << "train_fraction = " << format_double(train_fraction) << "\n";
+  out << "train_fraction = " << util::canonical_rate(train_fraction) << "\n";
   out << "sessions = " << sessions << "\n";
   out << "episodes_per_session = " << episodes_per_session << "\n";
   out << "max_steps_per_episode = " << max_steps_per_episode << "\n";
@@ -200,7 +199,7 @@ std::string ScenarioSpec::to_text() const {
     out << "backend_fault = none\n";
   } else {
     out << "backend_fault = " << backend_fault_kind << ":"
-        << format_double(backend_fault_rate) << "\n";
+        << util::canonical_rate(backend_fault_rate) << "\n";
   }
   out << "backend_fault_replica = " << backend_fault_replica << "\n";
   if (kill_planned) {
@@ -241,7 +240,8 @@ ScenarioSpec parse_scenario(const std::string& text) {
       continue;
     }
     if (key == "fault") {
-      spec.faults.push_back(parse_fault_entry(value, line_number));
+      spec.faults.push_back(
+          parse_fault_entry(value, line_number, key, env::fault_kinds()));
       continue;
     }
 
@@ -301,34 +301,10 @@ ScenarioSpec parse_scenario(const std::string& text) {
     } else if (key == "stop_deadline_ms") {
       spec.stop_deadline_ms = parse_u64(value, line_number, key);
     } else if (key == "backend_fault") {
-      if (value == "none") {
-        spec.backend_fault_kind = "none";
-        spec.backend_fault_rate = 0.0;
-      } else {
-        const std::size_t sep = value.find(':');
-        if (sep == std::string::npos || sep == 0 ||
-            sep + 1 == value.size()) {
-          fail(line_number, "backend_fault '" + value +
-                            "' (expected none or <kind>:<rate>)");
-        }
-        spec.backend_fault_kind = value.substr(0, sep);
-        if (spec.backend_fault_kind != "throw" &&
-            spec.backend_fault_kind != "stall" &&
-            spec.backend_fault_kind != "nan") {
-          fail(line_number, "unknown backend_fault kind '" +
-                            spec.backend_fault_kind +
-                            "' (expected throw|stall|nan)");
-        }
-        spec.backend_fault_rate = parse_double(value.substr(sep + 1),
-                                               line_number,
-                                               "backend_fault rate");
-        if (!(spec.backend_fault_rate >= 0.0 &&
-              spec.backend_fault_rate <= 1.0)) {
-          fail(line_number, "backend_fault rate " +
-                            format_double(spec.backend_fault_rate) +
-                            " outside [0, 1]");
-        }
-      }
+      const FaultPlanEntry entry = parse_fault_entry(
+          value, line_number, key, rl::backend_fault_kinds());
+      spec.backend_fault_kind = entry.kind;
+      spec.backend_fault_rate = entry.rate;
     } else if (key == "backend_fault_replica") {
       spec.backend_fault_replica = parse_u64(value, line_number, key);
     } else if (key == "kill") {

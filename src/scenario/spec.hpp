@@ -41,7 +41,7 @@ enum class ScenarioBackend {
 /// seed from the schedule stream. `kind` "none" (rate ignored) leaves the
 /// session unwrapped — mix "none" entries in to set the faulty fraction.
 struct FaultPlanEntry {
-  std::string kind = "none";  ///< none|drop|reorder|throw|spike
+  std::string kind = "none";  ///< "none" or one of env::fault_kinds()
   double rate = 0.0;          ///< per-call fault probability in [0, 1]
 };
 
@@ -94,7 +94,7 @@ struct ScenarioSpec {
   // wrapper applies to ONE replica (backend_fault_replica) in its original
   // incarnation only — a replacement replica always gets the clean
   // backend, which is what makes replacement a recovery.
-  std::string backend_fault_kind = "none";  ///< none|throw|stall|nan
+  std::string backend_fault_kind = "none";  ///< none or backend_fault_kinds()
   double backend_fault_rate = 0.0;          ///< per-call probability [0, 1]
   std::size_t backend_fault_replica = 0;    ///< router: faulted replica
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "env/registry.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::env {
 namespace {
@@ -19,19 +20,6 @@ EnvironmentPtr cartpole(std::uint64_t seed) {
   return make_environment("CartPole-v0", seed);
 }
 
-TEST(FaultEnv, PreviewIsSeedDeterministicAndRateBounded) {
-  const auto a = fault_schedule_preview(0.5, 42, 64);
-  const auto b = fault_schedule_preview(0.5, 42, 64);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, fault_schedule_preview(0.5, 43, 64));
-  for (const bool fired : fault_schedule_preview(0.0, 7, 32)) {
-    EXPECT_FALSE(fired);
-  }
-  for (const bool fired : fault_schedule_preview(1.0, 7, 32)) {
-    EXPECT_TRUE(fired);
-  }
-}
-
 TEST(FaultEnv, LiveDrawsMatchPreviewForEveryKind) {
   // The schedule contract: element k of the preview equals the decision
   // of the k-th reset()/step() call after construction, for ALL kinds —
@@ -40,7 +28,7 @@ TEST(FaultEnv, LiveDrawsMatchPreviewForEveryKind) {
   const std::uint64_t fault_seed = 42;
   const std::size_t draws = 12;
   const std::vector<bool> preview =
-      fault_schedule_preview(rate, fault_seed, draws);
+      util::FaultSchedule::preview(rate, fault_seed, draws);
   for (const FaultKind kind :
        {FaultKind::kDrop, FaultKind::kReorder, FaultKind::kThrow,
         FaultKind::kSpike}) {

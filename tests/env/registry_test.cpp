@@ -102,6 +102,9 @@ TEST(Registry, FaultModifierWrapsAndNests) {
   auto env = make_environment("fault:drop:0.25:7:ShapedCartPole-v0", 11);
   EXPECT_EQ(env->name(), "fault:drop:0.25:7:CartPole-v0");
   EXPECT_EQ(env->observation_space().dimensions(), 4u);
+  // The name round-trips the id, rate digits included.
+  EXPECT_EQ(make_environment("fault:drop:0.123456789:7:CartPole-v0")->name(),
+            "fault:drop:0.123456789:7:CartPole-v0");
   // Nesting with itself and with delay: composes like any modifier.
   auto nested =
       make_environment("delay:100:fault:spike:0.1:3:GridWorld", 5);
@@ -128,6 +131,9 @@ TEST(Registry, MalformedFaultIdsThrow) {
   EXPECT_THROW(make_environment("fault:drop:-0.1:9:GridWorld"),
                std::invalid_argument);
   EXPECT_THROW(make_environment("fault:drop:lots:9:GridWorld"),
+               std::invalid_argument);
+  // The rate field is as strict as the seed field: no stray whitespace.
+  EXPECT_THROW(make_environment("fault:drop: 0.5:7:CartPole-v0"),
                std::invalid_argument);
   EXPECT_THROW(make_environment("fault:drop:0.5:nine:GridWorld"),
                std::invalid_argument);

@@ -2,7 +2,7 @@
 //
 // Load-bearing properties:
 //   * seeded determinism: the fire/no-fire sequence is a pure function of
-//     (rate, seed) and matches backend_fault_schedule_preview exactly;
+//     (rate, seed) and matches util::FaultSchedule::preview exactly;
 //   * fault isolation: the decorator's rng never perturbs the inner
 //     backend — learned weights are bit-identical with and without it;
 //   * state management never faults: initialize / export_state /
@@ -23,6 +23,7 @@
 
 #include "rl/backend_registry.hpp"
 #include "rl/software_backend.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace oselm::rl {
@@ -72,8 +73,7 @@ void expect_invalid_argument(Fn&& fn,
 TEST(FaultBackend, FiringSequenceMatchesThePreviewContract) {
   // The preview IS the schedule: decision k of the preview equals the
   // decision of the k-th draw-consuming call after construction.
-  const std::vector<bool> preview =
-      backend_fault_schedule_preview(0.5, 99, 32);
+  const std::vector<bool> preview = util::FaultSchedule::preview(0.5, 99, 32);
   FaultBackend backend(inner_backend(), BackendFaultKind::kNan, 0.5, 99);
   train_backend(backend);  // consumes draw #0 (init_train is serving-path)
   const linalg::VecD sa(kInputDim, 0.2);
@@ -84,14 +84,6 @@ TEST(FaultBackend, FiringSequenceMatchesThePreviewContract) {
     EXPECT_EQ(std::isnan(q), preview[i]) << "call " << i;
   }
   EXPECT_EQ(backend.fault_count(), fired);
-}
-
-TEST(FaultBackend, SameSeedSameSchedule) {
-  const std::vector<bool> a = backend_fault_schedule_preview(0.3, 7, 64);
-  const std::vector<bool> b = backend_fault_schedule_preview(0.3, 7, 64);
-  const std::vector<bool> c = backend_fault_schedule_preview(0.3, 8, 64);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
 }
 
 TEST(FaultBackend, ThrowKindThrowsTheDistinctTypeWithContext) {
