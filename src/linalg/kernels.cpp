@@ -24,11 +24,9 @@ void act_combine(const double* shared, const double* last_row, double code,
 double fused_act_dot(const double* shared, const double* last_row,
                      double code, const double* bias, const double* beta,
                      std::size_t n, Act act) noexcept;
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept;
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept;
+void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
+                      double p_scale) noexcept;
+void mirror_lower(double* p, std::size_t n) noexcept;
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
                     std::size_t units, const std::int32_t* x,
                     const std::int32_t* init, std::int32_t* out, bool relu,
@@ -158,10 +156,32 @@ double fused_act_dot(const double* shared, const double* last_row,
   return acc;
 }
 
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept {
-  for (std::size_t i = row_begin; i < row_end; ++i) {
+void mirror_lower(double* p, std::size_t n) noexcept {
+  // Mirror the upper triangle down so P is exactly symmetric — replaces
+  // the seed's full-matrix second pass. Tiled so each 16x16 block of
+  // source cache lines is reused across the block's rows instead of
+  // being streamed once per element (a plain column walk thrashes L1 at
+  // N-tilde >= 128).
+  constexpr std::size_t kTile = 16;
+  for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
+    const std::size_t t1 = std::min(t0 + kTile, n);
+    for (std::size_t i = t0 + 1; i < t1; ++i) {  // diagonal tile
+      double* row = p + i * n;
+      for (std::size_t j = t0; j < i; ++j) row[j] = p[j * n + i];
+    }
+    for (std::size_t j0 = 0; j0 < t0; j0 += kTile) {  // tiles left of it
+      const std::size_t j1 = j0 + kTile;  // full tile: j1 <= t0 <= n
+      for (std::size_t i = t0; i < t1; ++i) {
+        double* row = p + i * n;
+        for (std::size_t j = j0; j < j1; ++j) row[j] = p[j * n + i];
+      }
+    }
+  }
+}
+
+void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
+                      double p_scale) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
     const double scaled = u[i] * inv;
     double* row = p + i * n;
     if (p_scale == 1.0) {
@@ -173,39 +193,7 @@ void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
       }
     }
   }
-}
-
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept {
-  // Mirror the upper triangle down so P is exactly symmetric — replaces
-  // the seed's full-matrix second pass. Tiled so each 16x16 block of
-  // source cache lines is reused across the block's rows instead of
-  // being streamed once per element (a plain column walk thrashes L1 at
-  // N-tilde >= 128). Tile blocks are clamped to [row_begin, row_end) so
-  // disjoint bands partition the copies exactly.
-  constexpr std::size_t kTile = 16;
-  for (std::size_t t0 = (row_begin / kTile) * kTile; t0 < row_end;
-       t0 += kTile) {
-    const std::size_t i0 = std::max(t0, row_begin);
-    const std::size_t i1 = std::min({t0 + kTile, row_end, n});
-    for (std::size_t i = std::max(i0, t0 + 1); i < i1; ++i) {  // diag tile
-      double* row = p + i * n;
-      for (std::size_t j = t0; j < i; ++j) row[j] = p[j * n + i];
-    }
-    for (std::size_t j0 = 0; j0 < t0; j0 += kTile) {  // tiles left of it
-      const std::size_t j1 = j0 + kTile;  // full tile: j1 <= t0 <= n
-      for (std::size_t i = i0; i < i1; ++i) {
-        double* row = p + i * n;
-        for (std::size_t j = j0; j < j1; ++j) row[j] = p[j * n + i];
-      }
-    }
-  }
-}
-
-void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
-                      double p_scale) noexcept {
-  sym_rank1_update_rows(p, n, 0, n, u, inv, p_scale);
-  mirror_lower_rows(p, n, 0, n);
+  mirror_lower(p, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,22 +321,9 @@ double fused_act_dot(const double* shared, const double* last_row,
                         act);
 }
 
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept {
-  OSELM_DISPATCH(sym_rank1_update_rows, p, n, row_begin, row_end, u, inv,
-                 p_scale);
-}
-
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept {
-  OSELM_DISPATCH(mirror_lower_rows, p, n, row_begin, row_end);
-}
-
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept {
-  sym_rank1_update_rows(p, n, 0, n, u, inv, p_scale);
-  mirror_lower_rows(p, n, 0, n);
+  OSELM_DISPATCH(sym_rank1_update, p, n, u, inv, p_scale);
 }
 
 void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
@@ -362,7 +337,7 @@ void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
       axpy(row + i, -gt[c * n + i], ut + c * n + i, n - i);
     }
   }
-  mirror_lower_rows(p, n, 0, n);
+  OSELM_DISPATCH(mirror_lower, p, n);
 }
 
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,

@@ -100,21 +100,6 @@ void act_combine(const double* shared, const double* last_row, double code,
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept;
 
-/// Update phase of sym_rank1_update restricted to rows
-/// [row_begin, row_end): row i gets row[j] = (row[j] - (u[i]*inv)*u[j])
-/// * p_scale for j >= i. Rows never read each other, so any partition of
-/// [0, n) reproduces the full kernel's upper triangle bit-for-bit.
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept;
-
-/// Mirror phase: copies the (final) upper triangle into rows
-/// [row_begin, row_end) of the lower triangle (row[j] = p[j*n+i], j < i).
-/// Pure copies — bit-identical for any partition; the upper triangle must
-/// not change concurrently.
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept;
-
 /// Symmetric rank-k downdate for the general-k OS-ELM chunk update
 /// (Eq. 5): P -= G U^T where G = U K with K = K^T, so G U^T is
 /// symmetric. `gt` and `ut` are G^T and U^T as k x n row-major blocks
@@ -210,11 +195,6 @@ void act_combine(const double* shared, const double* last_row, double code,
                                    std::size_t n, Act act) noexcept;
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept;
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept;
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept;
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
                     std::size_t units, const std::int32_t* x,
                     const std::int32_t* init, std::int32_t* out, bool relu,

@@ -294,10 +294,63 @@ double fused_act_dot(const double* shared, const double* last_row,
   return sum;
 }
 
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept {
-  for (std::size_t i = row_begin; i < row_end; ++i) {
+void mirror_lower(double* p, std::size_t n) noexcept {
+  // Mirror the upper triangle down. Off-diagonal 16x16 tiles decompose
+  // into 4x4 in-register transposes (unpack + 128-bit permute), turning
+  // the column walk into contiguous loads and stores; diagonal and
+  // remainder tiles fall back to the scalar walk (pure copies, so every
+  // path is bit-identical).
+  constexpr std::size_t kTile = 16;
+  const auto transpose4x4 = [p, n](std::size_t src_row,
+                                   std::size_t dst_row) noexcept {
+    // dst rows dst_row..+3 cols src_row..+3 receive the transpose of
+    // src rows src_row..+3 cols dst_row..+3.
+    const __m256d r0 = _mm256_loadu_pd(p + (src_row + 0) * n + dst_row);
+    const __m256d r1 = _mm256_loadu_pd(p + (src_row + 1) * n + dst_row);
+    const __m256d r2 = _mm256_loadu_pd(p + (src_row + 2) * n + dst_row);
+    const __m256d r3 = _mm256_loadu_pd(p + (src_row + 3) * n + dst_row);
+    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
+    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
+    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+    _mm256_storeu_pd(p + (dst_row + 0) * n + src_row,
+                     _mm256_permute2f128_pd(t0, t2, 0x20));
+    _mm256_storeu_pd(p + (dst_row + 1) * n + src_row,
+                     _mm256_permute2f128_pd(t1, t3, 0x20));
+    _mm256_storeu_pd(p + (dst_row + 2) * n + src_row,
+                     _mm256_permute2f128_pd(t0, t2, 0x31));
+    _mm256_storeu_pd(p + (dst_row + 3) * n + src_row,
+                     _mm256_permute2f128_pd(t1, t3, 0x31));
+  };
+  for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
+    const std::size_t t1 = std::min(t0 + kTile, n);
+    for (std::size_t i = t0 + 1; i < t1; ++i) {  // diagonal tile
+      double* row = p + i * n;
+      for (std::size_t j = t0; j < i; ++j) row[j] = p[j * n + i];
+    }
+    const bool full_rows = t1 == t0 + kTile;
+    for (std::size_t j0 = 0; j0 < t0; j0 += kTile) {  // tiles left of it
+      if (full_rows) {
+        for (std::size_t jj = j0; jj < j0 + kTile; jj += 4) {
+          for (std::size_t ii = t0; ii < t0 + kTile; ii += 4) {
+            transpose4x4(jj, ii);
+          }
+        }
+      } else {
+        for (std::size_t i = t0; i < t1; ++i) {
+          double* row = p + i * n;
+          for (std::size_t j = j0; j < j0 + kTile; ++j) {
+            row[j] = p[j * n + i];
+          }
+        }
+      }
+    }
+  }
+}
+
+void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
+                      double p_scale) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
     const double scaled = u[i] * inv;
     double* row = p + i * n;
     std::size_t j = i;
@@ -323,63 +376,7 @@ void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
       }
     }
   }
-}
-
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept {
-  // Mirror the upper triangle down. Off-diagonal 16x16 tiles decompose
-  // into 4x4 in-register transposes (unpack + 128-bit permute), turning
-  // the column walk into contiguous loads and stores; diagonal, remainder,
-  // and band-clipped tiles fall back to the scalar walk (pure copies, so
-  // every path is bit-identical and any banding partitions the work).
-  constexpr std::size_t kTile = 16;
-  const auto transpose4x4 = [p, n](std::size_t src_row,
-                                   std::size_t dst_row) noexcept {
-    // dst rows dst_row..+3 cols src_row..+3 receive the transpose of
-    // src rows src_row..+3 cols dst_row..+3.
-    const __m256d r0 = _mm256_loadu_pd(p + (src_row + 0) * n + dst_row);
-    const __m256d r1 = _mm256_loadu_pd(p + (src_row + 1) * n + dst_row);
-    const __m256d r2 = _mm256_loadu_pd(p + (src_row + 2) * n + dst_row);
-    const __m256d r3 = _mm256_loadu_pd(p + (src_row + 3) * n + dst_row);
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-    _mm256_storeu_pd(p + (dst_row + 0) * n + src_row,
-                     _mm256_permute2f128_pd(t0, t2, 0x20));
-    _mm256_storeu_pd(p + (dst_row + 1) * n + src_row,
-                     _mm256_permute2f128_pd(t1, t3, 0x20));
-    _mm256_storeu_pd(p + (dst_row + 2) * n + src_row,
-                     _mm256_permute2f128_pd(t0, t2, 0x31));
-    _mm256_storeu_pd(p + (dst_row + 3) * n + src_row,
-                     _mm256_permute2f128_pd(t1, t3, 0x31));
-  };
-  for (std::size_t t0 = (row_begin / kTile) * kTile; t0 < row_end;
-       t0 += kTile) {
-    const std::size_t i0 = std::max(t0, row_begin);
-    const std::size_t i1 = std::min({t0 + kTile, row_end, n});
-    for (std::size_t i = std::max(i0, t0 + 1); i < i1; ++i) {  // diag tile
-      double* row = p + i * n;
-      for (std::size_t j = t0; j < i; ++j) row[j] = p[j * n + i];
-    }
-    const bool full_rows = i0 == t0 && i1 == t0 + kTile;
-    for (std::size_t j0 = 0; j0 < t0; j0 += kTile) {  // tiles left of it
-      if (full_rows) {
-        for (std::size_t jj = j0; jj < j0 + kTile; jj += 4) {
-          for (std::size_t ii = t0; ii < t0 + kTile; ii += 4) {
-            transpose4x4(jj, ii);
-          }
-        }
-      } else {
-        for (std::size_t i = i0; i < i1; ++i) {
-          double* row = p + i * n;
-          for (std::size_t j = j0; j < j0 + kTile; ++j) {
-            row[j] = p[j * n + i];
-          }
-        }
-      }
-    }
-  }
+  mirror_lower(p, n);
 }
 
 // ---------------------------------------------------------------------------

@@ -90,6 +90,15 @@ class Matrix {
 
   void fill(const T& value) { data_.assign(data_.size(), value); }
 
+  /// Reshapes to rows x cols, reusing the storage's capacity (no
+  /// allocation once it suffices). Element values are unspecified
+  /// afterwards: callers overwrite every element.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   /// Identity of the given order (requires T constructible from 0 and 1).
   static Matrix identity(std::size_t n) {
     Matrix m(n, n, T(0));

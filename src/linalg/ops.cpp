@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <stdexcept>
 
 #include "linalg/kernels.hpp"
@@ -11,75 +12,184 @@ namespace oselm::linalg {
 
 namespace {
 
-constexpr std::size_t kBlock = 64;  // fits L1 for double tiles
-
 void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
 }
 
-/// Serial i-k-j kernel over one row band [r0, r1); B is streamed row-wise
-/// so the inner loop is unit-stride for both B and C.
-void gemm_band(const MatD& a, const MatD& b, MatD& c, std::size_t r0,
-               std::size_t r1) {
-  const std::size_t k_dim = a.cols();
-  const std::size_t n = b.cols();
-  for (std::size_t i0 = r0; i0 < r1; i0 += kBlock) {
-    const std::size_t i_end = std::min(i0 + kBlock, r1);
-    for (std::size_t k0 = 0; k0 < k_dim; k0 += kBlock) {
-      const std::size_t k_end = std::min(k0 + kBlock, k_dim);
-      for (std::size_t i = i0; i < i_end; ++i) {
-        double* c_row = c.row_ptr(i);
-        const double* a_row = a.row_ptr(i);
-        for (std::size_t k = k0; k < k_end; ++k) {
-          const double a_ik = a_row[k];
-          const double* b_row = b.row_ptr(k);
-          for (std::size_t j = 0; j < n; ++j) c_row[j] += a_ik * b_row[j];
+// One GEMM for all three operand layouts: C = op(A) op(B), where op
+// transposes A for matmul_at_b and B for matmul_a_bt.
+//
+// Register tiling: an MR-row by NR-column block of C accumulates in
+// registers while k advances, so each C element costs one load and one
+// store per k block instead of one per k. The arithmetic is the textbook
+// triple loop's: every C element is summed from 0.0 in ascending k, one
+// multiply and one add per term. The library is compiled with
+// -ffp-contract=off, so no multiply-add is fused and the tiled result is
+// bit-identical to the plain loop. The GEMM deliberately bypasses the
+// kernel dispatcher, whose SIMD axpy fuses.
+enum class Layout { kAB, kAtB, kABt };
+
+// Two adjacent C columns in one SSE2/NEON register (the GCC/Clang vector
+// extension). Its element-wise * and + round exactly like the scalar
+// operators; spelling the lanes out keeps the compiler from vectorizing
+// across k instead.
+typedef double Pair __attribute__((vector_size(2 * sizeof(double))));
+
+/// C columns held by one accumulator of type G: 2 for a Pair, 1 for the
+/// double of a last odd column.
+template <typename G>
+constexpr std::size_t kWidth = sizeof(G) / sizeof(double);
+
+constexpr std::size_t kKc = 256;  // k block: a kKc x 4 B strip stays in L1
+
+struct Operands {
+  const double* a;
+  std::size_t lda;
+  const double* b;
+  std::size_t ldb;
+  double* c;
+  std::size_t ldc;
+};
+
+template <typename G>
+G load_group(const double* p) {
+  G v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <typename G>
+void store_group(double* p, const G& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+template <typename G>
+G splat(double x) {
+  if constexpr (kWidth<G> == 1) {
+    return x;
+  } else {
+    return G{x, x};
+  }
+}
+
+/// B(k, j .. j + width) as one group.
+template <Layout L, typename G>
+G load_b(const Operands& o, std::size_t k, std::size_t j) {
+  if constexpr (L != Layout::kABt) {
+    return load_group<G>(o.b + k * o.ldb + j);
+  } else if constexpr (kWidth<G> == 1) {
+    return o.b[j * o.ldb + k];
+  } else {
+    return G{o.b[j * o.ldb + k], o.b[(j + 1) * o.ldb + k]};
+  }
+}
+
+/// One MR x (W groups) tile of C over k in [k0, k1). The first k block
+/// starts from 0.0; later blocks resume from the partial sums in C.
+template <Layout L, std::size_t MR, typename G, std::size_t W>
+void gemm_tile(const Operands& o, std::size_t i, std::size_t j,
+               std::size_t k0, std::size_t k1) {
+  constexpr std::size_t kCols = kWidth<G>;
+  G acc[MR][W];
+  for (std::size_t r = 0; r < MR; ++r) {
+    for (std::size_t w = 0; w < W; ++w) {
+      acc[r][w] = k0 == 0 ? G{}
+                          : load_group<G>(o.c + (i + r) * o.ldc + j +
+                                          w * kCols);
+    }
+  }
+  for (std::size_t k = k0; k < k1; ++k) {
+    G bv[W];
+    for (std::size_t w = 0; w < W; ++w) {
+      bv[w] = load_b<L, G>(o, k, j + w * kCols);
+    }
+    for (std::size_t r = 0; r < MR; ++r) {
+      const G av = splat<G>(L == Layout::kAtB ? o.a[k * o.lda + i + r]
+                                              : o.a[(i + r) * o.lda + k]);
+      for (std::size_t w = 0; w < W; ++w) {
+        if constexpr (L == Layout::kAtB) {
+          // matmul_at_b skips the terms of a zero A element (so 0 * inf
+          // adds nothing); adding +0.0 leaves the sum unchanged.
+          acc[r][w] += av != G{} ? av * bv[w] : G{};
+        } else {
+          acc[r][w] += av * bv[w];
         }
       }
     }
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
+    for (std::size_t w = 0; w < W; ++w) {
+      store_group(o.c + (i + r) * o.ldc + j + w * kCols, acc[r][w]);
+    }
+  }
+}
+
+/// Columns [j, j + W * width) of C over one k block: tiles of MR rows,
+/// then the leftover rows one at a time.
+template <Layout L, std::size_t MR, typename G, std::size_t W>
+void gemm_strip(const Operands& o, std::size_t m, std::size_t j,
+                std::size_t k0, std::size_t k1) {
+  std::size_t i = 0;
+  for (; i + MR <= m; i += MR) gemm_tile<L, MR, G, W>(o, i, j, k0, k1);
+  for (; i < m; ++i) gemm_tile<L, 1, G, W>(o, i, j, k0, k1);
+}
+
+/// C (m x n, resized) = op(A) op(B) with inner dimension `inner`: strips
+/// of four columns, then one of two, then a last single column.
+template <Layout L>
+void gemm(const MatD& a, const MatD& b, MatD& c, std::size_t m,
+          std::size_t n, std::size_t inner) {
+  require(&c != &a && &c != &b, "matmul: output aliases an input");
+  c.resize(m, n);
+  if (inner == 0) {
+    c.fill(0.0);
+    return;
+  }
+  const Operands o{a.data(), a.cols(), b.data(), b.cols(), c.data(), n};
+  for (std::size_t k0 = 0; k0 < inner; k0 += kKc) {
+    const std::size_t k1 = std::min(k0 + kKc, inner);
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) gemm_strip<L, 4, Pair, 2>(o, m, j, k0, k1);
+    if (j + 2 <= n) {
+      gemm_strip<L, 8, Pair, 1>(o, m, j, k0, k1);
+      j += 2;
+    }
+    if (j < n) gemm_strip<L, 8, double, 1>(o, m, j, k0, k1);
   }
 }
 
 }  // namespace
 
-MatD matmul(const MatD& a, const MatD& b) {
+void matmul_into(const MatD& a, const MatD& b, MatD& c) {
   require(a.cols() == b.rows(), "matmul: inner dimension mismatch");
-  MatD c(a.rows(), b.cols());
-  gemm_band(a, b, c, 0, a.rows());
+  gemm<Layout::kAB>(a, b, c, a.rows(), b.cols(), a.cols());
+}
+
+void matmul_at_b_into(const MatD& a, const MatD& b, MatD& c) {
+  require(a.rows() == b.rows(), "matmul_at_b: row dimension mismatch");
+  gemm<Layout::kAtB>(a, b, c, a.cols(), b.cols(), a.rows());
+}
+
+void matmul_a_bt_into(const MatD& a, const MatD& b, MatD& c) {
+  require(a.cols() == b.cols(), "matmul_a_bt: column dimension mismatch");
+  gemm<Layout::kABt>(a, b, c, a.rows(), b.rows(), a.cols());
+}
+
+MatD matmul(const MatD& a, const MatD& b) {
+  MatD c;
+  matmul_into(a, b, c);
   return c;
 }
 
 MatD matmul_at_b(const MatD& a, const MatD& b) {
-  require(a.rows() == b.rows(), "matmul_at_b: row dimension mismatch");
-  MatD c(a.cols(), b.cols());
-  // C[i][j] = sum_k A[k][i] * B[k][j]; accumulate rank-1 updates row by row
-  // of A/B so all accesses stay unit-stride.
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const double* a_row = a.row_ptr(k);
-    const double* b_row = b.row_ptr(k);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const double a_ki = a_row[i];
-      if (a_ki == 0.0) continue;
-      double* c_row = c.row_ptr(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) c_row[j] += a_ki * b_row[j];
-    }
-  }
+  MatD c;
+  matmul_at_b_into(a, b, c);
   return c;
 }
 
 MatD matmul_a_bt(const MatD& a, const MatD& b) {
-  require(a.cols() == b.cols(), "matmul_a_bt: column dimension mismatch");
-  MatD c(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* a_row = a.row_ptr(i);
-    double* c_row = c.row_ptr(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const double* b_row = b.row_ptr(j);
-      double acc = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) acc += a_row[k] * b_row[k];
-      c_row[j] = acc;
-    }
-  }
+  MatD c;
+  matmul_a_bt_into(a, b, c);
   return c;
 }
 
@@ -98,15 +208,20 @@ void matvec_into(const MatD& a, const VecD& x, VecD& y) {
 }
 
 VecD matvec_t(const MatD& a, const VecD& x) {
+  VecD y;
+  matvec_t_into(a, x, y);
+  return y;
+}
+
+void matvec_t_into(const MatD& a, const VecD& x, VecD& y) {
   require(a.rows() == x.size(), "matvec_t: dimension mismatch");
-  VecD y(a.cols(), 0.0);
+  y.assign(a.cols(), 0.0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     const double* row = a.row_ptr(i);
     const double xi = x[i];
     if (xi == 0.0) continue;
     for (std::size_t j = 0; j < a.cols(); ++j) y[j] += xi * row[j];
   }
-  return y;
 }
 
 MatD add(const MatD& a, const MatD& b) {

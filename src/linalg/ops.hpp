@@ -1,5 +1,6 @@
-// Core dense operations. The double-precision GEMM is cache-blocked and
-// serial; generic element-wise helpers are header templates.
+// Core dense operations. The double-precision GEMM is register-tiled and
+// serial, and sums every element in ascending k with unfused multiplies
+// and adds, so its results are bit-identical to the plain triple loop.
 #pragma once
 
 #include <vector>
@@ -8,14 +9,22 @@
 
 namespace oselm::linalg {
 
-/// C = A * B (shapes (m,k)x(k,n)), cache-blocked i-k-j.
+/// C = A * B (shapes (m,k)x(k,n)).
 MatD matmul(const MatD& a, const MatD& b);
 
-/// C = A^T * B without materializing A^T.
+/// C = A^T * B without materializing A^T. Terms whose A element is zero
+/// are skipped.
 MatD matmul_at_b(const MatD& a, const MatD& b);
 
 /// C = A * B^T without materializing B^T.
 MatD matmul_a_bt(const MatD& a, const MatD& b);
+
+/// The same three products into a caller-owned matrix, resized to the
+/// result shape and reusing its capacity (allocation-free in steady
+/// state). `c` must not alias `a` or `b`.
+void matmul_into(const MatD& a, const MatD& b, MatD& c);
+void matmul_at_b_into(const MatD& a, const MatD& b, MatD& c);
+void matmul_a_bt_into(const MatD& a, const MatD& b, MatD& c);
 
 /// y = A * x (matrix-vector product).
 VecD matvec(const MatD& a, const VecD& x);
@@ -26,6 +35,10 @@ void matvec_into(const MatD& a, const VecD& x, VecD& y);
 
 /// y = A^T * x.
 VecD matvec_t(const MatD& a, const VecD& x);
+
+/// y = A^T * x into a caller-owned vector (resized to a.cols()). `y` must
+/// not alias `x`.
+void matvec_t_into(const MatD& a, const VecD& x, VecD& y);
 
 /// Element-wise sum / difference / scale.
 MatD add(const MatD& a, const MatD& b);

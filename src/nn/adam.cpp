@@ -31,13 +31,19 @@ void AdamOptimizer::reset() {
 void AdamOptimizer::update_buffer(double* param, const double* grad,
                                   double* m, double* v, std::size_t count,
                                   double bias1, double bias2) const {
+  // Hyper-parameters in locals: the stores through param/m/v could
+  // otherwise alias config_ and block vectorization (this file is built
+  // with -fno-math-errno so std::sqrt vectorizes too).
+  const double beta1 = config_.beta1;
+  const double beta2 = config_.beta2;
+  const double lr = config_.learning_rate;
+  const double epsilon = config_.epsilon;
   for (std::size_t i = 0; i < count; ++i) {
-    m[i] = config_.beta1 * m[i] + (1.0 - config_.beta1) * grad[i];
-    v[i] = config_.beta2 * v[i] + (1.0 - config_.beta2) * grad[i] * grad[i];
+    m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i];
+    v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i];
     const double m_hat = m[i] / bias1;
     const double v_hat = v[i] / bias2;
-    param[i] -=
-        config_.learning_rate * m_hat / (std::sqrt(v_hat) + config_.epsilon);
+    param[i] -= lr * m_hat / (std::sqrt(v_hat) + epsilon);
   }
 }
 

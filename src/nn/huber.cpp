@@ -14,6 +14,14 @@ double huber_term(double prediction, double target) noexcept {
 
 HuberResult huber_loss_mean(const linalg::MatD& predictions,
                             const linalg::MatD& targets) {
+  HuberResult result;
+  result.loss = huber_loss_mean_into(predictions, targets, result.grad);
+  return result;
+}
+
+double huber_loss_mean_into(const linalg::MatD& predictions,
+                            const linalg::MatD& targets,
+                            linalg::MatD& grad) {
   if (predictions.rows() != targets.rows() ||
       predictions.cols() != targets.cols()) {
     throw std::invalid_argument("huber_loss_mean: shape mismatch");
@@ -23,22 +31,20 @@ HuberResult huber_loss_mean(const linalg::MatD& predictions,
     throw std::invalid_argument("huber_loss_mean: empty input");
   }
 
-  HuberResult result;
-  result.grad = linalg::MatD(predictions.rows(), predictions.cols());
+  grad.resize(predictions.rows(), predictions.cols());
   double total = 0.0;
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     const double diff = predictions.data()[i] - targets.data()[i];
     const double abs_diff = std::abs(diff);
     if (abs_diff < 1.0) {
       total += 0.5 * diff * diff;
-      result.grad.data()[i] = diff / n;
+      grad.data()[i] = diff / n;
     } else {
       total += abs_diff - 0.5;
-      result.grad.data()[i] = (diff > 0.0 ? 1.0 : -1.0) / n;
+      grad.data()[i] = (diff > 0.0 ? 1.0 : -1.0) / n;
     }
   }
-  result.loss = total / n;
-  return result;
+  return total / n;
 }
 
 }  // namespace oselm::nn

@@ -19,4 +19,9 @@ double huber_term(double prediction, double target) noexcept;
 HuberResult huber_loss_mean(const linalg::MatD& predictions,
                             const linalg::MatD& targets);
 
+/// huber_loss_mean writing dLoss/dPred into a caller-owned matrix
+/// (resized, reusing its capacity); returns the loss.
+double huber_loss_mean_into(const linalg::MatD& predictions,
+                            const linalg::MatD& targets, linalg::MatD& grad);
+
 }  // namespace oselm::nn

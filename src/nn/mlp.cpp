@@ -40,17 +40,24 @@ void Mlp::reinitialize(util::Rng& rng) {
 }
 
 linalg::VecD Mlp::forward(const linalg::VecD& x) const {
+  linalg::VecD hidden;
+  linalg::VecD out;
+  forward_into(x, hidden, out);
+  return out;
+}
+
+void Mlp::forward_into(const linalg::VecD& x, linalg::VecD& hidden,
+                       linalg::VecD& out) const {
   if (x.size() != config_.input_dim) {
     throw std::invalid_argument("Mlp::forward: input width mismatch");
   }
-  linalg::VecD h = linalg::matvec_t(w1_, x);
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    h[i] += b1_[i];
-    if (h[i] < 0.0) h[i] = 0.0;  // ReLU
+  linalg::matvec_t_into(w1_, x, hidden);
+  for (std::size_t i = 0; i < hidden.size(); ++i) {
+    const double pre = hidden[i] + b1_[i];
+    hidden[i] = pre < 0.0 ? 0.0 : pre;  // ReLU
   }
-  linalg::VecD out = linalg::matvec_t(w2_, h);
+  linalg::matvec_t_into(w2_, hidden, out);
   for (std::size_t i = 0; i < out.size(); ++i) out[i] += b2_[i];
-  return out;
 }
 
 linalg::MatD Mlp::forward_batch(const linalg::MatD& x) const {
@@ -58,22 +65,25 @@ linalg::MatD Mlp::forward_batch(const linalg::MatD& x) const {
   return forward_cached(x, scratch);
 }
 
-linalg::MatD Mlp::forward_cached(const linalg::MatD& x,
-                                 MlpCache& cache) const {
+const linalg::MatD& Mlp::forward_cached(const linalg::MatD& x,
+                                        MlpCache& cache) const {
   if (x.cols() != config_.input_dim) {
     throw std::invalid_argument("Mlp::forward_cached: input width mismatch");
   }
   cache.x = x;
-  cache.h_pre = linalg::matmul(x, w1_);
+  linalg::matmul_into(x, w1_, cache.h_pre);
   for (std::size_t r = 0; r < cache.h_pre.rows(); ++r) {
     double* row = cache.h_pre.row_ptr(r);
     for (std::size_t c = 0; c < cache.h_pre.cols(); ++c) row[c] += b1_[c];
   }
-  cache.h = cache.h_pre;
+  // ReLU as an unconditional select, here and in backward_into: a
+  // data-dependent branch would mispredict on about half the units.
+  cache.h.resize(cache.h_pre.rows(), cache.h_pre.cols());
   for (std::size_t i = 0; i < cache.h.size(); ++i) {
-    if (cache.h.data()[i] < 0.0) cache.h.data()[i] = 0.0;
+    const double pre = cache.h_pre.data()[i];
+    cache.h.data()[i] = pre < 0.0 ? 0.0 : pre;
   }
-  cache.out = linalg::matmul(cache.h, w2_);
+  linalg::matmul_into(cache.h, w2_, cache.out);
   for (std::size_t r = 0; r < cache.out.rows(); ++r) {
     double* row = cache.out.row_ptr(r);
     for (std::size_t c = 0; c < cache.out.cols(); ++c) row[c] += b2_[c];
@@ -83,40 +93,45 @@ linalg::MatD Mlp::forward_cached(const linalg::MatD& x,
 
 MlpGradients Mlp::backward(const MlpCache& cache,
                            const linalg::MatD& dloss_dout) const {
+  MlpGradients grads;
+  linalg::MatD dhidden;
+  backward_into(cache, dloss_dout, grads, dhidden);
+  return grads;
+}
+
+void Mlp::backward_into(const MlpCache& cache,
+                        const linalg::MatD& dloss_dout, MlpGradients& grads,
+                        linalg::MatD& dhidden) const {
   const std::size_t batch = cache.x.rows();
   if (dloss_dout.rows() != batch ||
       dloss_dout.cols() != config_.output_dim) {
     throw std::invalid_argument("Mlp::backward: gradient shape mismatch");
   }
 
-  MlpGradients grads{linalg::MatD(config_.input_dim, config_.hidden_units),
-                     linalg::VecD(config_.hidden_units, 0.0),
-                     linalg::MatD(config_.hidden_units, config_.output_dim),
-                     linalg::VecD(config_.output_dim, 0.0)};
-
   // dW2 = h^T dOut;  db2 = column sums of dOut.
-  grads.w2 = linalg::matmul_at_b(cache.h, dloss_dout);
+  linalg::matmul_at_b_into(cache.h, dloss_dout, grads.w2);
+  grads.b2.assign(config_.output_dim, 0.0);
   for (std::size_t r = 0; r < batch; ++r) {
     const double* row = dloss_dout.row_ptr(r);
     for (std::size_t c = 0; c < config_.output_dim; ++c) grads.b2[c] += row[c];
   }
 
   // dH = dOut W2^T, gated by ReLU' (h_pre > 0).
-  linalg::MatD dh = linalg::matmul_a_bt(dloss_dout, w2_);
-  for (std::size_t i = 0; i < dh.size(); ++i) {
-    if (cache.h_pre.data()[i] <= 0.0) dh.data()[i] = 0.0;
+  linalg::matmul_a_bt_into(dloss_dout, w2_, dhidden);
+  for (std::size_t i = 0; i < dhidden.size(); ++i) {
+    double& d = dhidden.data()[i];
+    d = cache.h_pre.data()[i] <= 0.0 ? 0.0 : d;
   }
 
   // dW1 = x^T dH;  db1 = column sums of dH.
-  grads.w1 = linalg::matmul_at_b(cache.x, dh);
+  linalg::matmul_at_b_into(cache.x, dhidden, grads.w1);
+  grads.b1.assign(config_.hidden_units, 0.0);
   for (std::size_t r = 0; r < batch; ++r) {
-    const double* row = dh.row_ptr(r);
+    const double* row = dhidden.row_ptr(r);
     for (std::size_t c = 0; c < config_.hidden_units; ++c) {
       grads.b1[c] += row[c];
     }
   }
-
-  return grads;
 }
 
 void Mlp::copy_parameters_from(const Mlp& other) {

@@ -44,17 +44,29 @@ class Mlp {
   /// Single-sample forward pass (Q-values for action selection).
   [[nodiscard]] linalg::VecD forward(const linalg::VecD& x) const;
 
-  /// Batch forward pass without caching (target-network evaluation).
+  /// forward() into caller-owned vectors (`hidden` is scratch); no
+  /// allocation once their capacity suffices.
+  void forward_into(const linalg::VecD& x, linalg::VecD& hidden,
+                    linalg::VecD& out) const;
+
+  /// Batch forward pass through a throwaway cache.
   [[nodiscard]] linalg::MatD forward_batch(const linalg::MatD& x) const;
 
   /// Batch forward pass retaining the activations needed for backward().
-  linalg::MatD forward_cached(const linalg::MatD& x, MlpCache& cache) const;
+  /// Returns cache.out; a warm cache is reused without allocation.
+  const linalg::MatD& forward_cached(const linalg::MatD& x,
+                                     MlpCache& cache) const;
 
   /// Backprop given dLoss/dOut (same shape as cache.out); pure chain rule,
   /// so a mean-reduced loss must fold its 1/batch factor into dLoss/dOut
   /// (huber_loss_mean does exactly that).
   [[nodiscard]] MlpGradients backward(const MlpCache& cache,
                                       const linalg::MatD& dloss_dout) const;
+
+  /// backward() into caller-owned gradients; `dhidden` is scratch for
+  /// dLoss/dHidden. No allocation once the shapes are warm.
+  void backward_into(const MlpCache& cache, const linalg::MatD& dloss_dout,
+                     MlpGradients& grads, linalg::MatD& dhidden) const;
 
   /// Copies parameters from another network (fixed-target sync).
   void copy_parameters_from(const Mlp& other);

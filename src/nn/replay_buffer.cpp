@@ -11,26 +11,34 @@ ReplayBuffer::ReplayBuffer(std::size_t capacity) : capacity_(capacity) {
   storage_.reserve(capacity);
 }
 
-void ReplayBuffer::push(Transition transition) {
+void ReplayBuffer::push(const Transition& transition) {
   if (storage_.size() < capacity_) {
-    storage_.push_back(std::move(transition));
+    storage_.push_back(transition);
     return;
   }
-  storage_[next_] = std::move(transition);
+  storage_[next_] = transition;
   next_ = (next_ + 1) % capacity_;
 }
 
 std::vector<Transition> ReplayBuffer::sample(std::size_t count,
                                              util::Rng& rng) const {
+  std::vector<const Transition*> picks;
+  sample_into(count, rng, picks);
+  std::vector<Transition> batch;
+  batch.reserve(count);
+  for (const Transition* pick : picks) batch.push_back(*pick);
+  return batch;
+}
+
+void ReplayBuffer::sample_into(std::size_t count, util::Rng& rng,
+                               std::vector<const Transition*>& out) const {
   if (storage_.empty()) {
     throw std::logic_error("ReplayBuffer::sample: buffer empty");
   }
-  std::vector<Transition> batch;
-  batch.reserve(count);
+  out.clear();
   for (std::size_t i = 0; i < count; ++i) {
-    batch.push_back(storage_[rng.uniform_index(storage_.size())]);
+    out.push_back(&storage_[rng.uniform_index(storage_.size())]);
   }
-  return batch;
 }
 
 const Transition& ReplayBuffer::at(std::size_t logical_index) const {

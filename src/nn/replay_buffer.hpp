@@ -24,12 +24,19 @@ class ReplayBuffer {
  public:
   explicit ReplayBuffer(std::size_t capacity);
 
-  /// Appends a transition, evicting the oldest once at capacity.
-  void push(Transition transition);
+  /// Appends a transition, evicting the oldest once at capacity. Once
+  /// full, the evicted slot's vectors are reused (no allocation).
+  void push(const Transition& transition);
 
   /// Samples `count` transitions uniformly with replacement.
   [[nodiscard]] std::vector<Transition> sample(std::size_t count,
                                                util::Rng& rng) const;
+
+  /// sample() without the copies: `out` receives pointers to the stored
+  /// transitions (valid until the next push or clear), from the same
+  /// rng draws as sample().
+  void sample_into(std::size_t count, util::Rng& rng,
+                   std::vector<const Transition*>& out) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return storage_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

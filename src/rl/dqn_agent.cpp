@@ -1,5 +1,6 @@
 #include "rl/dqn_agent.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/timer.hpp"
@@ -47,8 +48,9 @@ DqnAgent::DqnAgent(DqnAgentConfig config, std::uint64_t seed,
 
 std::size_t DqnAgent::greedy_action(const linalg::VecD& state) {
   util::WallTimer timer;
-  const linalg::VecD q = online_.forward(state);
+  online_.forward_into(state, hidden_ws_, q_ws_);
   ledger_->charge(util::OpCategory::kPredict1, timer.seconds());
+  const linalg::VecD& q = q_ws_;
   std::size_t best = 0;
   for (std::size_t a = 1; a < q.size(); ++a) {
     if (q[a] > q[best]) best = a;
@@ -62,46 +64,45 @@ std::size_t DqnAgent::act(const linalg::VecD& state) {
 }
 
 void DqnAgent::train_step() {
-  const auto batch = replay_.sample(config_.batch_size, rng_);
-  const std::size_t k = batch.size();
+  replay_.sample_into(config_.batch_size, rng_, batch_);
+  const std::size_t k = batch_.size();
 
-  linalg::MatD states(k, config_.state_dim);
-  linalg::MatD next_states(k, config_.state_dim);
+  states_.resize(k, config_.state_dim);
+  next_states_.resize(k, config_.state_dim);
   for (std::size_t i = 0; i < k; ++i) {
-    states.set_row(i, batch[i].state);
-    next_states.set_row(i, batch[i].next_state);
+    states_.set_row(i, batch_[i]->state);
+    next_states_.set_row(i, batch_[i]->next_state);
   }
 
   // Target Q-values from the frozen network (the paper's predict_32 bar).
   util::WallTimer predict32_timer;
-  const linalg::MatD next_q = target_.forward_batch(next_states);
+  const linalg::MatD& next_q =
+      target_.forward_cached(next_states_, target_cache_);
   ledger_->charge(util::OpCategory::kPredict32, predict32_timer.seconds());
 
   util::WallTimer train_timer;
-  nn::MlpCache cache;
-  const linalg::MatD q = online_.forward_cached(states, cache);
+  const linalg::MatD& q = online_.forward_cached(states_, online_cache_);
 
   // Only the taken action's Q contributes to the loss (Eq. 9): the target
   // matrix equals the prediction except at (i, a_i).
-  linalg::MatD targets = q;
+  targets_ = q;
   for (std::size_t i = 0; i < k; ++i) {
+    const nn::Transition& t = *batch_[i];
     double best_next = 0.0;
-    if (!batch[i].done) {
+    if (!t.done) {
       const double* row = next_q.row_ptr(i);
       best_next = row[0];
       for (std::size_t a = 1; a < config_.action_count; ++a) {
         best_next = std::max(best_next, row[a]);
       }
     }
-    targets(i, batch[i].action) =
-        batch[i].reward +
-        (batch[i].done ? 0.0 : config_.gamma * best_next);
+    targets_(i, t.action) =
+        t.reward + (t.done ? 0.0 : config_.gamma * best_next);
   }
 
-  const nn::HuberResult loss = nn::huber_loss_mean(q, targets);
-  last_loss_ = loss.loss;
-  const nn::MlpGradients grads = online_.backward(cache, loss.grad);
-  optimizer_.step(online_, grads);
+  last_loss_ = nn::huber_loss_mean_into(q, targets_, dloss_);
+  online_.backward_into(online_cache_, dloss_, grads_, dhidden_);
+  optimizer_.step(online_, grads_);
   ledger_->charge(util::OpCategory::kTrainDqn, train_timer.seconds());
   ++training_steps_;
 }

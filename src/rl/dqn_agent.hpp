@@ -74,6 +74,20 @@ class DqnAgent final : public Agent {
   util::TimeLedgerPtr ledger_;
   std::size_t training_steps_ = 0;
   double last_loss_ = 0.0;
+
+  // Workspaces reused across steps, so a steady-state act()/train_step()
+  // does no heap allocation.
+  linalg::VecD hidden_ws_;
+  linalg::VecD q_ws_;
+  std::vector<const nn::Transition*> batch_;
+  linalg::MatD states_;
+  linalg::MatD next_states_;
+  linalg::MatD targets_;
+  linalg::MatD dloss_;
+  linalg::MatD dhidden_;
+  nn::MlpCache online_cache_;
+  nn::MlpCache target_cache_;
+  nn::MlpGradients grads_;
 };
 
 }  // namespace oselm::rl

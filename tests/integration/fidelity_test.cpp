@@ -3,8 +3,12 @@
 // must reproduce the paper's qualitative cost structure (Fig. 6).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/experiment.hpp"
 #include "fixed/fixed_point.hpp"
+#include "hw/platform_model.hpp"
+#include "rl/dqn_agent.hpp"
 
 namespace oselm::core {
 namespace {
@@ -40,18 +44,37 @@ TEST(Fidelity, SoftwareOsElmBreakdownAlsoSeqTrainHeavy) {
   EXPECT_GT(seq, result.breakdown.get(util::OpCategory::kInitTrain) * 0.1);
 }
 
-TEST(Fidelity, FpgaModeledOpsAreFasterThanDqnMeasuredOps) {
-  // The structural speed claim: per-episode modeled PL time is far below
-  // the DQN's measured backprop time at equal hidden width.
-  const rl::TrainResult fpga = run_experiment(short_spec(Design::kFpga));
-  const rl::TrainResult dqn = run_experiment(short_spec(Design::kDqn));
+TEST(Fidelity, FpgaModeledOpsAreFasterThanDqnModeledOps) {
+  // The structural speed claim (Fig. 5, §4.4) is against DQN on the
+  // PYNQ-Z1's 650 MHz Cortex-A9, so both sides are board models: the
+  // FPGA's seq_train seconds come from the cycle model, and every DQN
+  // training step is charged SoftwarePlatformModel::dqn_train_seconds.
+  // The host-measured DQN time depends on the machine running the test;
+  // it is printed, not asserted.
+  const RunSpec fpga_spec = short_spec(Design::kFpga);
+  const RunSpec dqn_spec = short_spec(Design::kDqn);
+  const rl::TrainResult fpga = run_experiment(fpga_spec);
+  const rl::TrainResult dqn = run_experiment(dqn_spec);
   const double fpga_train_per_step =
       fpga.breakdown.get(util::OpCategory::kSeqTrain) /
       static_cast<double>(fpga.total_steps);
-  const double dqn_train_per_step =
-      dqn.breakdown.get(util::OpCategory::kTrainDqn) /
-      static_cast<double>(dqn.total_steps);
-  EXPECT_LT(fpga_train_per_step, dqn_train_per_step);
+  const double dqn_steps = static_cast<double>(dqn.total_steps);
+  const double dqn_updates = static_cast<double>(
+      dqn.breakdown.invocations(util::OpCategory::kTrainDqn));
+  const double dqn_board_per_step =
+      dqn_updates *
+      hw::SoftwarePlatformModel().dqn_train_seconds(
+          rl::DqnAgentConfig{}.batch_size, dqn_spec.agent.state_dim,
+          dqn_spec.agent.hidden_units, dqn_spec.agent.action_count) /
+      dqn_steps;
+  const double dqn_host_per_step =
+      dqn.breakdown.get(util::OpCategory::kTrainDqn) / dqn_steps;
+  std::printf(
+      "[telemetry] per-step training: FPGA modeled %.3g s, DQN board "
+      "model %.3g s, DQN host-measured %.3g s (host/FPGA %.2fx)\n",
+      fpga_train_per_step, dqn_board_per_step, dqn_host_per_step,
+      dqn_host_per_step / fpga_train_per_step);
+  EXPECT_LT(fpga_train_per_step, dqn_board_per_step);
 }
 
 TEST(Fidelity, FixedPointOverflowIsRareDuringTraining) {

@@ -242,54 +242,6 @@ std::vector<double> random_spd(std::size_t n, util::Rng& rng) {
   return p;
 }
 
-/// The definitionally single-threaded composition the banded kernels must
-/// reproduce under any partition.
-std::vector<double> serial_rank1(std::vector<double> p, std::size_t n,
-                                 const std::vector<double>& u, double inv,
-                                 double p_scale) {
-  sym_rank1_update_rows(p.data(), n, 0, n, u.data(), inv, p_scale);
-  mirror_lower_rows(p.data(), n, 0, n);
-  return p;
-}
-
-TEST(KernelSymRank1, ArbitraryRowBandPartitionsAreBitIdentical) {
-  // Each row's arithmetic never reads another row, so ANY partition of
-  // the banded primitives — including bands that cut through the 16-wide
-  // mirror tiles — must reproduce the full kernel bit-for-bit, in both
-  // dispatch modes.
-  util::Rng rng(11);
-  const struct RestoreDispatch {
-    ~RestoreDispatch() { reset_simd_override(); }
-  } restore;
-  for (const bool simd : {false, true}) {
-    if (simd && !simd_available()) continue;
-    set_simd_enabled(simd);
-    for (const std::size_t n : {33u, 100u, 130u}) {
-      for (const double p_scale : {1.0, 1.0 / 0.97}) {
-        const std::vector<double> p0 = random_spd(n, rng);
-        const std::vector<double> u = random_vec(n, rng);
-        const std::vector<double> reference =
-            serial_rank1(p0, n, u, 0.27, p_scale);
-        for (const std::size_t cut :
-             {std::size_t{1}, std::size_t{16}, std::size_t{17}, n / 2,
-              n - 1}) {
-          std::vector<double> banded = p0;
-          sym_rank1_update_rows(banded.data(), n, 0, cut, u.data(), 0.27,
-                                p_scale);
-          sym_rank1_update_rows(banded.data(), n, cut, n, u.data(), 0.27,
-                                p_scale);
-          mirror_lower_rows(banded.data(), n, cut, n);  // order-free copies
-          mirror_lower_rows(banded.data(), n, 0, cut);
-          for (std::size_t i = 0; i < n * n; ++i) {
-            ASSERT_EQ(banded[i], reference[i])
-                << "simd=" << simd << " n=" << n << " cut=" << cut;
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelSymRankK, MatchesDenseDowndateAndStaysSymmetric) {
   util::Rng rng(14);
   const struct RestoreDispatch {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -92,6 +98,147 @@ TEST(MatmulAtB, MismatchThrows) {
 
 TEST(MatmulABt, MismatchThrows) {
   EXPECT_THROW(matmul_a_bt(MatD(3, 2), MatD(3, 4)), std::invalid_argument);
+}
+
+// Seed-order references: each C element summed from 0.0 in ascending k,
+// one multiply then one add per term (this file is compiled with
+// -ffp-contract=off, like the library). matmul_at_b skips the terms of a
+// zero A element.
+enum class Form { kAB, kAtB, kABt };
+
+MatD reference_product(const MatD& a, const MatD& b, Form form) {
+  const std::size_t m = form == Form::kAtB ? a.cols() : a.rows();
+  const std::size_t n = form == Form::kABt ? b.rows() : b.cols();
+  const std::size_t inner = form == Form::kAtB ? a.rows() : a.cols();
+  MatD c(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < inner; ++k) {
+        const double a_ik = form == Form::kAtB ? a(k, i) : a(i, k);
+        if (form == Form::kAtB && a_ik == 0.0) continue;
+        acc += a_ik * (form == Form::kABt ? b(j, k) : b(k, j));
+      }
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+MatD tiled_product(const MatD& a, const MatD& b, Form form) {
+  switch (form) {
+    case Form::kAB:
+      return matmul(a, b);
+    case Form::kAtB:
+      return matmul_at_b(a, b);
+    case Form::kABt:
+      return matmul_a_bt(a, b);
+  }
+  return {};
+}
+
+/// Uniform entries with about a quarter set to exactly 0.0.
+MatD random_with_zeros(std::size_t rows, std::size_t cols, util::Rng& rng) {
+  MatD m = random_matrix(rows, cols, rng);
+  for (double& v : m.storage()) {
+    if (rng.uniform() < 0.25) v = 0.0;
+  }
+  return m;
+}
+
+void expect_bit_identical(const MatD& got, const MatD& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.data()[i]),
+              std::bit_cast<std::uint64_t>(want.data()[i]))
+        << what << " element " << i;
+  }
+}
+
+TEST(MatmulTiled, BitIdenticalToSeedOrderAcrossTileEdges) {
+  const std::size_t dims[] = {1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 64, 65};
+  util::Rng rng(404);
+  for (const std::size_t m : dims) {
+    for (const std::size_t k : dims) {
+      for (const std::size_t n : dims) {
+        const std::string shape = std::to_string(m) + "x" +
+                                  std::to_string(k) + "x" + std::to_string(n);
+        const MatD a = random_with_zeros(m, k, rng);
+        const MatD b = random_matrix(k, n, rng);
+        expect_bit_identical(matmul(a, b), reference_product(a, b, Form::kAB),
+                             "matmul " + shape);
+        const MatD at = random_with_zeros(k, m, rng);
+        expect_bit_identical(matmul_at_b(at, b),
+                             reference_product(at, b, Form::kAtB),
+                             "matmul_at_b " + shape);
+        const MatD bt = random_matrix(n, k, rng);
+        expect_bit_identical(matmul_a_bt(a, bt),
+                             reference_product(a, bt, Form::kABt),
+                             "matmul_a_bt " + shape);
+      }
+    }
+  }
+}
+
+TEST(MatmulTiled, BitIdenticalAcrossKBlocks) {
+  // Inner dimensions beyond one k block resume from partial sums in C.
+  util::Rng rng(405);
+  for (const std::size_t k : {255u, 256u, 257u, 600u}) {
+    const MatD a = random_with_zeros(9, k, rng);
+    const MatD at = random_with_zeros(k, 9, rng);
+    const MatD b = random_matrix(k, 7, rng);
+    const MatD bt = random_matrix(7, k, rng);
+    const std::string shape = "k=" + std::to_string(k);
+    expect_bit_identical(matmul(a, b), reference_product(a, b, Form::kAB),
+                         "matmul " + shape);
+    expect_bit_identical(matmul_at_b(at, b),
+                         reference_product(at, b, Form::kAtB),
+                         "matmul_at_b " + shape);
+    expect_bit_identical(matmul_a_bt(a, bt),
+                         reference_product(a, bt, Form::kABt),
+                         "matmul_a_bt " + shape);
+  }
+}
+
+TEST(MatmulAtB, ZeroElementOfASkipsANonFiniteTerm) {
+  MatD a{{0.0, 1.0}, {2.0, 0.0}};
+  MatD b{{std::numeric_limits<double>::infinity(), 1.0}, {3.0, 4.0}};
+  const MatD c = matmul_at_b(a, b);
+  expect_bit_identical(c, reference_product(a, b, Form::kAtB), "at_b");
+  EXPECT_EQ(c(0, 0), 6.0);  // 0 * inf is skipped, not NaN
+  EXPECT_TRUE(std::isinf(c(1, 0)));
+}
+
+TEST(MatmulInto, MatchesValueFormsAndReusesStorage) {
+  util::Rng rng(406);
+  const MatD a = random_matrix(12, 7, rng);
+  const MatD b = random_matrix(7, 10, rng);
+  const MatD bt = random_matrix(10, 7, rng);
+  const MatD at = random_matrix(7, 12, rng);
+  MatD c;
+  for (const Form form : {Form::kAB, Form::kAtB, Form::kABt}) {
+    const MatD& lhs = form == Form::kAtB ? at : a;
+    const MatD& rhs = form == Form::kABt ? bt : b;
+    switch (form) {
+      case Form::kAB:
+        matmul_into(lhs, rhs, c);
+        break;
+      case Form::kAtB:
+        matmul_at_b_into(lhs, rhs, c);
+        break;
+      case Form::kABt:
+        matmul_a_bt_into(lhs, rhs, c);
+        break;
+    }
+    expect_bit_identical(c, tiled_product(lhs, rhs, form), "into");
+  }
+  const double* storage = c.data();
+  matmul_into(a, b, c);  // same 12 x 10 shape: no reallocation
+  EXPECT_EQ(c.data(), storage);
+  MatD square = random_matrix(4, 4, rng);
+  EXPECT_THROW(matmul_into(square, square, square), std::invalid_argument);
 }
 
 TEST(Matvec, KnownProduct) {

@@ -2,6 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "env/registry.hpp"
+#include "util/hash.hpp"
+
+// Counts heap allocations made through operator new in this test binary.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace oselm::rl {
 namespace {
 
@@ -144,6 +165,63 @@ TEST(DqnAgent, ResetWeightsClearsReplayAndOptimizer) {
   // New observations need to refill the replay before training resumes.
   agent.observe(transition(0.0));
   EXPECT_EQ(agent.training_steps(), 0u);
+}
+
+/// FNV-1a over the bit patterns of every online-network parameter.
+std::uint64_t weight_digest(const nn::Mlp& net) {
+  std::uint64_t hash = util::kFnv1aOffsetBasis;
+  const auto fold = [&hash](const double* data, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      hash = util::fnv1a_u64(std::bit_cast<std::uint64_t>(data[i]), hash);
+    }
+  };
+  fold(net.w1().data(), net.w1().size());
+  fold(net.b1().data(), net.b1().size());
+  fold(net.w2().data(), net.w2().size());
+  fold(net.b2().data(), net.b2().size());
+  return hash;
+}
+
+TEST(DqnAgent, FixedSeedRunReproducesPinnedWeightsBitForBit) {
+  // 500 CartPole steps at the paper's DQN shapes (64 hidden units, batch
+  // 32), with the trainer's episode loop and target syncs. The digest was
+  // recorded from the plain i-k-j GEMM and scalar MLP/Adam code; any
+  // change to the order or fusion of a floating-point operation on the
+  // DQN path changes it.
+  DqnAgent agent(DqnAgentConfig{}, 2024);
+  const env::EnvironmentPtr env = env::make_environment("CartPole-v0", 77);
+  linalg::VecD state = env->reset();
+  std::size_t episodes = 0;
+  for (int step = 0; step < 500; ++step) {
+    const std::size_t action = agent.act(state);
+    const env::StepResult result = env->step(action);
+    agent.observe(nn::Transition{state, action, result.reward,
+                                 result.observation, result.done()});
+    state = result.observation;
+    if (result.done()) {
+      agent.episode_end(++episodes);
+      state = env->reset();
+    }
+  }
+  ASSERT_EQ(agent.training_steps(), 500u - 31u);
+  EXPECT_EQ(weight_digest(agent.online_network()), 0xe6b43ff9556fcb1bull);
+}
+
+TEST(DqnAgent, SteadyStateStepsDoNotAllocate) {
+  // Once the replay ring is full and the workspaces are warm, observe()
+  // (push + train_step) and greedy_action() reuse storage only.
+  DqnAgent agent(small_config(), 12);
+  nn::Transition t = transition(0.0);
+  const auto step = [&](int i) {
+    t.reward = i % 3;
+    t.done = i % 7 == 0;
+    agent.observe(t);
+    (void)agent.greedy_action(t.state);
+  };
+  for (int i = 0; i < 150; ++i) step(i);
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < 200; ++i) step(i);
+  EXPECT_EQ(g_allocations - before, 0u);
 }
 
 TEST(DqnAgent, NameIsDqn) {
