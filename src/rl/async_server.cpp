@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -12,8 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rl/policy.hpp"
-#include "util/stats.hpp"
-#include "util/timer.hpp"
 
 namespace oselm::rl {
 
@@ -64,47 +64,137 @@ AsyncMetrics& async_metrics() {
   return metrics;
 }
 
+/// A corrupting backend (rl::FaultBackend kNan, a real numerical blow-up)
+/// must not leak silently into action selection or TD targets: surface it
+/// as a backend failure, so its sessions retire with kBackendError and a
+/// router can treat the replica as unhealthy.
+void require_finite(std::span<const double> q, const char* where) {
+  for (std::size_t k = 0; k < q.size(); ++k) {
+    if (!std::isfinite(q[k])) {
+      throw std::runtime_error(
+          std::string("AsyncQServer: backend returned non-finite Q in ") +
+          where + " (entry " + std::to_string(k) + ")");
+    }
+  }
+}
+
+/// The retirement message for a session ended by `error`.
+std::string failure_text(const std::exception_ptr& error,
+                         const char* fallback) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    const char* what = e.what();
+    if (what != nullptr && what[0] != '\0') return what;
+  } catch (...) {
+  }
+  return fallback;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
 
-struct AsyncQServer::Session {
+/// One session is one run_episodes() loop, parked on the ready queue
+/// whenever an operation needs the shared network.
+struct AsyncQServer::Session final : EpisodeDriver {
+  Session(AsyncQServer& owner, AsyncSessionSpec session_spec,
+          env::EnvironmentPtr environment)
+      : server(owner),
+        spec(std::move(session_spec)),
+        training(spec.mode == AsyncSessionMode::kTrain),
+        env(std::move(environment)),
+        rules(spec.session.agent, owner.model_.action_count(),
+              owner.backend_->hidden_units(), spec.session.agent_seed),
+        sa(owner.model_.input_dim(), 0.0),
+        admitted_at(Clock::now()),
+        loop(run_episodes(*this, *env, spec.session.trainer, result.train)) {}
+
+  [[nodiscard]] bool supports_weight_reset() const override {
+    return training;
+  }
+  bool stop_requested() override {
+    stopped = server.stopping_.load(std::memory_order_acquire);
+    return stopped;
+  }
+  void step_end() override {
+    result.step_latency_us.record(
+        std::chrono::duration<double, std::micro>(Clock::now() - step_start)
+            .count());
+    server.steps_.fetch_add(1, std::memory_order_relaxed);
+    async_metrics().steps.add();
+  }
+  void finish(std::exception_ptr error) override {  // retire() deletes us
+    if (error) {
+      server.retire(this, SessionEndCause::kEnvError,
+                    failure_text(error, "unknown session failure"));
+    } else {
+      server.retire(this, stopped ? SessionEndCause::kStopped
+                                  : SessionEndCause::kCompleted, {});
+    }
+  }
+
+  bool act(const linalg::VecD& state) override {
+    step_start = Clock::now();
+    if (const std::optional<std::size_t> random = rules.explore()) {
+      action = *random;
+      return false;
+    }
+    query = &state;
+    return wait_for(RequestKind::kGreedyEval);
+  }
+  bool observe(const nn::Transition& observed) override {
+    if (!training) return false;
+    switch (rules.observe(observed, server.backend_initialized_.load(
+                                        std::memory_order_acquire))) {
+      case OsElmQRules::Update::kNone:
+        break;
+      case OsElmQRules::Update::kInitTrain:
+        return wait_for(RequestKind::kInitTrain);
+      case OsElmQRules::Update::kSeqTrain:
+        server.model_.encode_into(observed.state, observed.action, sa);
+        transition = &observed;
+        return wait_for(RequestKind::kSeqTrain);
+    }
+    return false;
+  }
+  bool episode_end(std::size_t episodes_since_reset) override {
+    server.episodes_.fetch_add(1, std::memory_order_relaxed);
+    if (!training || !rules.sync_due(episodes_since_reset)) return false;
+    return wait_for(RequestKind::kSyncTarget);
+  }
+  bool reset_weights() override {
+    rules.drop_buffer();
+    return wait_for(RequestKind::kReset);
+  }
+  bool wait_for(RequestKind kind) {
+    request = kind;
+    return true;
+  }
+  void park(std::coroutine_handle<>) override { server.enqueue(*this); }
+
+  AsyncQServer& server;
   AsyncSessionSpec spec;
+  const bool training;  ///< kTrain: observes, resets and syncs
   env::EnvironmentPtr env;
-  GreedyWithProbabilityPolicy policy;
-  util::Rng rng;
-  util::MovingAverage window;
+  OsElmQRules rules;
   AsyncSessionResult result;
-  std::vector<nn::Transition> buffer;  ///< buffer D (train mode)
-  double env_seconds = 0.0;
+  bool stopped = false;  ///< the loop ended on stop_requested()
 
-  // Episode-transient state.
-  linalg::VecD state;
-  std::size_t episode = 0;
-  std::size_t steps = 0;
-  double episode_return = 0.0;
-  std::size_t episodes_since_reset = 0;
-
-  // Step-transient state (stable while the session is suspended; the
-  // batch thread reads/writes it through the queue's synchronization).
-  std::size_t action = 0;
-  nn::Transition transition;
-  linalg::VecD sa;  ///< encoded (state, action) row for seq_train
-  double pending_value = 0.0;  ///< batch thread -> worker (best next Q)
+  // The parked operation. The loop's frame keeps `query`/`transition`
+  // alive while it is suspended; the batch thread reads them (and writes
+  // `action`/`max_next_q`) through the ready queue's synchronization.
+  RequestKind request = RequestKind::kGreedyEval;
+  const linalg::VecD* query = nullptr;         ///< kGreedyEval state
+  const nn::Transition* transition = nullptr;  ///< kSeqTrain sample
+  linalg::VecD sa;           ///< its encoded (state, action) row
+  double max_next_q = 0.0;   ///< max_a Q_theta2(s', a) from the TD batch
+  Clock::time_point admitted_at;
   Clock::time_point step_start{};
-  Clock::time_point admitted_at{};
-  Phase phase = Phase::kBeginEpisode;
 
-  Session(AsyncSessionSpec s, env::EnvironmentPtr e, std::size_t actions,
-          std::size_t input_dim)
-      : spec(std::move(s)),
-        env(std::move(e)),
-        policy(spec.session.agent.epsilon_greedy, actions),
-        rng(spec.session.agent_seed),
-        window(spec.session.trainer.solved_window),
-        sa(input_dim, 0.0) {}
+  EpisodeLoop loop;  ///< last: the loop references the members above
 };
 
 // ---------------------------------------------------------------------------
@@ -118,8 +208,7 @@ AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
       model_(model),
       config_(config),
       action_codes_(model.action_count(), 0.0),
-      q_ws_(model.action_count(), 0.0),
-      scratch_sa_(model.input_dim(), 0.0) {
+      q_ws_(model.action_count(), 0.0) {
   if (!backend_) throw std::invalid_argument("AsyncQServer: null backend");
   if (backend_->input_dim() != model_.input_dim()) {
     throw std::invalid_argument(
@@ -244,13 +333,10 @@ std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
               ") reached; retry after a session retires");
     }
     id = next_id_++;
-    auto session = std::make_unique<Session>(
-        spec, std::move(environment), model_.action_count(),
-        model_.input_dim());
+    auto session = std::make_unique<Session>(*this, spec,
+                                             std::move(environment));
     session->result.id = id;
     session->result.mode = spec.mode;
-    session->admitted_at = Clock::now();
-    session->buffer.reserve(backend_->hidden_units());
     raw = session.get();
     live_.emplace(id, std::move(session));
     live_count_.store(live_.size(), std::memory_order_relaxed);
@@ -258,7 +344,7 @@ std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
   sessions_admitted_.fetch_add(1, std::memory_order_relaxed);
   async_metrics().sessions_admitted.add();
   OSELM_TRACE_INSTANT("session", "admit");
-  pool_->submit([this, raw] { advance(raw); });
+  resume(*raw);
   return id;
 }
 
@@ -379,211 +465,28 @@ std::string AsyncServerStats::to_json() const {
 }
 
 // ---------------------------------------------------------------------------
-// Worker side — the per-session state machine
+// Worker side — session loops between parks
 // ---------------------------------------------------------------------------
 
-void AsyncQServer::advance(Session* s) {
-  if (obs::Tracer::enabled()) {
-    // Label each worker lane once, lazily — names show up as Perfetto
-    // track titles next to the batch thread's.
-    thread_local bool lane_named = false;
-    if (!lane_named) {
-      obs::Tracer::set_thread_name("worker");
-      lane_named = true;
-    }
-  }
-  OSELM_TRACE_SPAN("worker", "session_slice");
-  try {
-    run_session(*s);
-  } catch (const std::exception& e) {
-    const char* what = e.what();
-    retire(s, SessionEndCause::kEnvError,
-           (what != nullptr && what[0] != '\0') ? what
-                                                : "unknown session failure");
-  } catch (...) {
-    retire(s, SessionEndCause::kEnvError, "unknown session failure");
-  }
-}
-
-void AsyncQServer::begin_episode_env(Session& s) {
-  ++s.episode;
-  s.steps = 0;
-  s.episode_return = 0.0;
-  util::WallTimer env_timer;
-  s.state = s.env->reset();
-  s.env_seconds += env_timer.seconds();
-}
-
-void AsyncQServer::run_session(Session& s) {
-  const OsElmQAgentConfig& agent = s.spec.session.agent;
-  const TrainerConfig& trainer = s.spec.session.trainer;
-  const bool training = s.spec.mode == AsyncSessionMode::kTrain;
-  for (;;) {
-    switch (s.phase) {
-      case Phase::kBeginEpisode: {
-        if (stopping_.load(std::memory_order_acquire)) {
-          retire(&s, SessionEndCause::kStopped, {});
-          return;
-        }
-        if (trainer.max_episodes == 0) {
-          // Empty budget completes immediately, like rl::run_training.
-          retire(&s, SessionEndCause::kCompleted, {});
-          return;
-        }
-        // §4.3 reset rule, identical to rl::run_training; the
-        // re-randomization itself must run on the batch thread.
-        if (training && !s.result.train.solved &&
-            trainer.reset_interval != 0 &&
-            s.episodes_since_reset >= trainer.reset_interval) {
-          suspend(s, RequestKind::kReset, Phase::kAfterReset);
-          return;
-        }
-        begin_episode_env(s);
-        s.phase = Phase::kChooseAction;
-        break;
-      }
-      case Phase::kAfterReset: {
-        s.buffer.clear();
-        s.buffer.reserve(backend_->hidden_units());
-        s.window.reset();
-        s.episodes_since_reset = 0;
-        ++s.result.train.resets;
-        begin_episode_env(s);
-        s.phase = Phase::kChooseAction;
-        break;
-      }
-      case Phase::kChooseAction: {
-        if (stopping_.load(std::memory_order_acquire)) {
-          retire(&s, SessionEndCause::kStopped, {});
-          return;
-        }
-        s.step_start = Clock::now();
-        if (s.policy.should_act_greedily(s.rng)) {
-          suspend(s, RequestKind::kGreedyEval, Phase::kStepEnv);
-          return;
-        }
-        s.action = s.policy.random_action(s.rng);
-        s.phase = Phase::kStepEnv;
-        break;
-      }
-      case Phase::kStepEnv: {
-        env::StepResult step;
-        {
-          util::WallTimer env_timer;
-          step = s.env->step(s.action);
-          s.env_seconds += env_timer.seconds();
-        }
-        ++s.steps;
-        s.episode_return += step.reward;
-        s.transition = nn::Transition{s.state, s.action, step.reward,
-                                      step.observation, step.done()};
-        s.state = step.observation;
-        if (!training) {
-          s.phase = Phase::kFinishStep;
-          break;
-        }
-        // Observe (Algorithm 1 Store + Update), per-session control flow
-        // identical to OsElmQAgent::observe.
-        model_.encode_into(s.transition.state, s.action, s.sa);
-        if (!backend_initialized_.load(std::memory_order_acquire)) {
-          s.buffer.push_back(s.transition);
-          if (s.buffer.size() >= backend_->hidden_units()) {
-            suspend(s, RequestKind::kInitTrain, Phase::kFinishStep);
-            return;
-          }
-          s.phase = Phase::kFinishStep;
-          break;
-        }
-        if (!s.buffer.empty()) {
-          // Lost the init-train race to a co-tenant: the part-filled
-          // chunk is stale (recorded under pre-init weights) — drop it.
-          s.buffer.clear();
-          s.buffer.shrink_to_fit();
-        }
-        if (agent.random_update &&
-            !s.rng.bernoulli(agent.update_probability)) {
-          s.phase = Phase::kFinishStep;
-          break;
-        }
-        suspend(s,
-                s.transition.done ? RequestKind::kTrainOnly
-                                  : RequestKind::kTdEvalTrain,
-                Phase::kFinishStep);
-        return;
-      }
-      case Phase::kFinishStep: {
-        s.result.step_latency_us.record(
-            std::chrono::duration<double, std::micro>(Clock::now() -
-                                                      s.step_start)
-                .count());
-        steps_.fetch_add(1, std::memory_order_relaxed);
-        async_metrics().steps.add();
-        const bool capped = trainer.episode_step_cap != 0 &&
-                            s.steps >= trainer.episode_step_cap;
-        if (!s.transition.done && !capped) {
-          s.phase = Phase::kChooseAction;
-          break;
-        }
-        ++s.episodes_since_reset;
-        // UPDATE_STEP target sync (Algorithm 1 lines 23-24), keyed on the
-        // episodes-since-reset count exactly like Agent::episode_end.
-        if (training &&
-            s.episodes_since_reset % agent.target_sync_interval == 0) {
-          suspend(s, RequestKind::kSyncTarget, Phase::kEpisodeEnd);
-          return;
-        }
-        s.phase = Phase::kEpisodeEnd;
-        break;
-      }
-      case Phase::kEpisodeEnd: {
-        episodes_.fetch_add(1, std::memory_order_relaxed);
-        TrainResult& tr = s.result.train;
-        tr.episode_steps.push_back(static_cast<double>(s.steps));
-        tr.episode_returns.push_back(s.episode_return);
-        tr.total_steps += s.steps;
-        tr.episodes = s.episode;
-        s.window.add(static_cast<double>(s.steps));
-        if (!tr.solved && s.window.full() &&
-            s.window.value() >= trainer.solved_threshold) {
-          tr.solved = true;
-          tr.first_solved_episode = s.episode;
-          if (trainer.stop_on_solved) {
-            retire(&s, SessionEndCause::kCompleted, {});
-            return;
-          }
-        }
-        if (s.episode >= trainer.max_episodes) {
-          retire(&s, SessionEndCause::kCompleted, {});
-          return;
-        }
-        s.phase = Phase::kBeginEpisode;
-        break;
+void AsyncQServer::resume(Session& s) {
+  // The task holds only the handle: once the loop parks again it may be
+  // resumed (or retired) elsewhere before resume() returns here.
+  pool_->submit([loop = s.loop.handle()] {
+    if (obs::Tracer::enabled()) {
+      // Label each worker lane once, lazily — names show up as Perfetto
+      // track titles next to the batch thread's.
+      thread_local bool lane_named = false;
+      if (!lane_named) {
+        obs::Tracer::set_thread_name("worker");
+        lane_named = true;
       }
     }
-  }
+    OSELM_TRACE_SPAN("worker", "session_slice");
+    loop.resume();
+  });
 }
 
-void AsyncQServer::suspend(Session& s, RequestKind kind, Phase resume) {
-  // Session state-machine contract: each request kind resumes at exactly
-  // one phase (the worker-side switch relies on the pairing to route the
-  // batch thread's answer — an action, a TD value, an init ack).
-  switch (kind) {
-    case RequestKind::kGreedyEval:
-      OSELM_DCHECK(resume == Phase::kStepEnv);
-      break;
-    case RequestKind::kTdEvalTrain:
-    case RequestKind::kTrainOnly:
-    case RequestKind::kInitTrain:
-      OSELM_DCHECK(resume == Phase::kFinishStep);
-      break;
-    case RequestKind::kSyncTarget:
-      OSELM_DCHECK(resume == Phase::kEpisodeEnd);
-      break;
-    case RequestKind::kReset:
-      OSELM_DCHECK(resume == Phase::kAfterReset);
-      break;
-  }
-  s.phase = resume;
+void AsyncQServer::enqueue(Session& s) {
   OSELM_TRACE_INSTANT("session", "suspend");
   std::unique_lock lk(queue_mutex_);
   // Backpressure: block until the bounded ready queue has room. The batch
@@ -599,7 +502,7 @@ void AsyncQServer::suspend(Session& s, RequestKind kind, Phase resume) {
     // clock-free on this seam.
     pending_since_us_ = obs::Tracer::now_us();
   }
-  ready_.emplace_back(&s, kind);
+  ready_.push_back(&s);
   OSELM_DCHECK_LE(ready_.size(), config_.ready_queue_capacity);
   lk.unlock();
   queue_cv_.notify_one();
@@ -617,7 +520,6 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
   result.served_by = config_.name;
   result.train.wall_seconds =
       std::chrono::duration<double>(Clock::now() - s->admitted_at).count();
-  result.train.breakdown = util::OpBreakdown{};
   result.train.breakdown.add(util::OpCategory::kEnvironment,
                              s->env_seconds);
   {
@@ -639,7 +541,7 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
   if (config_.on_retire) config_.on_retire(std::move(result));
   const std::scoped_lock lk(sessions_mutex_);
   if (!config_.on_retire) results_.emplace(id, std::move(result));
-  live_.erase(id);  // destroys *s — it owns no further control flow
+  live_.erase(id);  // destroys *s and its (suspended) loop
   live_count_.store(live_.size(), std::memory_order_relaxed);
   // Notify under the locks: a waiter (stop()/wait()/drain()) may destroy
   // the server the moment its predicate holds, so no condition variable
@@ -661,7 +563,7 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
 void AsyncQServer::batch_loop() {
   batch_affinity_.bind();  // this thread owns backend_ until stop()
   obs::Tracer::set_thread_name((config_.name + "/batch").c_str());
-  std::vector<Request> drained;
+  std::vector<Session*> drained;
   std::vector<ExclusiveTask> exclusive;
   for (;;) {
     drained.clear();
@@ -784,13 +686,7 @@ void AsyncQServer::run_exclusive(
   run_exclusive_async(fn).get();
 }
 
-double AsyncQServer::clip_target(const Session& s, double target) const {
-  const OsElmQAgentConfig& agent = s.spec.session.agent;
-  if (!agent.clip_targets) return target;
-  return std::clamp(target, agent.clip_min, agent.clip_max);
-}
-
-void AsyncQServer::coalesced_predict(QNetwork which, bool use_next_state) {
+void AsyncQServer::coalesced_predict(QNetwork which) {
   OSELM_TRACE_SPAN("batch", "coalesced_predict");
   const std::size_t rows = batch_sessions_.size();
   // predict_actions_multi validates exact shapes, so buffers are cached
@@ -803,26 +699,22 @@ void AsyncQServer::coalesced_predict(QNetwork which, bool use_next_state) {
   }
   for (std::size_t i = 0; i < rows; ++i) {
     const Session& s = *batch_sessions_[i];
-    states.set_row(i, use_next_state ? s.transition.next_state : s.state);
+    // theta_1 ranks the current state, theta_2 the TD target's next one.
+    states.set_row(i, which == QNetwork::kMain ? *s.query
+                                               : s.transition->next_state);
   }
   checked_backend().predict_actions_multi(states, action_codes_, which,
                                           q_multi);
-  // A corrupting backend (rl::FaultBackend kNan, a real numerical blow-up)
-  // must not leak silently into action selection or TD targets — surface
-  // it as a backend failure so the batch retires with kBackendError and a
-  // router can treat the replica as unhealthy.
+  require_finite(q_multi.storage(), "coalesced predict");
   for (std::size_t i = 0; i < rows; ++i) {
-    const double* q = q_multi.row_ptr(i);
-    for (std::size_t a = 0; a < model_.action_count(); ++a) {
-      if (!std::isfinite(q[a])) {
-        throw std::runtime_error(
-            "AsyncQServer: backend returned non-finite Q in coalesced "
-            "predict (row " + std::to_string(i) + ", action " +
-            std::to_string(a) + ")");
-      }
+    const std::span<const double> q(q_multi.row_ptr(i), model_.action_count());
+    const std::size_t best = argmax_action(q);
+    if (which == QNetwork::kMain) {
+      batch_sessions_[i]->action = best;
+    } else {
+      batch_sessions_[i]->max_next_q = q[best];
     }
   }
-  q_multi_ = &q_multi;
   batches_.fetch_add(1, std::memory_order_relaxed);
   batch_rows_.fetch_add(rows, std::memory_order_relaxed);
   async_metrics().batches.add();
@@ -833,144 +725,81 @@ void AsyncQServer::coalesced_predict(QNetwork which, bool use_next_state) {
   }
 }
 
-double AsyncQServer::session_td_target(Session& s,
-                                       const nn::Transition& transition,
-                                       util::OpCategory charge_to) {
-  double best_next = 0.0;
-  if (!transition.done) {
-    const util::TimeLedger::PredictScope scope(backend_->ledger(),
-                                               charge_to);
-    checked_backend().predict_actions(transition.next_state, action_codes_,
-                              QNetwork::kTarget, q_ws_);
-    for (std::size_t a = 0; a < q_ws_.size(); ++a) {
-      if (!std::isfinite(q_ws_[a])) {
-        throw std::runtime_error(
-            "AsyncQServer: backend returned non-finite Q in TD-target "
-            "predict (action " + std::to_string(a) + ")");
-      }
-    }
-    best_next = q_ws_[0];
-    for (std::size_t a = 1; a < q_ws_.size(); ++a) {
-      if (q_ws_[a] > best_next) best_next = q_ws_[a];
-    }
-  }
-  double target = transition.reward;
-  if (!transition.done) {
-    target += s.spec.session.agent.gamma * best_next;
-  }
-  return clip_target(s, target);
-}
-
 void AsyncQServer::apply_init_train(Session& s) {
   OSELM_TRACE_SPAN("train", "init_train");
   if (backend_->initialized()) {
     // A co-tenant initialized the shared network first (authoritative
     // re-check — the worker-side mirror may lag); this chunk is stale.
-    s.buffer.clear();
-    s.buffer.shrink_to_fit();
+    s.rules.drop_buffer();
     return;
   }
-  const std::size_t n = s.buffer.size();
-  linalg::MatD x(n, model_.input_dim());
-  linalg::MatD t(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    model_.encode_into(s.buffer[i].state, s.buffer[i].action, scratch_sa_);
-    x.set_row(i, scratch_sa_);
-    t(i, 0) =
-        session_td_target(s, s.buffer[i], util::OpCategory::kInitTrain);
-  }
-  checked_backend().init_train(x, t);
+  const auto max_target_q = [this](const linalg::VecD& next_state) {
+    const util::TimeLedger::PredictScope scope(backend_->ledger(),
+                                               util::OpCategory::kInitTrain);
+    checked_backend().predict_actions(next_state, action_codes_,
+                                      QNetwork::kTarget, q_ws_);
+    require_finite(q_ws_, "TD-target predict");
+    return q_ws_[argmax_action(q_ws_)];
+  };
+  const OsElmQRules::InitChunk chunk =
+      s.rules.take_init_chunk(model_, max_target_q);
+  checked_backend().init_train(chunk.x, chunk.t);
   init_trains_.fetch_add(1, std::memory_order_relaxed);
   async_metrics().init_trains.add();
   backend_initialized_.store(true, std::memory_order_release);
-  s.buffer.clear();
-  s.buffer.shrink_to_fit();  // the edge device frees D after init training
 }
 
-void AsyncQServer::process_requests(std::vector<Request>& requests) {
+void AsyncQServer::process_requests(std::vector<Session*>& requests) {
   OSELM_TRACE_SPAN("batch", "process_requests");
   // The slice was taken FIFO; apply it in session-id order so a drain's
   // backend call sequence does not depend on which worker suspended
   // first (each session has at most one request in flight).
   std::sort(requests.begin(), requests.end(),
-            [](const Request& a, const Request& b) {
-              return a.session->result.id < b.session->result.id;
+            [](const Session* a, const Session* b) {
+              return a->result.id < b->result.id;
             });
-  // Failure containment: a backend fault in one coalesced batch retires
-  // the sessions it carried and leaves the batch thread serving everyone
-  // else. (Environment faults never reach this thread — workers catch
-  // them in advance().)
-  const auto failure_text = [](const std::exception& e) {
-    const char* what = e.what();
-    return std::string((what != nullptr && what[0] != '\0')
-                           ? what
-                           : "backend failure");
-  };
-  // Backend-failure events per pass: one per thrown batch / per-request
-  // exception (not per retired session), so a router's health tracking
-  // counts faults, not blast radius. A pass with zero events resets the
+  // Failure containment: a backend fault in one coalesced batch (or one
+  // request) retires the sessions it carried and counts as ONE event, so
+  // a router's health tracking counts faults, not blast radius; the batch
+  // thread serves everyone else. A pass with zero events resets the
   // consecutive counter — the backend recovered.
   bool had_backend_error = false;
-  const auto fail_batch = [&](const std::exception& e) {
+  const auto fail = [&](const std::vector<Session*>& failed) {
     had_backend_error = true;
     backend_failures_.fetch_add(1, std::memory_order_relaxed);
     async_metrics().backend_failures.add();
     OSELM_TRACE_INSTANT("batch", "backend_failure");
-    for (Session* failed : batch_sessions_) {
-      for (Request& r : requests) {
-        if (r.session == failed) r.session = nullptr;
-      }
-      retire(failed, SessionEndCause::kBackendError, failure_text(e));
+    const std::string error =
+        failure_text(std::current_exception(), "backend failure");
+    for (Session* s : failed) {
+      std::replace(requests.begin(), requests.end(), s,
+                   static_cast<Session*>(nullptr));
+      retire(s, SessionEndCause::kBackendError, error);
     }
   };
-
-  // Greedy batch on theta_1: argmax with lowest-index tie-break, exactly
-  // like the single-agent path.
-  batch_sessions_.clear();
-  for (const Request& r : requests) {
-    if (r.session != nullptr && r.kind == RequestKind::kGreedyEval) {
-      batch_sessions_.push_back(r.session);
-    }
-  }
-  if (!batch_sessions_.empty()) {
-    try {
-      coalesced_predict(QNetwork::kMain, /*use_next_state=*/false);
-      for (std::size_t i = 0; i < batch_sessions_.size(); ++i) {
-        const double* q = q_multi_->row_ptr(i);
-        std::size_t best = 0;
-        for (std::size_t a = 1; a < model_.action_count(); ++a) {
-          if (q[a] > q[best]) best = a;  // ties keep the lowest index
-        }
-        batch_sessions_[i]->action = best;
+  // One coalesced predict per network: greedy actions on theta_1, then
+  // max_a Q_theta2(s', a) for the non-terminal updates.
+  const auto predict = [&](QNetwork which, RequestKind kind) {
+    batch_sessions_.clear();
+    for (Session* s : requests) {
+      if (s != nullptr && s->request == kind &&
+          (kind != RequestKind::kSeqTrain || !s->transition->done)) {
+        batch_sessions_.push_back(s);
       }
-    } catch (const std::exception& e) {
-      fail_batch(e);
     }
-  }
-
-  // TD-target batch on theta_2, charged to kSeqTrain like the agents do.
-  batch_sessions_.clear();
-  for (const Request& r : requests) {
-    if (r.session != nullptr && r.kind == RequestKind::kTdEvalTrain) {
-      batch_sessions_.push_back(r.session);
-    }
-  }
-  if (!batch_sessions_.empty()) {
+    if (batch_sessions_.empty()) return;
     try {
-      const util::TimeLedger::PredictScope scope(
-          backend_->ledger(), util::OpCategory::kSeqTrain);
-      coalesced_predict(QNetwork::kTarget, /*use_next_state=*/true);
-      for (std::size_t i = 0; i < batch_sessions_.size(); ++i) {
-        const double* q = q_multi_->row_ptr(i);
-        double best_next = q[0];
-        for (std::size_t a = 1; a < model_.action_count(); ++a) {
-          best_next = std::max(best_next, q[a]);
-        }
-        batch_sessions_[i]->pending_value = best_next;
-      }
-    } catch (const std::exception& e) {
-      fail_batch(e);
+      coalesced_predict(which);
+    } catch (...) {
+      fail(batch_sessions_);
     }
+  };
+  predict(QNetwork::kMain, RequestKind::kGreedyEval);
+  {
+    // Charged to kSeqTrain, like the agents' TD-target evaluations.
+    const util::TimeLedger::PredictScope scope(backend_->ledger(),
+                                               util::OpCategory::kSeqTrain);
+    predict(QNetwork::kTarget, RequestKind::kSeqTrain);
   }
 
   // Apply trains/init/sync/reset in session-id order, then resume the
@@ -978,33 +807,21 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
   // applied, so no resumed session observes a later kInitTrain/kReset of
   // the same drain mid-flight.
   OSELM_TRACE_SPAN("train", "seq_train_drain");
-  for (Request& r : requests) {
-    Session* s = r.session;
+  for (Session* s : requests) {
     if (s == nullptr) continue;
     try {
-      switch (r.kind) {
+      switch (s->request) {
         case RequestKind::kGreedyEval:
           break;  // action already delivered
-        case RequestKind::kTdEvalTrain: {
-          const double target = clip_target(
-              *s, s->transition.reward +
-                      s->spec.session.agent.gamma * s->pending_value);
+        case RequestKind::kSeqTrain: {
           // A co-tenant §4.3 reset may have de-initialized the shared
           // network after this session drew its update coin; skip then.
-          if (backend_->initialized()) {
-            checked_backend().seq_train(s->sa, target);
-            train_updates_.fetch_add(1, std::memory_order_relaxed);
-            async_metrics().train_updates.add();
-          }
-          break;
-        }
-        case RequestKind::kTrainOnly: {
-          const double target = clip_target(*s, s->transition.reward);
-          if (backend_->initialized()) {
-            checked_backend().seq_train(s->sa, target);
-            train_updates_.fetch_add(1, std::memory_order_relaxed);
-            async_metrics().train_updates.add();
-          }
+          if (!backend_->initialized()) break;
+          const nn::Transition& t = *s->transition;
+          checked_backend().seq_train(
+              s->sa, s->rules.td_target(t.reward, t.done, s->max_next_q));
+          train_updates_.fetch_add(1, std::memory_order_relaxed);
+          async_metrics().train_updates.add();
           break;
         }
         case RequestKind::kInitTrain:
@@ -1018,18 +835,12 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
           backend_initialized_.store(false, std::memory_order_release);
           break;
       }
-    } catch (const std::exception& e) {
-      had_backend_error = true;
-      backend_failures_.fetch_add(1, std::memory_order_relaxed);
-      async_metrics().backend_failures.add();
-      OSELM_TRACE_INSTANT("batch", "backend_failure");
-      r.session = nullptr;
-      retire(s, SessionEndCause::kBackendError, failure_text(e));
+    } catch (...) {
+      fail({s});
     }
   }
-  for (const Request& r : requests) {
-    Session* s = r.session;
-    if (s != nullptr) pool_->submit([this, s] { advance(s); });
+  for (Session* s : requests) {
+    if (s != nullptr) resume(*s);
   }
   if (had_backend_error) {
     consecutive_backend_failures_.fetch_add(1, std::memory_order_relaxed);

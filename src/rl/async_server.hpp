@@ -3,29 +3,26 @@
 // fleet-wide barrier, so one slow environment (a remote simulator, a
 // laggy sensor) never stalls its co-tenants:
 //
-//   * each session runs on its own logical queue: its environment
-//     stepping, rng draws, and (state, action) encoding execute as tasks
-//     on a util::ThreadPool, never waiting for co-tenants;
-//   * whenever a session needs the shared Q-network it suspends and
-//     pushes a request onto a BOUNDED ready queue (backpressure: workers
-//     block when the queue is full);
-//   * a single batching predict/train thread drains pending requests —
-//     waiting up to `max_wait_us` after the first arrival to coalesce up
-//     to `max_batch` of them — into predict_actions_multi batches against
-//     ONE shared backend from rl::BackendRegistry, applies any
-//     sequential-training updates, and resumes the sessions. Every
-//     backend call (and therefore every util::TimeLedger charge) happens
-//     on this one thread, so the backend needs no locking.
+//   * each session is the run_episodes() coroutine of rl::run_training
+//     (trainer.hpp) over the same OsElmQRules as rl::OsElmQAgent. Its
+//     environment steps, rng draws and encoding run on a util::ThreadPool
+//     worker, never waiting for co-tenants;
+//   * whenever the loop needs the shared Q-network it parks on a BOUNDED
+//     ready queue (backpressure: workers block when the queue is full);
+//   * a single batching thread drains pending requests — waiting up to
+//     `max_wait_us` after the first arrival to coalesce up to `max_batch`
+//     of them — into predict_actions_multi batches against ONE shared
+//     backend from rl::BackendRegistry, applies the training updates in
+//     session-id order, and only then resumes the drain's sessions on the
+//     pool. Every backend call (and so every util::TimeLedger charge)
+//     happens on this one thread, so the backend needs no locking.
 //
 // Sessions join and leave dynamically: add_session() admits up to
 // `max_live_sessions` concurrent sessions (beyond the cap it throws a
-// clear admission error — callers retry after a retirement), sessions
-// retire on their own budget/solved criterion, on stop(), or on an
-// environment failure (the failed session is retired with its error
-// message; the batch thread and its co-tenants are unaffected).
-//
-// Each drain is applied in session-id order, and its sessions resume only
-// after every request in it has been applied.
+// clear admission error — callers retry after a retirement). A session
+// retires when its loop ends — budget/solved criterion, stop(), or an
+// environment exception (retired with its message) — or when a backend
+// failure hits its request; the batch thread and co-tenants carry on.
 //
 // Lockstep serving is a configuration, not a separate engine:
 // lockstep_config(N) lingers without a deadline until every live session
@@ -34,30 +31,24 @@
 // barrier tick would.
 //
 // Determinism contract (pinned in tests/rl/async_server_test.cpp):
-//   * per-session PINNED for kEvaluate sessions: predictions are pure
-//     functions of (weights, state) and a row of a coalesced batch is
-//     bit-identical to a standalone evaluation (the predict_actions_multi
-//     contract), so a fixed-seed session produces the exact same
-//     trajectory for ANY worker-thread count and ANY co-tenants.
-//   * per-session pinned for a kTrain session running ALONE (its requests
-//     are fully ordered, reproducing the single-agent rl::run_training
-//     backend call sequence exactly).
+//   * per-session PINNED for kEvaluate sessions: a row of a coalesced
+//     batch is bit-identical to a standalone evaluation (the
+//     predict_actions_multi contract), so a fixed-seed session produces
+//     the same trajectory for ANY worker-thread count and ANY co-tenants;
+//   * a kTrain session running ALONE reproduces rl::run_training over
+//     rl::OsElmQAgent exactly: trajectory, backend call stream, weights;
 //   * PINNED for a lockstep cohort of kTrain sessions: trajectories,
 //     batch counts and ledger invocations are identical across reruns
-//     and worker-thread counts.
-//   * otherwise cross-session batch composition is NOT pinned: which
-//     requests share a batch depends on scheduling. Co-tenant kTrain
-//     sessions share weight updates in a scheduling-dependent order, like
-//     any asynchronous trainer. On the fpga-q20 backend, modeled seconds
-//     under scheduling-dependent batching can be made composition-
-//     independent with BackendConfig::multi_charge_per_row
-//     (hw::MultiChargePolicy::kPerRow).
+//     and worker-thread counts;
+//   * otherwise cross-session batch composition is NOT pinned. Co-tenant
+//     kTrain sessions share weight updates in a scheduling-dependent
+//     order, like any asynchronous trainer. On the fpga-q20 backend,
+//     BackendConfig::multi_charge_per_row (hw::MultiChargePolicy::kPerRow)
+//     makes modeled seconds composition-independent.
 //
 // Telemetry: per-step latency and achieved batch size land in
 // util::LatencyHistogram buckets; stats() snapshots them with the
-// counter set (steps, batches, rows, train updates, admissions,
-// rejections) and AsyncServerStats::to_json() emits the JSON the bench
-// and example print.
+// counters, and AsyncServerStats::to_json() emits the bench JSON.
 #pragma once
 
 #include <atomic>
@@ -91,11 +82,10 @@ enum class AsyncSessionMode {
   /// the deployment/serving shape. Never mutates the backend; fully
   /// deterministic per seed regardless of threads or co-tenants.
   kEvaluate,
-  /// Full Algorithm-1 control flow (buffer -> Eq. 7/8 init -> Eq. 6
-  /// sequential updates, §4.3 resets, target syncs) against the shared
-  /// network, step for step like rl::run_training. With co-tenants the
-  /// shared weights evolve in scheduling-dependent order (lockstep
-  /// cohorts excepted).
+  /// Algorithm 1 as rl::run_training runs it (buffer -> Eq. 7/8 init ->
+  /// Eq. 6 updates, §4.3 resets, target syncs) on the shared network.
+  /// With co-tenants the shared weights evolve in scheduling-dependent
+  /// order (lockstep cohorts excepted).
   kTrain,
 };
 
@@ -291,30 +281,16 @@ class AsyncQServer {
   }
 
  private:
-  /// Session state machine position — where the next worker task resumes.
-  enum class Phase {
-    kBeginEpisode,  ///< budget/stop checks, §4.3 reset check, env reset
-    kAfterReset,    ///< batch thread reset the backend; finish bookkeeping
-    kChooseAction,  ///< greedy coin; maybe suspend for a kMain batch
-    kStepEnv,       ///< action decided; step the environment + observe
-    kFinishStep,    ///< latency record + end-of-episode detection
-    kEpisodeEnd,    ///< stats, solved/budget checks, next episode
-  };
-
+  /// What a parked session waits for from the batch thread.
   enum class RequestKind {
-    kGreedyEval,   ///< Q(s, .) on theta_1 -> argmax into Session::action
-    kTdEvalTrain,  ///< Q(s', .) on theta_2 -> target -> seq_train(sa)
-    kTrainOnly,    ///< terminal transition: target = clip(r) -> seq_train
-    kInitTrain,    ///< Eq. 7/8 on the session's buffer
-    kSyncTarget,   ///< theta_2 <- theta_1
-    kReset,        ///< §4.3 re-randomization of the shared weights
+    kGreedyEval,  ///< argmax_a Q_theta1(s, a) -> the session's action
+    kSeqTrain,    ///< [max_a Q_theta2(s', a) ->] TD target -> seq_train
+    kInitTrain,   ///< Eq. 7/8 on the session's buffer D
+    kSyncTarget,  ///< theta_2 <- theta_1
+    kReset,       ///< §4.3 re-randomization of the shared weights
   };
 
   struct Session;
-  struct Request {
-    Session* session;  ///< null once the request was handled by a failure
-    RequestKind kind;
-  };
 
   /// A run_exclusive callback queued for the batch thread, paired with
   /// the promise its caller is waiting on.
@@ -328,10 +304,8 @@ class AsyncQServer {
   void run_exclusive_task(ExclusiveTask& task);
 
   // Worker side (thread pool tasks).
-  void advance(Session* s);
-  void run_session(Session& s);
-  void begin_episode_env(Session& s);  ///< episode counters + env reset
-  void suspend(Session& s, RequestKind kind, Phase resume);
+  void resume(Session& s);   ///< runs the session's loop on a worker
+  void enqueue(Session& s);  ///< parks it on the ready queue
   void retire(Session* s, SessionEndCause cause, std::string error);
 
   // Batch-thread side (the only code that touches backend_ after start).
@@ -348,12 +322,12 @@ class AsyncQServer {
     return *backend_;
   }
   void batch_loop();
-  void process_requests(std::vector<Request>& requests);
-  void coalesced_predict(QNetwork which, bool use_next_state);
+  void process_requests(std::vector<Session*>& requests);
+  /// One predict_actions_multi over the batch_sessions_ rows, answering
+  /// each: the greedy action for its state on theta_1, max_a Q for its
+  /// next state on theta_2.
+  void coalesced_predict(QNetwork which);
   void apply_init_train(Session& s);
-  double session_td_target(Session& s, const nn::Transition& transition,
-                           util::OpCategory charge_to);
-  [[nodiscard]] double clip_target(const Session& s, double target) const;
 
   OsElmQBackendPtr backend_;
   SimplifiedOutputModel model_;
@@ -373,7 +347,7 @@ class AsyncQServer {
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;  ///< batch thread waits for work
   std::condition_variable space_cv_;  ///< workers wait for queue space
-  std::deque<Request> ready_;
+  std::deque<Session*> ready_;
   std::deque<ExclusiveTask> exclusive_;  ///< run_exclusive queue
   bool batch_stop_ = false;
 
@@ -426,9 +400,7 @@ class AsyncQServer {
   // allocates only the first time each batch size occurs.
   std::vector<linalg::MatD> states_by_rows_;
   std::vector<linalg::MatD> q_by_rows_;
-  linalg::MatD* q_multi_ = nullptr;  ///< Q block of the latest batch
   linalg::VecD q_ws_;
-  linalg::VecD scratch_sa_;
   std::vector<Session*> batch_sessions_;  ///< rows of the current batch
 
   // Threads last: destroyed FIRST, so no worker or batch task can touch a

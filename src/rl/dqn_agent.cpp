@@ -1,6 +1,6 @@
 #include "rl/dqn_agent.hpp"
 
-#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "util/timer.hpp"
@@ -50,12 +50,7 @@ std::size_t DqnAgent::greedy_action(const linalg::VecD& state) {
   util::WallTimer timer;
   online_.forward_into(state, hidden_ws_, q_ws_);
   ledger_->charge(util::OpCategory::kPredict1, timer.seconds());
-  const linalg::VecD& q = q_ws_;
-  std::size_t best = 0;
-  for (std::size_t a = 1; a < q.size(); ++a) {
-    if (q[a] > q[best]) best = a;
-  }
-  return best;
+  return argmax_action(q_ws_);
 }
 
 std::size_t DqnAgent::act(const linalg::VecD& state) {
@@ -90,11 +85,9 @@ void DqnAgent::train_step() {
     const nn::Transition& t = *batch_[i];
     double best_next = 0.0;
     if (!t.done) {
-      const double* row = next_q.row_ptr(i);
-      best_next = row[0];
-      for (std::size_t a = 1; a < config_.action_count; ++a) {
-        best_next = std::max(best_next, row[a]);
-      }
+      const std::span<const double> q_next(next_q.row_ptr(i),
+                                           config_.action_count);
+      best_next = q_next[argmax_action(q_next)];
     }
     targets_(i, t.action) =
         t.reward + (t.done ? 0.0 : config_.gamma * best_next);

@@ -1,9 +1,12 @@
 // OS-ELM Q-Network — Algorithm 1 with the OS-ELM-specific branches
-// (lines 20-24): the paper's primary contribution (§3.2), generic over
-// the arithmetic backend so designs (2)-(5) [software] and (7) [FPGA
-// functional model] share one implementation of the control flow.
+// (lines 20-24): the paper's primary contribution (§3.2). Its rules live
+// in the backend-free OsElmQRules, owned by OsElmQAgent (designs (2)-(5)
+// [software] and (7) [FPGA functional model]) and by every
+// rl::AsyncQServer training session alike.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "rl/agent.hpp"
@@ -26,6 +29,65 @@ struct OsElmQAgentConfig {
   void validate() const;
 };
 
+/// The backend-free rules of Algorithm 1 for one OS-ELM Q-learner: the
+/// epsilon_1 coin, buffer D, the store / init-train / epsilon_2 / train
+/// decision, the UPDATE_STEP cadence and the clipped TD target. The owner
+/// evaluates the network wherever the rules need a Q value.
+class OsElmQRules {
+ public:
+  enum class Update {
+    kNone,       ///< stored in D, or skipped by the epsilon_2 coin
+    kInitTrain,  ///< D is full: Eq. 7/8 on take_init_chunk()
+    kSeqTrain,   ///< one Eq. 6 update toward td_target()
+  };
+  struct InitChunk {
+    linalg::MatD x;  ///< encoded (s, a) rows
+    linalg::MatD t;  ///< their TD targets
+  };
+
+  /// D holds `hidden_units` (N-tilde) samples; `seed` drives the coins.
+  OsElmQRules(const OsElmQAgentConfig& config, std::size_t action_count,
+              std::size_t hidden_units, std::uint64_t seed);
+
+  /// Lines 9-13: the epsilon_1 coin. Empty means act greedily (argmax
+  /// over Q_theta1(s, .)), otherwise the uniformly random action.
+  std::optional<std::size_t> explore() {
+    if (policy_.should_act_greedily(rng_)) return std::nullopt;
+    return policy_.random_action(rng_);
+  }
+
+  /// Lines 14-22 for one transition. A part-filled D is dropped once the
+  /// network is trained (a co-tenant of a shared network trained it).
+  Update observe(const nn::Transition& transition, bool initialized);
+
+  /// r + (1 - d) * gamma * max_next_q, clipped when clip_targets (§3.1);
+  /// `max_next_q` is max_a Q_theta2(s', a).
+  [[nodiscard]] double td_target(double reward, bool done,
+                                 double max_next_q) const;
+
+  /// Lines 23-24: whether theta_2 <- theta_1 is due after this episode.
+  [[nodiscard]] bool sync_due(std::size_t episodes_since_reset) const {
+    return episodes_since_reset % config_.target_sync_interval == 0;
+  }
+
+  /// Lines 17-19: the Eq. 7/8 chunk from D, `max_next_q(s')` evaluating
+  /// the non-terminal rows; frees D, as the edge device does.
+  InitChunk take_init_chunk(
+      const SimplifiedOutputModel& model,
+      const std::function<double(const linalg::VecD&)>& max_next_q);
+
+  /// Frees D untrained: a stale chunk, or fresh weights (§4.3 reset).
+  void drop_buffer() { std::vector<nn::Transition>().swap(buffer_); }
+  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+
+ private:
+  OsElmQAgentConfig config_;
+  GreedyWithProbabilityPolicy policy_;
+  util::Rng rng_;
+  std::size_t capacity_;
+  std::vector<nn::Transition> buffer_;  ///< buffer D
+};
+
 class OsElmQAgent final : public Agent {
  public:
   /// `backend` provides the arithmetic; `model` the (s, a) encoding;
@@ -46,9 +108,8 @@ class OsElmQAgent final : public Agent {
     return backend_->ledger().breakdown();
   }
 
-  /// Greedy action under theta_1 (no exploration); used by evaluation.
-  /// One batched predict_actions call; ties break toward the lowest
-  /// action index, matching the historical per-action argmax loop.
+  /// Greedy action under theta_1 (no exploration): one batched
+  /// predict_actions call, ties toward the lowest action index.
   std::size_t greedy_action(const linalg::VecD& state);
 
   /// Q_theta1(s, a) (prediction time charged as usual).
@@ -58,7 +119,7 @@ class OsElmQAgent final : public Agent {
     return *backend_;
   }
   [[nodiscard]] std::size_t buffered_samples() const noexcept {
-    return buffer_.size();
+    return rules_.buffered();
   }
   [[nodiscard]] std::size_t seq_updates() const noexcept {
     return seq_updates_;
@@ -68,23 +129,11 @@ class OsElmQAgent final : public Agent {
   }
 
  private:
-  /// r + (1 - d) * gamma * max_a Q_theta2(s', a), optionally clipped;
-  /// target-network prediction time is routed to `charge_to` via a
-  /// TimeLedger::PredictScope.
-  double td_target(const nn::Transition& transition,
-                   util::OpCategory charge_to);
-
-  /// Runs the initial training on the filled buffer (lines 17-19).
-  void run_init_train();
-
   OsElmQBackendPtr backend_;
   SimplifiedOutputModel model_;
-  OsElmQAgentConfig config_;
-  GreedyWithProbabilityPolicy policy_;
-  util::Rng rng_;
+  OsElmQRules rules_;
   std::string name_;
 
-  std::vector<nn::Transition> buffer_;  ///< buffer D, capacity = N-tilde
   linalg::VecD scratch_sa_;     ///< reused encode buffer (no hot-loop allocs)
   linalg::VecD action_codes_;   ///< precomputed codes for predict_actions
   linalg::VecD q_ws_;           ///< per-action Q workspace (no allocs)

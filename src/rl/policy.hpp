@@ -5,7 +5,9 @@
 // otherwise. Reproduced as written.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 
 #include "util/rng.hpp"
 
@@ -38,5 +40,12 @@ class GreedyWithProbabilityPolicy {
   double greedy_probability_;
   std::size_t action_count_;
 };
+
+/// The greedy action over Q(s, .): the first maximum, so ties break toward
+/// the lowest action index.
+[[nodiscard]] inline std::size_t argmax_action(std::span<const double> q) {
+  return static_cast<std::size_t>(std::max_element(q.begin(), q.end()) -
+                                  q.begin());
+}
 
 }  // namespace oselm::rl

@@ -17,12 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
 #include <memory>
 #include <thread>
+#include <tuple>
 
 #include "env/registry.hpp"
 #include "rl/backend_registry.hpp"
@@ -131,7 +133,8 @@ TEST_P(PerBackend, EvalSessionIsDeterministicAcrossThreadsAndCoTenants) {
 TrainResult single_agent_reference(const std::string& backend_id,
                                    std::uint64_t backend_seed,
                                    const ServingSessionSpec& spec,
-                                   util::OpBreakdown* breakdown_out) {
+                                   util::OpBreakdown* breakdown_out,
+                                   QNetState* weights_out = nullptr) {
   OsElmQBackendPtr backend =
       make_backend(backend_id, backend_config(backend_seed));
   OsElmQBackend* raw = backend.get();
@@ -141,6 +144,9 @@ TrainResult single_agent_reference(const std::string& backend_id,
       env::make_environment(spec.env_id, spec.env_seed);
   const TrainResult result = run_training(agent, *env, spec.trainer);
   if (breakdown_out != nullptr) *breakdown_out = raw->ledger().breakdown();
+  if (weights_out != nullptr && raw->initialized()) {
+    *weights_out = raw->export_state();
+  }
   return result;
 }
 
@@ -189,20 +195,84 @@ constexpr util::OpCategory kBackendCategories[] = {
     util::OpCategory::kPredictInit, util::OpCategory::kPredictSeq,
     util::OpCategory::kSeqTrain, util::OpCategory::kInitTrain};
 
-class SingleSessionFidelity : public ::testing::TestWithParam<std::string> {};
+/// One row of the N=1 fidelity table: a training spec that drives one
+/// branch of Algorithm 1, plus the property of the reference run that
+/// proves the branch was reached.
+struct FidelityRow {
+  std::string name;  ///< "" for the base row (keeps the historical names)
+  void (*configure)(ServingSessionSpec&);
+  bool (*reached)(const TrainResult&, const util::OpBreakdown&);
+};
+
+const std::vector<FidelityRow>& fidelity_rows() {
+  static const std::vector<FidelityRow> rows = {
+      // §4.3 resets before any solve.
+      {"",
+       [](ServingSessionSpec&) {},
+       [](const TrainResult& r, const util::OpBreakdown&) {
+         return r.resets > 0;
+       }},
+      // Episodes truncated by the step cap rather than by the pole.
+      {"step_cap",
+       [](ServingSessionSpec& s) { s.trainer.episode_step_cap = 15; },
+       [](const TrainResult& r, const util::OpBreakdown&) {
+         return std::count(r.episode_steps.begin(), r.episode_steps.end(),
+                           15.0) > 0;
+       }},
+      // Training continues past the first solve; resets stop firing.
+      {"train_past_solve",
+       [](ServingSessionSpec& s) {
+         s.trainer.stop_on_solved = false;
+         s.trainer.solved_threshold = 20.0;
+       },
+       [](const TrainResult& r, const util::OpBreakdown&) {
+         return r.solved && r.first_solved_episode < r.episodes &&
+                r.resets > 0;
+       }},
+      // Every step trains (no epsilon_2 coin).
+      {"update_every_step",
+       [](ServingSessionSpec& s) { s.agent.random_update = false; },
+       [](const TrainResult&, const util::OpBreakdown& b) {
+         return b.invocations(util::OpCategory::kSeqTrain) > 0;
+       }},
+      // Unclipped TD targets.
+      {"unclipped",
+       [](ServingSessionSpec& s) { s.agent.clip_targets = false; },
+       [](const TrainResult&, const util::OpBreakdown& b) {
+         return b.invocations(util::OpCategory::kSeqTrain) > 0;
+       }},
+      // UPDATE_STEP = 3 target-sync cadence, restarted by a reset.
+      {"sync_every_3",
+       [](ServingSessionSpec& s) { s.agent.target_sync_interval = 3; },
+       [](const TrainResult& r, const util::OpBreakdown&) {
+         return r.resets > 0;
+       }},
+  };
+  return rows;
+}
+
+using FidelityParam = std::tuple<std::string, std::size_t>;
+
+class SingleSessionFidelity : public ::testing::TestWithParam<FidelityParam> {
+};
 
 TEST_P(SingleSessionFidelity, ReproducesTheSingleAgentTrajectoryExactly) {
   // N=1 lockstep serving must reproduce rl::run_training EXACTLY (same rng
   // streams, same backend call order, same §4.3 reset and target-sync
   // schedules): serving may change WHERE predictions are batched, never
   // WHAT is computed.
-  const std::string backend_id = GetParam();
+  const auto& [backend_id, row_index] = GetParam();
+  const FidelityRow& row = fidelity_rows()[row_index];
   AsyncSessionSpec spec = train_spec(913, 37, 60);
   spec.session.trainer.reset_interval = 25;  // exercise the §4.3 reset too
+  row.configure(spec.session);
 
   util::OpBreakdown agent_breakdown;
-  const TrainResult reference =
-      single_agent_reference(backend_id, 5150, spec.session, &agent_breakdown);
+  QNetState agent_weights;
+  const TrainResult reference = single_agent_reference(
+      backend_id, 5150, spec.session, &agent_breakdown, &agent_weights);
+  ASSERT_TRUE(row.reached(reference, agent_breakdown))
+      << "row does not reach its branch";
   const LockstepRun run = run_lockstep(backend_id, 5150, {spec});
   ASSERT_EQ(run.sessions.size(), 1u);
   const TrainResult& served = run.sessions[0].train;
@@ -212,22 +282,32 @@ TEST_P(SingleSessionFidelity, ReproducesTheSingleAgentTrajectoryExactly) {
   EXPECT_EQ(served.resets, reference.resets);
   EXPECT_EQ(served.solved, reference.solved);
   EXPECT_EQ(served.first_solved_episode, reference.first_solved_episode);
-  // The server issued exactly the backend calls the agent would have.
+  // The server issued exactly the backend calls the agent would have...
   for (const util::OpCategory cat : kBackendCategories) {
     EXPECT_EQ(run.ledger.invocations(cat), agent_breakdown.invocations(cat))
         << util::op_category_name(cat);
   }
+  // ...and left the shared network in exactly the agent's final state.
+  ASSERT_EQ(run.weights.initialized, agent_weights.initialized);
+  EXPECT_EQ(run.weights.beta.storage(), agent_weights.beta.storage());
+  EXPECT_EQ(run.weights.beta_target.storage(),
+            agent_weights.beta_target.storage());
+  EXPECT_EQ(run.weights.p.storage(), agent_weights.p.storage());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllRegisteredBackends, SingleSessionFidelity,
-                         ::testing::ValuesIn(registered_backends()),
-                         [](const ::testing::TestParamInfo<std::string>& i) {
-                           std::string name = i.param;
-                           for (char& c : name) {
-                             if (c == '-' || c == '.') c = '_';
-                           }
-                           return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllRegisteredBackends, SingleSessionFidelity,
+    ::testing::Combine(
+        ::testing::ValuesIn(registered_backends()),
+        ::testing::Range<std::size_t>(0, fidelity_rows().size())),
+    [](const ::testing::TestParamInfo<FidelityParam>& i) {
+      std::string name = std::get<0>(i.param);
+      for (char& c : name) {
+        if (c == '-' || c == '.') c = '_';
+      }
+      const std::string& row = fidelity_rows()[std::get<1>(i.param)].name;
+      return row.empty() ? name : name + "_" + row;
+    });
 
 TEST(AsyncQServer, SoloTrainFpgaModeledTimeMatchesBitForBit) {
   // Deterministic modeled PL seconds: with one session every coalesced
@@ -463,11 +543,22 @@ TEST(AsyncQServer, ConcurrentJoinsRacingStopNeverHangOrMiscount) {
 /// the "sensor disconnected mid-episode" failure.
 class FlakyEnv final : public env::Environment {
  public:
-  FlakyEnv(std::uint64_t seed, std::size_t fail_after)
-      : inner_(env::make_environment("ShapedCartPole-v0", seed)),
-        fail_after_(fail_after) {}
+  static constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
 
-  env::Observation reset() override { return inner_->reset(); }
+  /// Throws from every step() after the first `fail_after` and from every
+  /// reset() after the first `resets_before_failure`.
+  FlakyEnv(std::uint64_t seed, std::size_t fail_after,
+           std::size_t resets_before_failure = kNever)
+      : inner_(env::make_environment("ShapedCartPole-v0", seed)),
+        fail_after_(fail_after),
+        resets_before_failure_(resets_before_failure) {}
+
+  env::Observation reset() override {
+    if (resets_++ >= resets_before_failure_) {
+      throw std::runtime_error("simulator reset failed");
+    }
+    return inner_->reset();
+  }
   env::StepResult step(std::size_t action) override {
     if (++calls_ > fail_after_) {
       throw std::runtime_error("sensor disconnected");
@@ -489,7 +580,9 @@ class FlakyEnv final : public env::Environment {
  private:
   env::EnvironmentPtr inner_;
   std::size_t fail_after_;
+  std::size_t resets_before_failure_;
   std::size_t calls_ = 0;
+  std::size_t resets_ = 0;
 };
 
 TEST(AsyncQServer, EnvFailureRetiresTheSessionWithoutPoisoningTheRest) {
@@ -541,6 +634,44 @@ TEST(AsyncQServer, TrainSessionEnvFailureAlsoRetiresCleanly) {
   train.env_factory = nullptr;
   train.session.trainer.max_episodes = 5;
   EXPECT_TRUE(server.wait(server.add_session(train)).completed);
+}
+
+TEST(AsyncQServer, TrainSessionEnvResetFailureRetiresWithItsMessage) {
+  // reset() throws on the first episode, and on the episode that follows
+  // a §4.3 weight reset (reset_interval 3: the fourth reset() call). The
+  // session retires kEnvError with the message; co-tenants finish.
+  for (const std::size_t good_resets : {std::size_t{0}, std::size_t{3}}) {
+    AsyncQServerConfig config;
+    config.worker_threads = 2;
+    AsyncQServer server(make_backend("software", backend_config(12)),
+                        SimplifiedOutputModel(4, 2), config);
+    AsyncSessionSpec flaky = train_spec(50, 60, 100);
+    flaky.session.trainer.reset_interval = 3;
+    flaky.session.trainer.solved_threshold = 1e9;
+    flaky.env_factory = [good_resets](std::uint64_t seed) {
+      return std::make_unique<FlakyEnv>(seed, FlakyEnv::kNever, good_resets);
+    };
+    const std::size_t failing = server.add_session(flaky);
+    std::vector<std::size_t> tenants;
+    for (std::size_t i = 0; i < 2; ++i) {
+      tenants.push_back(server.add_session(train_spec(70 + i, 80 + i, 8)));
+    }
+
+    const AsyncSessionResult failed = server.wait(failing);
+    EXPECT_EQ(failed.cause, SessionEndCause::kEnvError) << good_resets;
+    EXPECT_TRUE(failed.failed);
+    EXPECT_FALSE(failed.completed);
+    EXPECT_NE(failed.error.find("simulator reset failed"), std::string::npos)
+        << failed.error;
+    EXPECT_EQ(failed.train.episodes, good_resets);
+    EXPECT_EQ(failed.train.resets, good_resets == 0 ? 0u : 1u);
+    for (const std::size_t id : tenants) {
+      const AsyncSessionResult tenant = server.wait(id);
+      EXPECT_TRUE(tenant.completed) << good_resets;
+      EXPECT_FALSE(tenant.failed) << tenant.error;
+    }
+    EXPECT_EQ(server.stats().env_failures, 1u);
+  }
 }
 
 TEST(AsyncQServer, StopWithInFlightSlowSessionsJoinsCleanly) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "env/cartpole.hpp"
 #include "env/grid_world.hpp"
 
@@ -42,6 +45,49 @@ class ScriptedAgent final : public Agent {
   bool last_done = false;
   std::vector<std::size_t> episode_end_indices;
   util::OpBreakdown breakdown_;
+};
+
+/// A distinct exception type, so the tests can tell a rethrow of the
+/// environment's own exception from a translated one.
+class EnvFault : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// CartPole that throws EnvFault from its Nth step() or reset() call.
+class FaultingCartPole final : public env::Environment {
+ public:
+  static constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+
+  FaultingCartPole(std::size_t good_steps, std::size_t good_resets)
+      : good_steps_(good_steps), good_resets_(good_resets) {}
+
+  env::Observation reset() override {
+    if (resets_++ == good_resets_) throw EnvFault("reset fault");
+    return inner_.reset();
+  }
+  env::StepResult step(std::size_t action) override {
+    if (steps_++ == good_steps_) throw EnvFault("step fault");
+    return inner_.step(action);
+  }
+  void seed(std::uint64_t seed_value) override { inner_.seed(seed_value); }
+  [[nodiscard]] const env::BoxSpace& observation_space() const override {
+    return inner_.observation_space();
+  }
+  [[nodiscard]] const env::DiscreteSpace& action_space() const override {
+    return inner_.action_space();
+  }
+  [[nodiscard]] std::string_view name() const override { return "Faulting"; }
+  [[nodiscard]] std::size_t max_episode_steps() const override {
+    return inner_.max_episode_steps();
+  }
+
+ private:
+  env::CartPole inner_;
+  std::size_t good_steps_;
+  std::size_t good_resets_;
+  std::size_t steps_ = 0;
+  std::size_t resets_ = 0;
 };
 
 TrainerConfig quick_config(std::size_t max_episodes = 5) {
@@ -248,6 +294,35 @@ TEST(Trainer, ReturnsShapedEpisodeReturns) {
   const TrainResult result = run_training(agent, env, quick_config(2));
   ASSERT_EQ(result.episode_returns.size(), 2u);
   EXPECT_DOUBLE_EQ(result.episode_returns[0], params.goal_reward);
+}
+
+TEST(Trainer, RethrowsEnvironmentStepExceptionsUnchanged) {
+  ScriptedAgent agent(1);
+  FaultingCartPole env(/*good_steps=*/7, FaultingCartPole::kNever);
+  try {
+    (void)run_training(agent, env, quick_config(5));
+    FAIL() << "expected the environment's exception";
+  } catch (const EnvFault& e) {
+    EXPECT_STREQ(e.what(), "step fault");
+  }
+  EXPECT_EQ(agent.act_calls, 8);  // the 8th step threw after its act()
+  EXPECT_EQ(agent.observe_calls, 7);
+}
+
+TEST(Trainer, RethrowsEnvironmentResetExceptionsUnchanged) {
+  // The third reset() follows the §4.3 weight reset after episode 2.
+  ScriptedAgent agent(1);
+  FaultingCartPole env(FaultingCartPole::kNever, /*good_resets=*/2);
+  TrainerConfig cfg = quick_config(5);
+  cfg.reset_interval = 2;
+  try {
+    (void)run_training(agent, env, cfg);
+    FAIL() << "expected the environment's exception";
+  } catch (const EnvFault& e) {
+    EXPECT_STREQ(e.what(), "reset fault");
+  }
+  EXPECT_EQ(agent.reset_calls, 1);
+  EXPECT_EQ(agent.episode_end_indices.size(), 2u);
 }
 
 }  // namespace
