@@ -10,6 +10,10 @@
 //     on the portable scalar kernel set (the OSELM_SIMD=off path);
 //   * simd kernels — the same algorithm on the AVX2/FMA set.
 //
+// It also times the FPGA model's host-side Q20 layers at the same N:
+// FpgaOsElmBackend::seq_train and a two-action predict_actions, once on
+// each Q20 kernel set (telemetry only, no gate).
+//
 // The regression gate (OSELM_BENCH_MIN_SPEEDUP_PCT, CI passes 130) binds
 // simd-vs-seed: the acceptance target is >= 1.5x locally, gated at 1.3x
 // to absorb shared-runner noise. Emits BENCH_train.json for the CI
@@ -24,6 +28,7 @@
 
 #include "bench_common.hpp"
 #include "elm/os_elm.hpp"
+#include "hw/fpga_backend.hpp"
 #include "linalg/kernels.hpp"
 #include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
@@ -110,24 +115,36 @@ struct TrainMeasurement {
   double checksum = 0.0;  ///< anti-DCE accumulator, also printed
 };
 
+/// The update stream every variant digests: an Eq. 8 initial batch
+/// (hidden_units rows) and a pool of (x, target) samples.
+struct TrainStream {
+  MatD x0;
+  MatD t0;
+  std::vector<VecD> xs;
+  VecD targets;
+
+  explicit TrainStream(std::size_t hidden_units)
+      : x0(hidden_units, kInputDim),
+        t0(hidden_units, 1),
+        xs(kSamplePool, VecD(kInputDim, 0.0)),
+        targets(kSamplePool, 0.0) {
+    oselm::util::Rng data_rng(7);
+    data_rng.fill_uniform(x0.storage(), -0.5, 0.5);
+    data_rng.fill_uniform(t0.storage(), -1.0, 1.0);
+    oselm::util::Rng sample_rng(11);
+    for (auto& x : xs) sample_rng.fill_uniform(x, -0.5, 0.5);
+    sample_rng.fill_uniform(targets, -1.0, 1.0);
+  }
+};
+
 TrainMeasurement measure_seq_train(std::size_t hidden_units,
                                    std::size_t iters, bool simd_variant) {
   oselm::util::Rng rng(42);
   oselm::elm::OsElm reference(train_config(hidden_units), rng);
-  {
-    MatD x0(hidden_units, kInputDim);
-    MatD t0(hidden_units, 1);
-    oselm::util::Rng data_rng(7);
-    data_rng.fill_uniform(x0.storage(), -0.5, 0.5);
-    data_rng.fill_uniform(t0.storage(), -1.0, 1.0);
-    reference.init_train(x0, t0);
-  }
-
-  std::vector<VecD> xs(kSamplePool, VecD(kInputDim, 0.0));
-  VecD targets(kSamplePool, 0.0);
-  oselm::util::Rng sample_rng(11);
-  for (auto& x : xs) sample_rng.fill_uniform(x, -0.5, 0.5);
-  sample_rng.fill_uniform(targets, -1.0, 1.0);
+  const TrainStream stream(hidden_units);
+  reference.init_train(stream.x0, stream.t0);
+  const std::vector<VecD>& xs = stream.xs;
+  const VecD& targets = stream.targets;
 
   const std::size_t warmup = iters / 10 + 1;
   TrainMeasurement out;
@@ -170,6 +187,50 @@ TrainMeasurement measure_seq_train(std::size_t hidden_units,
   out.scalar_kernels_ns = run_kernel_variant(false);
   out.simd_ns = run_kernel_variant(simd_variant);
   // Back to following OSELM_SIMD for the serving measurements below.
+  kernels::reset_simd_override();
+  return out;
+}
+
+struct FpgaLayerTiming {
+  double seq_train_us = 0.0;
+  double predict_us = 0.0;  ///< one predict_actions over both actions
+  double checksum = 0.0;    ///< anti-DCE; equal across kernel sets
+};
+
+/// Host wall time of the FPGA model's Q20 datapath on one update stream:
+/// seq_train calls, then predict_actions calls, with the Q20 kernel set
+/// pinned to `simd`. Both sets compute bit-identical words.
+FpgaLayerTiming measure_fpga_layers(std::size_t hidden_units,
+                                    std::size_t iters, bool simd) {
+  kernels::set_simd_enabled(simd);
+  oselm::hw::FpgaBackendConfig config;
+  config.input_dim = kInputDim;
+  config.hidden_units = hidden_units;
+  oselm::hw::FpgaOsElmBackend backend(config, 404);
+  const TrainStream stream(hidden_units);
+  backend.init_train(stream.x0, stream.t0);
+  const std::vector<VecD>& xs = stream.xs;
+  const VecD& targets = stream.targets;
+
+  FpgaLayerTiming out;
+  oselm::util::WallTimer train_timer;
+  for (std::size_t it = 0; it < iters; ++it) {
+    backend.seq_train(xs[it % kSamplePool], targets[it % kSamplePool]);
+  }
+  out.seq_train_us = train_timer.seconds() * 1e6 / static_cast<double>(iters);
+
+  const VecD codes = {-1.0, 1.0};
+  VecD state(kInputDim - 1, 0.0);
+  VecD q(codes.size(), 0.0);
+  oselm::util::WallTimer predict_timer;
+  for (std::size_t it = 0; it < iters; ++it) {
+    const VecD& x = xs[it % kSamplePool];
+    std::copy(x.begin(), x.end() - 1, state.begin());
+    backend.predict_actions(state, codes, oselm::rl::QNetwork::kMain, q);
+    out.checksum += q[0] - q[1];
+  }
+  out.predict_us = predict_timer.seconds() * 1e6 / static_cast<double>(iters);
+  out.checksum += backend.beta_fixed()(0, 0).to_double();
   kernels::reset_simd_override();
   return out;
 }
@@ -260,6 +321,33 @@ int main(int argc, char** argv) {
               simd_active ? "avx2" : "scalar", best.simd_ns,
               speedup_vs_seed, speedup_vs_scalar_kernels);
 
+  // --- FPGA model Q20 layers, best of 3 per kernel set.
+  FpgaLayerTiming fpga_scalar;
+  FpgaLayerTiming fpga_simd;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto keep_best = [rep](FpgaLayerTiming& best_t,
+                                 const FpgaLayerTiming& m) {
+      if (rep == 0 || m.seq_train_us < best_t.seq_train_us) {
+        best_t.seq_train_us = m.seq_train_us;
+      }
+      if (rep == 0 || m.predict_us < best_t.predict_us) {
+        best_t.predict_us = m.predict_us;
+      }
+      best_t.checksum = m.checksum;
+    };
+    keep_best(fpga_scalar, measure_fpga_layers(hidden_units, iters, false));
+    keep_best(fpga_simd,
+              measure_fpga_layers(hidden_units, iters, simd_active));
+  }
+  std::printf("fpga-q20 host layers @ N=%zu (checksum %.6g / %.6g)\n",
+              hidden_units, fpga_scalar.checksum, fpga_simd.checksum);
+  std::printf("  seq_train       : scalar %8.3f us  %-6s %8.3f us\n",
+              fpga_scalar.seq_train_us, simd_active ? "avx2" : "scalar",
+              fpga_simd.seq_train_us);
+  std::printf("  predict_actions : scalar %8.3f us  %-6s %8.3f us\n",
+              fpga_scalar.predict_us, simd_active ? "avx2" : "scalar",
+              fpga_simd.predict_us);
+
   // --- Lockstep serving throughput.
   const std::size_t session_counts[] = {1, 8, 32};
   std::vector<ServingPoint> serving;
@@ -284,11 +372,16 @@ int main(int argc, char** argv) {
       "\"scalar_kernels_ns\": %.1f, \"simd_ns\": %.1f, "
       "\"speedup_vs_seed\": %.3f, \"speedup_vs_scalar_kernels\": %.3f, "
       "\"symmetry_only_speedup\": %.3f},\n"
+      "  \"fpga_q20\": {\"seq_train_scalar_us\": %.3f, "
+      "\"seq_train_simd_us\": %.3f, \"predict_actions_scalar_us\": %.3f, "
+      "\"predict_actions_simd_us\": %.3f},\n"
       "  \"serving\": [\n",
       hidden_units, iters, kernels::simd_available() ? "true" : "false",
       simd_active ? "avx2" : "scalar", best.seed_scalar_ns,
       best.scalar_kernels_ns, best.simd_ns, speedup_vs_seed,
-      speedup_vs_scalar_kernels, symmetry_only_speedup);
+      speedup_vs_scalar_kernels, symmetry_only_speedup,
+      fpga_scalar.seq_train_us, fpga_simd.seq_train_us,
+      fpga_scalar.predict_us, fpga_simd.predict_us);
   for (std::size_t i = 0; i < serving.size(); ++i) {
     const ServingPoint& p = serving[i];
     std::fprintf(

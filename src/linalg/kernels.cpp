@@ -38,6 +38,8 @@ std::int32_t q20_action_dot(const std::int32_t* shared,
                             const std::int32_t* last_row, std::int32_t code,
                             const std::int32_t* beta, std::size_t units,
                             Q20SatCounts& sat) noexcept;
+void q20_matvec(const std::int32_t* m, std::size_t n, const std::int32_t* x,
+                std::int32_t* y, Q20SatCounts& sat) noexcept;
 void q20_rank1_downdate(std::int32_t* p, std::size_t n,
                         const std::int32_t* u, std::int32_t inv,
                         std::int32_t* scaled_ws, Q20SatCounts& sat) noexcept;
@@ -202,10 +204,10 @@ void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
 // ---------------------------------------------------------------------------
 
 using q20detail::q_add;
+using q20detail::q_downdate_row;
 using q20detail::q_from_double;
 using q20detail::q_mul;
 using q20detail::q_relu;
-using q20detail::q_sub;
 
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
                     std::size_t units, const std::int32_t* x,
@@ -255,11 +257,7 @@ void q20_rank1_downdate(std::int32_t* p, std::size_t n,
                         std::int32_t* scaled_ws, Q20SatCounts& sat) noexcept {
   for (std::size_t i = 0; i < n; ++i) scaled_ws[i] = q_mul(u[i], inv, sat);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t scaled = scaled_ws[i];
-    std::int32_t* row = p + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      row[j] = q_sub(row[j], q_mul(scaled, u[j], sat), sat);
-    }
+    q_downdate_row(p + i * n, u, n, scaled_ws[i], sat);
   }
 }
 
@@ -363,15 +361,7 @@ std::int32_t q20_action_dot(const std::int32_t* shared,
 
 void q20_matvec(const std::int32_t* m, std::size_t n, const std::int32_t* x,
                 std::int32_t* y, Q20SatCounts& sat) noexcept {
-#if defined(OSELM_HAVE_AVX2_KERNELS)
-  if (simd_enabled()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      y[i] = avx2::q20_dot(m + i * n, x, n, 0, sat);
-    }
-    return;
-  }
-#endif
-  scalar::q20_matvec(m, n, x, y, sat);
+  OSELM_DISPATCH(q20_matvec, m, n, x, y, sat);
 }
 
 void q20_rank1_downdate(std::int32_t* p, std::size_t n,

@@ -21,10 +21,11 @@
 //     backend prediction paths built on them stay bit-identical to each
 //     other (the backend-contract EXPECT_DOUBLE_EQ pins rely on this).
 //   * q20_* kernels: bit-exact against the scalar reference in BOTH
-//     modes, including the saturation counters — the rank-1 update and
-//     MAC loops mirror fixed::Q20 semantics (round-to-nearest multiply,
-//     per-step saturating accumulate). This is the FPGA fidelity
-//     contract: OSELM_SIMD never changes a fixed-point result.
+//     modes, including the saturation counters — fixed::Q20 semantics
+//     (round-to-nearest multiply, per-step saturating accumulate), with
+//     the AVX2 set's 8-lane path taken only where a range proof shows no
+//     step can saturate. This is the FPGA fidelity contract: OSELM_SIMD
+//     never changes a fixed-point result.
 #pragma once
 
 #include <cstddef>
@@ -116,10 +117,11 @@ void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
 //
 // All q20_* kernels are bit-exact against fixed::Q20 operator arithmetic,
 // including saturation events, which are reported through Q20SatCounts so
-// the caller can fold them into fixed::overflow_stats(). The AVX2 paths
-// saturate in-line and fall back to the scalar reference for any vector
-// group that observed a saturation (rare), so values AND counts always
-// match the reference.
+// the caller can fold them into fixed::overflow_stats(). Each AVX2 call
+// first proves, from max-abs scans of its operands, that no multiply and
+// no prefix of any accumulation can saturate; the proof selects the
+// 8-lane wrap-free int32 path, and otherwise the call (or the matrix row)
+// runs the scalar reference, so values AND counts always match it.
 
 struct Q20SatCounts {
   std::uint64_t add = 0;         ///< add/sub saturations

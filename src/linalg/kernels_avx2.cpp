@@ -10,16 +10,12 @@
 // accumulators over 8-element blocks, a fixed horizontal sum, then a
 // sequential fma tail) so they stay bit-identical to each other.
 //
-// Q20 kernels: saturation is applied in-line per step (blend against the
-// int32 limits), which keeps values bit-exact; saturation *events* are
-// rare and tracked with a sticky mask — any vector group that observed
-// one is recomputed through the scalar primitives so the counters match
-// the reference exactly. Dot-style reductions use an exactness argument
-// instead of per-step order: int64 sums of int32-range products are
-// exact, so when no product saturated and the positive/negative partial
-// sums bound every prefix inside the int32 range, the sequential
-// saturating sum equals the plain sum; otherwise the scalar reference
-// recomputes the row.
+// Q20 kernels: each call first proves, from max-abs scans of its
+// operands, that no multiply and no prefix of any accumulation can
+// saturate (see "Range proof" below). When it holds, the call runs in 8
+// int32 lanes with plain wrap-free adds; when it fails, the call (or the
+// row, for matvec and the rank-1 downdate) runs the scalar reference, so
+// values and saturation counters match fixed::Q20 by construction.
 #if defined(OSELM_HAVE_AVX2_KERNELS)
 
 #include <immintrin.h>
@@ -28,6 +24,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 
 #include "linalg/kernels.hpp"
 #include "linalg/kernels_q20_inline.hpp"
@@ -69,79 +66,160 @@ inline double act_scalar(Act act, double x) noexcept {
 }
 
 // -- Q20 helpers ------------------------------------------------------------
+//
+// Range proof. q_mul(a, b) = sat((a*b + 2^19) >> 20). For |a| <= A and
+// |b| <= B (max-abs scans) the unsaturated term has magnitude at most
+// T = (A*B + 2^19) >> 20 (mul_bound), and T <= INT32_MAX exactly when
+// A*B < 2^51 - 2^19 -- the first positive product that saturates -- so a
+// bound T <= INT32_MAX also proves that no multiply saturates. A sum of
+// `init` and n such terms keeps every prefix, and every lane partial sum
+// (a subset of the terms), inside [-INT32_MAX, INT32_MAX] when
+// |init| + n*T <= INT32_MAX (fits). Under that one inequality the
+// sequential saturating reference never saturates, and plain wrap-free
+// int32 lane arithmetic gives the same words with zero saturation events.
 
-// Materialized per call site (the compiler hoists them out of loops); a
-// namespace-scope __m256i constant would run AVX instructions during
-// static initialization, before the runtime dispatcher can rule them out.
-inline __m256i vec_raw_max() noexcept {
-  return _mm256_set1_epi64x(q20detail::kRawMax);
-}
-inline __m256i vec_raw_min() noexcept {
-  return _mm256_set1_epi64x(q20detail::kRawMin);
-}
-inline __m256i vec_round_bias() noexcept {
-  return _mm256_set1_epi64x(q20detail::kRoundBias);
-}
+inline constexpr std::uint64_t kRawLimit = q20detail::kRawMax;
 
-/// Arithmetic shift right by 20 for int64 lanes (AVX2 has no srai_epi64).
-inline __m256i srai64_frac(__m256i v) noexcept {
-  const __m256i logical = _mm256_srli_epi64(v, q20detail::kFrac);
-  const __m256i negative = _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
-  return _mm256_or_si256(logical,
-                         _mm256_slli_epi64(negative, 64 - q20detail::kFrac));
-}
-
-/// Clamps int64 lanes into int32 range, OR-ing any clamp into `sticky`.
-inline __m256i sat32(__m256i v, __m256i& sticky) noexcept {
-  const __m256i over = _mm256_cmpgt_epi64(v, vec_raw_max());
-  const __m256i under = _mm256_cmpgt_epi64(vec_raw_min(), v);
-  sticky = _mm256_or_si256(sticky, _mm256_or_si256(over, under));
-  v = _mm256_blendv_epi8(v, vec_raw_max(), over);
-  return _mm256_blendv_epi8(v, vec_raw_min(), under);
+/// Bound on |q_mul(a, b)| over |a| <= amax, |b| <= bmax (both <= 2^31, so
+/// the product is exact); above INT32_MAX when a multiply may saturate.
+inline std::uint64_t mul_bound(std::uint64_t amax,
+                               std::uint64_t bmax) noexcept {
+  return (amax * bmax + q20detail::kRoundBias) >> q20detail::kFrac;
 }
 
-/// Q20 multiply on int32-range int64 lanes (low 32 bits hold the words).
-inline __m256i q20_mul_vec(__m256i a, __m256i b, __m256i& sticky) noexcept {
-  __m256i product = _mm256_mul_epi32(a, b);
-  product = _mm256_add_epi64(product, vec_round_bias());
-  return sat32(srai64_frac(product), sticky);
+/// base + count * term <= INT32_MAX, evaluated without overflow (and
+/// without a division: this runs once per matrix row).
+inline bool fits(std::uint64_t base, std::uint64_t count,
+                 std::uint64_t term) noexcept {
+  std::uint64_t reach = 0;
+  return base <= kRawLimit && !__builtin_mul_overflow(count, term, &reach) &&
+         reach <= kRawLimit - base;
 }
 
-/// Saturating add of int32-range int64 lanes.
-inline __m256i q20_add_vec(__m256i a, __m256i b, __m256i& sticky) noexcept {
-  return sat32(_mm256_add_epi64(a, b), sticky);
+inline std::uint64_t abs_u64(std::int32_t v) noexcept {
+  return static_cast<std::uint64_t>(std::abs(static_cast<std::int64_t>(v)));
 }
 
-/// Loads 4 consecutive int32 words into sign-extended int64 lanes.
-inline __m256i load4_epi64(const std::int32_t* p) noexcept {
-  return _mm256_cvtepi32_epi64(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+// Lane groups: full groups of 8 words, then at most one masked partial
+// group whose missing lanes load as 0 (a zero word contributes a zero
+// product and a zero magnitude to every kernel below).
+struct Whole {};
+struct Part {
+  __m256i mask;
+};
+
+inline __m256i load(const std::int32_t* p, Whole) noexcept {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline __m256i load(const std::int32_t* p, Part part) noexcept {
+  return _mm256_maskload_epi32(p, part.mask);
+}
+inline void store(std::int32_t* p, __m256i v, Whole) noexcept {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+inline void store(std::int32_t* p, __m256i v, Part part) noexcept {
+  _mm256_maskstore_epi32(p, part.mask, v);
 }
 
-/// Stores the low int32 word of each int64 lane to 4 consecutive words.
-inline void store4_epi32(std::int32_t* p, __m256i v) noexcept {
-  const __m256i packed = _mm256_permutevar8x32_epi32(
-      v, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
-                   _mm256_castsi256_si128(packed));
+/// Calls body(offset, lanes) over n words, 8 at a time.
+template <class Body>
+inline void for_groups(std::size_t n, Body&& body) noexcept {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) body(j, Whole{});
+  if (j < n) {
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const auto count = static_cast<std::int32_t>(n - j);
+    body(j, Part{_mm256_cmpgt_epi32(_mm256_set1_epi32(count), lane)});
+  }
 }
 
-inline bool any_set(__m256i mask) noexcept {
-  return _mm256_testz_si256(mask, mask) == 0;
+/// Running max of |v| in unsigned lanes: abs(INT32_MIN) is 0x80000000,
+/// which read unsigned is its true magnitude 2^31.
+inline __m256i max_abs(__m256i running, __m256i v) noexcept {
+  return _mm256_max_epu32(running, _mm256_abs_epi32(v));
 }
 
-inline std::int64_t hsum64(__m256i v) noexcept {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i pair = _mm_add_epi64(lo, hi);
-  return _mm_extract_epi64(pair, 0) + _mm_extract_epi64(pair, 1);
+inline std::uint64_t hmax_u32(__m256i v) noexcept {
+  __m128i m = _mm_max_epu32(_mm256_castsi256_si128(v),
+                            _mm256_extracti128_si256(v, 1));
+  m = _mm_max_epu32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
+  m = _mm_max_epu32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
+  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(m));
 }
 
-/// Splits int32-range int64 lanes into positive/negative running sums.
-inline void accumulate_signed(__m256i v, __m256i& pos, __m256i& neg) noexcept {
-  const __m256i negative = _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
-  neg = _mm256_add_epi64(neg, _mm256_and_si256(v, negative));
-  pos = _mm256_add_epi64(pos, _mm256_andnot_si256(negative, v));
+inline std::uint64_t max_abs_of(const std::int32_t* p,
+                                std::size_t n) noexcept {
+  __m256i m = _mm256_setzero_si256();
+  for_groups(n, [&](std::size_t j, auto lanes) {
+    m = max_abs(m, load(p + j, lanes));
+  });
+  return hmax_u32(m);
+}
+
+inline std::int32_t hsum_i32(__m256i v) noexcept {
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
+                            _mm256_extracti128_si256(v, 1));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+  return _mm_cvtsi128_si32(s);
+}
+
+/// The odd dwords of v moved down to the even positions, where
+/// _mm256_mul_epi32 reads its operands. A broadcast is its own odd_lanes.
+inline __m256i odd_lanes(__m256i v) noexcept {
+  return _mm256_shuffle_epi32(v, _MM_SHUFFLE(3, 3, 1, 1));
+}
+
+/// Q20 multiply of 8 int32 lanes, exact when no product saturates: the
+/// rounded product (a*b + 2^19) >> 20 then fits int32, so its word is
+/// bits 20..51 of the 64-bit sum. _mm256_mul_epi32 multiplies the even
+/// lanes and, on the odd_lanes operands, the odd ones; one blend
+/// interleaves the two results.
+inline __m256i q20_mul8(__m256i a, __m256i a_odd, __m256i b,
+                        __m256i b_odd) noexcept {
+  // Materialized per call site (the compiler hoists it out of loops); a
+  // namespace-scope __m256i constant would run AVX instructions during
+  // static initialization, before the runtime dispatcher can rule them out.
+  const __m256i bias = _mm256_set1_epi64x(q20detail::kRoundBias);
+  const __m256i even = _mm256_add_epi64(_mm256_mul_epi32(a, b), bias);
+  const __m256i odd = _mm256_add_epi64(_mm256_mul_epi32(a_odd, b_odd), bias);
+  return _mm256_blend_epi32(_mm256_srli_epi64(even, q20detail::kFrac),
+                            _mm256_slli_epi64(odd, 32 - q20detail::kFrac),
+                            0xAA);
+}
+
+/// y[r] = init + sum_j m(r, j) * x[j] for R rows of stride n, sharing
+/// each x group across the rows. Proof per row: every term is bounded by
+/// mul_bound(max|row r|, x_max) -- the row's max-abs is scanned in the
+/// same pass, x_max by the caller beforehand -- and |init| + n * bound
+/// <= INT32_MAX. Nothing is written for a row before its proof is
+/// checked; a row whose proof fails is the scalar reference dot.
+template <std::size_t R>
+inline void dot_rows(const std::int32_t* m, std::size_t n,
+                     const std::int32_t* x, std::uint64_t x_max,
+                     std::int32_t init, std::int32_t* y,
+                     Q20SatCounts& sat) noexcept {
+  __m256i sum[R];
+  __m256i row_max[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    sum[r] = _mm256_setzero_si256();
+    row_max[r] = _mm256_setzero_si256();
+  }
+  for_groups(n, [&](std::size_t j, auto lanes) {
+    const __m256i xv = load(x + j, lanes);
+    const __m256i x_odd = odd_lanes(xv);
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256i av = load(m + r * n + j, lanes);
+      row_max[r] = max_abs(row_max[r], av);
+      sum[r] = _mm256_add_epi32(sum[r],
+                                q20_mul8(av, odd_lanes(av), xv, x_odd));
+    }
+  });
+  for (std::size_t r = 0; r < R; ++r) {
+    y[r] = fits(abs_u64(init), n, mul_bound(hmax_u32(row_max[r]), x_max))
+               ? init + hsum_i32(sum[r])
+               : scalar::q20_dot(m + r * n, x, n, init, sat);
+  }
 }
 
 }  // namespace
@@ -387,181 +465,129 @@ void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
                     std::size_t units, const std::int32_t* x,
                     const std::int32_t* init, std::int32_t* out, bool relu,
                     Q20SatCounts& sat) noexcept {
-  std::size_t j = 0;
-  for (; j + 4 <= units; j += 4) {
-    __m256i acc = load4_epi64(init + j);
-    __m256i sticky = _mm256_setzero_si256();
-    for (std::size_t i = 0; i < rows; ++i) {
-      const __m256i av = load4_epi64(a + i * units + j);
-      const __m256i xv = _mm256_set1_epi64x(x[i]);
-      acc = q20_add_vec(acc, q20_mul_vec(av, xv, sticky), sticky);
+  // Proof, before any store: row i adds one term per column, bounded by
+  // T_i = mul_bound(|x[i]|, max|row i of a|). Each column's accumulation
+  // starts at |init[j]| <= max|init|, so max|init| + sum_i T_i <=
+  // INT32_MAX keeps every column's every prefix inside int32.
+  std::uint64_t reach = max_abs_of(init, units);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::uint64_t term =
+        mul_bound(abs_u64(x[i]), max_abs_of(a + i * units, units));
+    if (!fits(reach, 1, term)) {
+      scalar::q20_hidden_mac(a, rows, units, x, init, out, relu, sat);
+      return;
     }
-    if (any_set(sticky)) {
-      // A lane saturated: redo these 4 columns through the scalar
-      // primitives so the event counters match the reference.
-      for (std::size_t c = j; c < j + 4; ++c) {
-        std::int32_t acc_c = init[c];
-        for (std::size_t i = 0; i < rows; ++i) {
-          acc_c = q20detail::q_add(
-              acc_c, q20detail::q_mul(x[i], a[i * units + c], sat), sat);
-        }
-        out[c] = relu ? q20detail::q_relu(acc_c) : acc_c;
-      }
-      continue;
-    }
-    if (relu) {
-      const __m256i negative =
-          _mm256_cmpgt_epi64(_mm256_setzero_si256(), acc);
-      acc = _mm256_andnot_si256(negative, acc);
-    }
-    store4_epi32(out + j, acc);
+    reach += term;
   }
-  for (; j < units; ++j) {
-    std::int32_t acc = init[j];
+  for_groups(units, [&](std::size_t j, auto lanes) {
+    __m256i acc = load(init + j, lanes);
     for (std::size_t i = 0; i < rows; ++i) {
-      acc = q20detail::q_add(acc,
-                             q20detail::q_mul(x[i], a[i * units + j], sat),
-                             sat);
+      const __m256i av = load(a + i * units + j, lanes);
+      const __m256i xi = _mm256_set1_epi32(x[i]);
+      acc = _mm256_add_epi32(acc, q20_mul8(av, odd_lanes(av), xi, xi));
     }
-    out[j] = relu ? q20detail::q_relu(acc) : acc;
-  }
+    if (relu) acc = _mm256_max_epi32(acc, _mm256_setzero_si256());
+    store(out + j, acc, lanes);
+  });
 }
 
 std::int32_t q20_dot(const std::int32_t* a, const std::int32_t* b,
                      std::size_t n, std::int32_t init,
                      Q20SatCounts& sat) noexcept {
-  __m256i pos = _mm256_setzero_si256();
-  __m256i neg = _mm256_setzero_si256();
-  __m256i sticky = _mm256_setzero_si256();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i prod =
-        q20_mul_vec(load4_epi64(a + j), load4_epi64(b + j), sticky);
-    accumulate_signed(prod, pos, neg);
-  }
-  Q20SatCounts tail_sat;
-  std::int64_t tail_pos = 0;
-  std::int64_t tail_neg = 0;
-  for (; j < n; ++j) {
-    const std::int32_t prod = q20detail::q_mul(a[j], b[j], tail_sat);
-    if (prod < 0) {
-      tail_neg += prod;
-    } else {
-      tail_pos += prod;
-    }
-  }
-  if (any_set(sticky) || tail_sat.mul != 0) {
-    return scalar::q20_dot(a, b, n, init, sat);
-  }
-  const std::int64_t pos_total = hsum64(pos) + tail_pos;
-  const std::int64_t neg_total = hsum64(neg) + tail_neg;
-  // Every prefix of the sequential sum lies in [init + neg_total,
-  // init + pos_total]; when that interval is inside the int32 range no
-  // per-step clamp can fire and the exact sum is the answer.
-  if (init + neg_total < q20detail::kRawMin ||
-      init + pos_total > q20detail::kRawMax) {
-    return scalar::q20_dot(a, b, n, init, sat);
-  }
-  return static_cast<std::int32_t>(init + pos_total + neg_total);
+  std::int32_t out = 0;
+  dot_rows<1>(a, n, b, max_abs_of(b, n), init, &out, sat);
+  return out;
 }
 
 std::int32_t q20_action_dot(const std::int32_t* shared,
                             const std::int32_t* last_row, std::int32_t code,
                             const std::int32_t* beta, std::size_t units,
                             Q20SatCounts& sat) noexcept {
-  const __m256i codev = _mm256_set1_epi64x(code);
-  __m256i pos = _mm256_setzero_si256();
-  __m256i neg = _mm256_setzero_si256();
-  __m256i sticky = _mm256_setzero_si256();
-  std::size_t j = 0;
-  for (; j + 4 <= units; j += 4) {
-    const __m256i corr = q20_mul_vec(codev, load4_epi64(last_row + j), sticky);
-    __m256i h = q20_add_vec(load4_epi64(shared + j), corr, sticky);
-    h = _mm256_andnot_si256(_mm256_cmpgt_epi64(_mm256_setzero_si256(), h), h);
-    const __m256i prod = q20_mul_vec(h, load4_epi64(beta + j), sticky);
-    accumulate_signed(prod, pos, neg);
+  // Proof, from max-abs values scanned in the same pass: the correction
+  // code*last_row[j] is bounded by T1 = mul_bound(|code|, max|last_row|),
+  // so max|shared| + T1 <= INT32_MAX makes the pre-activation exact with
+  // 0 <= relu(h) <= H = max|shared| + T1. Each output term is bounded by
+  // T2 = mul_bound(H, max|beta|), and units * T2 <= INT32_MAX keeps the
+  // accumulation (seeded at 0) exact.
+  const __m256i codev = _mm256_set1_epi32(code);
+  __m256i sum = _mm256_setzero_si256();
+  __m256i shared_max = _mm256_setzero_si256();
+  __m256i last_max = _mm256_setzero_si256();
+  __m256i beta_max = _mm256_setzero_si256();
+  for_groups(units, [&](std::size_t j, auto lanes) {
+    const __m256i sv = load(shared + j, lanes);
+    const __m256i lv = load(last_row + j, lanes);
+    const __m256i bv = load(beta + j, lanes);
+    shared_max = max_abs(shared_max, sv);
+    last_max = max_abs(last_max, lv);
+    beta_max = max_abs(beta_max, bv);
+    const __m256i h = _mm256_max_epi32(
+        _mm256_add_epi32(sv, q20_mul8(lv, odd_lanes(lv), codev, codev)),
+        _mm256_setzero_si256());
+    sum = _mm256_add_epi32(sum, q20_mul8(h, odd_lanes(h), bv, odd_lanes(bv)));
+  });
+  const std::uint64_t h_max = hmax_u32(shared_max);
+  const std::uint64_t corr = mul_bound(abs_u64(code), hmax_u32(last_max));
+  if (fits(h_max, 1, corr) &&
+      fits(0, units, mul_bound(h_max + corr, hmax_u32(beta_max)))) {
+    return hsum_i32(sum);
   }
-  Q20SatCounts tail_sat;
-  std::int64_t tail_pos = 0;
-  std::int64_t tail_neg = 0;
-  for (; j < units; ++j) {
-    const std::int32_t h = q20detail::q_relu(q20detail::q_add(
-        shared[j], q20detail::q_mul(code, last_row[j], tail_sat), tail_sat));
-    const std::int32_t prod = q20detail::q_mul(h, beta[j], tail_sat);
-    if (prod < 0) {
-      tail_neg += prod;
-    } else {
-      tail_pos += prod;
-    }
-  }
-  if (any_set(sticky) || tail_sat.mul != 0 || tail_sat.add != 0) {
-    return scalar::q20_action_dot(shared, last_row, code, beta, units, sat);
-  }
-  const std::int64_t pos_total = hsum64(pos) + tail_pos;
-  const std::int64_t neg_total = hsum64(neg) + tail_neg;
-  if (neg_total < q20detail::kRawMin || pos_total > q20detail::kRawMax) {
-    return scalar::q20_action_dot(shared, last_row, code, beta, units, sat);
-  }
-  return static_cast<std::int32_t>(pos_total + neg_total);
+  return scalar::q20_action_dot(shared, last_row, code, beta, units, sat);
+}
+
+void q20_matvec(const std::int32_t* m, std::size_t n, const std::int32_t* x,
+                std::int32_t* y, Q20SatCounts& sat) noexcept {
+  // Four rows at a time share each x group; every row is proven (or
+  // falls back) on its own.
+  const std::uint64_t x_max = max_abs_of(x, n);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) dot_rows<4>(m + i * n, n, x, x_max, 0, y + i, sat);
+  for (; i < n; ++i) dot_rows<1>(m + i * n, n, x, x_max, 0, y + i, sat);
 }
 
 void q20_rank1_downdate(std::int32_t* p, std::size_t n,
                         const std::int32_t* u, std::int32_t inv,
                         std::int32_t* scaled_ws, Q20SatCounts& sat) noexcept {
   // The O(n) scaled vector goes through the scalar primitives (counted
-  // directly); the O(n^2) sweep is vectorized with a check-before-store
-  // fallback per 4-lane group.
+  // directly). Proof for row i, before it is stored: every product
+  // scaled[i]*u[j] is bounded by T_i = mul_bound(|scaled[i]|, max|u|), so
+  // max|row i| + T_i <= INT32_MAX keeps every p(i, j) - product inside
+  // int32. A row whose proof fails goes through the scalar reference row.
   for (std::size_t i = 0; i < n; ++i) {
     scaled_ws[i] = q20detail::q_mul(u[i], inv, sat);
   }
+  const std::uint64_t u_max = max_abs_of(u, n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::int32_t scaled = scaled_ws[i];
-    const __m256i sv = _mm256_set1_epi64x(scaled);
     std::int32_t* row = p + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      __m256i sticky = _mm256_setzero_si256();
-      const __m256i prod = q20_mul_vec(sv, load4_epi64(u + j), sticky);
-      const __m256i diff = _mm256_sub_epi64(load4_epi64(row + j), prod);
-      const __m256i result = sat32(diff, sticky);
-      if (any_set(sticky)) {
-        // Row values not yet overwritten: recompute the group scalar so
-        // the saturation counters stay exact.
-        for (std::size_t c = j; c < j + 4; ++c) {
-          row[c] = q20detail::q_sub(row[c],
-                                    q20detail::q_mul(scaled, u[c], sat), sat);
-        }
-        continue;
-      }
-      store4_epi32(row + j, result);
+    if (!fits(max_abs_of(row, n), 1, mul_bound(abs_u64(scaled), u_max))) {
+      q20detail::q_downdate_row(row, u, n, scaled, sat);
+      continue;
     }
-    for (; j < n; ++j) {
-      row[j] = q20detail::q_sub(row[j], q20detail::q_mul(scaled, u[j], sat),
-                                sat);
-    }
+    const __m256i sv = _mm256_set1_epi32(scaled);
+    for_groups(n, [&](std::size_t j, auto lanes) {
+      const __m256i uv = load(u + j, lanes);
+      const __m256i prod = q20_mul8(uv, odd_lanes(uv), sv, sv);
+      store(row + j, _mm256_sub_epi32(load(row + j, lanes), prod), lanes);
+    });
   }
 }
 
 void q20_axpy(std::int32_t* y, std::int32_t a, const std::int32_t* x,
               std::size_t n, Q20SatCounts& sat) noexcept {
-  const __m256i av = _mm256_set1_epi64x(a);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256i sticky = _mm256_setzero_si256();
-    const __m256i prod = q20_mul_vec(av, load4_epi64(x + j), sticky);
-    const __m256i sum = _mm256_add_epi64(load4_epi64(y + j), prod);
-    const __m256i result = sat32(sum, sticky);
-    if (any_set(sticky)) {
-      for (std::size_t c = j; c < j + 4; ++c) {
-        y[c] = q20detail::q_add(y[c], q20detail::q_mul(a, x[c], sat), sat);
-      }
-      continue;
-    }
-    store4_epi32(y + j, result);
+  // Proof, before any store: every product a*x[j] is bounded by
+  // T = mul_bound(|a|, max|x|), so max|y| + T <= INT32_MAX keeps every
+  // y[j] + product inside int32.
+  if (!fits(max_abs_of(y, n), 1, mul_bound(abs_u64(a), max_abs_of(x, n)))) {
+    scalar::q20_axpy(y, a, x, n, sat);
+    return;
   }
-  for (; j < n; ++j) {
-    y[j] = q20detail::q_add(y[j], q20detail::q_mul(a, x[j], sat), sat);
-  }
+  const __m256i av = _mm256_set1_epi32(a);
+  for_groups(n, [&](std::size_t j, auto lanes) {
+    const __m256i xv = load(x + j, lanes);
+    const __m256i prod = q20_mul8(xv, odd_lanes(xv), av, av);
+    store(y + j, _mm256_add_epi32(load(y + j, lanes), prod), lanes);
+  });
 }
 
 void q20_quantize(const double* src, std::int32_t* dst, std::size_t n,

@@ -3,10 +3,12 @@
 // These replicate fixed::Q20 operator semantics exactly (round-to-nearest
 // multiply, saturating add/sub, saturating double conversion) on raw
 // int32 words, counting saturation events into kernels::Q20SatCounts.
-// Both the scalar reference kernels and the AVX2 tail/fallback paths use
-// them, so the two kernel sets can never drift apart.
+// The scalar reference kernels are built from them, and the AVX2 set's
+// fallbacks are those same reference loops, so the two kernel sets can
+// never drift apart.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -54,6 +56,15 @@ inline std::int32_t q_sub(std::int32_t a, std::int32_t b,
 }
 
 inline std::int32_t q_relu(std::int32_t a) noexcept { return a < 0 ? 0 : a; }
+
+/// One row of the rank-1 downdate: row[j] -= scaled * u[j].
+inline void q_downdate_row(std::int32_t* row, const std::int32_t* u,
+                           std::size_t n, std::int32_t scaled,
+                           Q20SatCounts& sat) noexcept {
+  for (std::size_t j = 0; j < n; ++j) {
+    row[j] = q_sub(row[j], q_mul(scaled, u[j], sat), sat);
+  }
+}
 
 inline std::int32_t q_from_double(double value, Q20SatCounts& sat) noexcept {
   const double scaled = value * 1048576.0;  // 2^20

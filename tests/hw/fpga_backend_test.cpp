@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "env/registry.hpp"
+#include "fixed/overflow_stats.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/svd.hpp"
+#include "rl/oselm_q_agent.hpp"
+#include "rl/trainer.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -375,6 +384,122 @@ TEST(FpgaBackend, ValidatesShapes) {
                std::invalid_argument);
   EXPECT_THROW(backend.init_train(linalg::MatD(4, 3), linalg::MatD(4, 1)),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Q20 SIMD == scalar at the backend level: the same run with the AVX2 and
+// the scalar Q20 kernel sets leaves bit-identical fixed-point state and
+// saturation counters.
+// ---------------------------------------------------------------------------
+
+std::vector<std::int32_t> raw_words(const FixedMat& m) {
+  std::vector<std::int32_t> words;
+  words.reserve(m.storage().size());
+  for (const Q& q : m.storage()) words.push_back(q.raw());
+  return words;
+}
+
+/// Saturation counters accumulated since `before` on this thread.
+fixed::OverflowStats overflow_since(const fixed::OverflowStats& before) {
+  const fixed::OverflowStats& now = fixed::overflow_stats();
+  fixed::OverflowStats delta;
+  delta.add_saturations = now.add_saturations - before.add_saturations;
+  delta.mul_saturations = now.mul_saturations - before.mul_saturations;
+  delta.div_saturations = now.div_saturations - before.div_saturations;
+  delta.div_by_zero = now.div_by_zero - before.div_by_zero;
+  delta.conversion_saturations =
+      now.conversion_saturations - before.conversion_saturations;
+  return delta;
+}
+
+void expect_same_overflow(const fixed::OverflowStats& a,
+                          const fixed::OverflowStats& b) {
+  EXPECT_EQ(a.add_saturations, b.add_saturations);
+  EXPECT_EQ(a.mul_saturations, b.mul_saturations);
+  EXPECT_EQ(a.div_saturations, b.div_saturations);
+  EXPECT_EQ(a.div_by_zero, b.div_by_zero);
+  EXPECT_EQ(a.conversion_saturations, b.conversion_saturations);
+}
+
+struct Q20Run {
+  std::vector<std::int32_t> beta;
+  std::vector<std::int32_t> p;
+  linalg::MatD beta_target;  ///< exported (dequantized) theta_2
+  std::size_t episodes = 0;
+  std::size_t total_steps = 0;
+  std::size_t resets = 0;
+  fixed::OverflowStats saturations;
+};
+
+/// Algorithm 1 (OsElmQAgent + run_training) over the FPGA model on
+/// ShapedCartPole-v0, with the Q20 kernel set pinned to `simd`.
+Q20Run train_agent_on_fpga(bool simd) {
+  linalg::kernels::set_simd_enabled(simd);
+  const fixed::OverflowStats before = fixed::overflow_stats();
+  auto backend = std::make_shared<FpgaOsElmBackend>(small_config(64), 2718);
+  rl::OsElmQAgent agent(backend, rl::SimplifiedOutputModel(4, 2),
+                        rl::OsElmQAgentConfig{}, 31);
+  const env::EnvironmentPtr env =
+      env::make_environment("ShapedCartPole-v0", 5);
+  rl::TrainerConfig trainer;
+  trainer.max_episodes = 80;
+  trainer.reset_interval = 30;  // exercise re-initialization too
+  const rl::TrainResult result = rl::run_training(agent, *env, trainer);
+  linalg::kernels::reset_simd_override();
+
+  Q20Run run;
+  run.saturations = overflow_since(before);
+  run.beta = raw_words(backend->beta_fixed());
+  run.p = raw_words(backend->p_fixed());
+  run.beta_target = backend->export_state().beta_target;
+  run.episodes = result.episodes;
+  run.total_steps = result.total_steps;
+  run.resets = result.resets;
+  return run;
+}
+
+TEST(FpgaBackendSimd, AgentTrainingIsBitIdenticalAcrossQ20KernelSets) {
+  const Q20Run simd = train_agent_on_fpga(true);
+  const Q20Run scalar = train_agent_on_fpga(false);
+  ASSERT_GT(simd.total_steps, 0u);
+  EXPECT_EQ(simd.episodes, scalar.episodes);
+  EXPECT_EQ(simd.total_steps, scalar.total_steps);
+  EXPECT_EQ(simd.resets, scalar.resets);
+  EXPECT_EQ(simd.beta, scalar.beta);
+  EXPECT_EQ(simd.p, scalar.p);
+  EXPECT_EQ(simd.beta_target.storage(), scalar.beta_target.storage());
+  expect_same_overflow(simd.saturations, scalar.saturations);
+}
+
+/// seq_train on a stream whose targets sit near the Q20 limit (+-2048),
+/// so beta and P saturate and the kernels take their scalar fallbacks.
+Q20Run saturating_seq_train(bool simd) {
+  linalg::kernels::set_simd_enabled(simd);
+  const fixed::OverflowStats before = fixed::overflow_stats();
+  FpgaOsElmBackend backend(small_config(64), 99);
+  util::Rng rng(123);
+  backend.init_train(random_matrix(64, 5, rng), random_matrix(64, 1, rng));
+  linalg::VecD x(5);
+  for (int i = 0; i < 400; ++i) {
+    rng.fill_uniform(x, -1.0, 1.0);
+    backend.seq_train(x, i % 2 == 0 ? 1900.0 : -1900.0);
+  }
+  linalg::kernels::reset_simd_override();
+
+  Q20Run run;
+  run.saturations = overflow_since(before);
+  run.beta = raw_words(backend.beta_fixed());
+  run.p = raw_words(backend.p_fixed());
+  return run;
+}
+
+TEST(FpgaBackendSimd, SaturatingSeqTrainIsBitIdenticalAcrossQ20KernelSets) {
+  const Q20Run simd = saturating_seq_train(true);
+  const Q20Run scalar = saturating_seq_train(false);
+  EXPECT_GT(simd.saturations.total(), 0u) << "the stream never saturated";
+  expect_same_overflow(simd.saturations, scalar.saturations);
+  EXPECT_EQ(simd.beta, scalar.beta);
+  EXPECT_EQ(simd.p, scalar.p);
 }
 
 }  // namespace

@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "fixed/fixed_point.hpp"
@@ -338,6 +341,99 @@ void expect_sat_eq(const Q20SatCounts& a, const Q20SatCounts& b,
   EXPECT_EQ(a.conversion, b.conversion) << what << " conversion n=" << n;
 }
 
+// Each check_* runs one kernel under the active dispatch and the scalar
+// reference on the same inputs and compares values and counters.
+
+void check_dot(const std::vector<std::int32_t>& a,
+               const std::vector<std::int32_t>& b, std::int32_t init,
+               const std::string& label) {
+  Q20SatCounts sat_simd;
+  Q20SatCounts sat_ref;
+  EXPECT_EQ(q20_dot(a.data(), b.data(), a.size(), init, sat_simd),
+            scalar::q20_dot(a.data(), b.data(), a.size(), init, sat_ref))
+      << label << " n=" << a.size();
+  expect_sat_eq(sat_simd, sat_ref, label.c_str(), a.size());
+}
+
+void check_matvec(const std::vector<std::int32_t>& m,
+                  const std::vector<std::int32_t>& x,
+                  const std::string& label) {
+  const std::size_t n = x.size();
+  std::vector<std::int32_t> y_simd(n, 0);
+  std::vector<std::int32_t> y_ref(n, 0);
+  Q20SatCounts sat_simd;
+  Q20SatCounts sat_ref;
+  q20_matvec(m.data(), n, x.data(), y_simd.data(), sat_simd);
+  scalar::q20_matvec(m.data(), n, x.data(), y_ref.data(), sat_ref);
+  EXPECT_EQ(y_simd, y_ref) << label << " n=" << n;
+  expect_sat_eq(sat_simd, sat_ref, label.c_str(), n);
+}
+
+void check_hidden_mac(const std::vector<std::int32_t>& a,
+                      const std::vector<std::int32_t>& x,
+                      const std::vector<std::int32_t>& init,
+                      const std::string& label) {
+  const std::size_t units = init.size();
+  for (const bool relu : {false, true}) {
+    std::vector<std::int32_t> out_simd(units, 0);
+    std::vector<std::int32_t> out_ref(units, 0);
+    Q20SatCounts sat_simd;
+    Q20SatCounts sat_ref;
+    q20_hidden_mac(a.data(), x.size(), units, x.data(), init.data(),
+                   out_simd.data(), relu, sat_simd);
+    scalar::q20_hidden_mac(a.data(), x.size(), units, x.data(), init.data(),
+                           out_ref.data(), relu, sat_ref);
+    EXPECT_EQ(out_simd, out_ref)
+        << label << " units=" << units << " relu=" << relu;
+    expect_sat_eq(sat_simd, sat_ref, label.c_str(), units);
+  }
+}
+
+void check_action_dot(const std::vector<std::int32_t>& shared,
+                      const std::vector<std::int32_t>& last,
+                      std::int32_t code, const std::vector<std::int32_t>& beta,
+                      const std::string& label) {
+  Q20SatCounts sat_simd;
+  Q20SatCounts sat_ref;
+  EXPECT_EQ(q20_action_dot(shared.data(), last.data(), code, beta.data(),
+                           beta.size(), sat_simd),
+            scalar::q20_action_dot(shared.data(), last.data(), code,
+                                   beta.data(), beta.size(), sat_ref))
+      << label << " n=" << beta.size();
+  expect_sat_eq(sat_simd, sat_ref, label.c_str(), beta.size());
+}
+
+void check_downdate(const std::vector<std::int32_t>& p0,
+                    const std::vector<std::int32_t>& u, std::int32_t inv,
+                    const std::string& label) {
+  const std::size_t n = u.size();
+  std::vector<std::int32_t> p_simd = p0;
+  std::vector<std::int32_t> p_ref = p0;
+  std::vector<std::int32_t> ws_simd(n, 0);
+  std::vector<std::int32_t> ws_ref(n, 0);
+  Q20SatCounts sat_simd;
+  Q20SatCounts sat_ref;
+  q20_rank1_downdate(p_simd.data(), n, u.data(), inv, ws_simd.data(),
+                     sat_simd);
+  scalar::q20_rank1_downdate(p_ref.data(), n, u.data(), inv, ws_ref.data(),
+                             sat_ref);
+  EXPECT_EQ(p_simd, p_ref) << label << " n=" << n;
+  EXPECT_EQ(ws_simd, ws_ref) << label << " n=" << n;
+  expect_sat_eq(sat_simd, sat_ref, label.c_str(), n);
+}
+
+void check_axpy(const std::vector<std::int32_t>& y0, std::int32_t a,
+                const std::vector<std::int32_t>& x, const std::string& label) {
+  std::vector<std::int32_t> y_simd = y0;
+  std::vector<std::int32_t> y_ref = y0;
+  Q20SatCounts sat_simd;
+  Q20SatCounts sat_ref;
+  q20_axpy(y_simd.data(), a, x.data(), x.size(), sat_simd);
+  scalar::q20_axpy(y_ref.data(), a, x.data(), x.size(), sat_ref);
+  EXPECT_EQ(y_simd, y_ref) << label << " n=" << x.size();
+  expect_sat_eq(sat_simd, sat_ref, label.c_str(), x.size());
+}
+
 class Q20KernelTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -353,13 +449,7 @@ TEST_F(Q20KernelTest, DotIsBitExactIncludingSaturation) {
     for (const bool extreme : {false, true}) {
       const auto a = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
       const auto b = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
-      Q20SatCounts sat_simd;
-      Q20SatCounts sat_ref;
-      const std::int32_t got = q20_dot(a.data(), b.data(), n, 12345, sat_simd);
-      const std::int32_t want =
-          scalar::q20_dot(a.data(), b.data(), n, 12345, sat_ref);
-      EXPECT_EQ(got, want) << "n=" << n << " extreme=" << extreme;
-      expect_sat_eq(sat_simd, sat_ref, "q20_dot", n);
+      check_dot(a, b, 12345, "q20_dot extreme=" + std::to_string(extreme));
     }
   }
 }
@@ -373,21 +463,9 @@ TEST_F(Q20KernelTest, HiddenMacIsBitExactIncludingSaturation) {
                                : random_q20(rows * units, rng);
         const auto x = extreme ? extreme_q20(rows, rng)
                                : random_q20(rows, rng);
-        const auto init = random_q20(units, rng);
-        for (const bool relu : {false, true}) {
-          std::vector<std::int32_t> out_simd(units, 0);
-          std::vector<std::int32_t> out_ref(units, 0);
-          Q20SatCounts sat_simd;
-          Q20SatCounts sat_ref;
-          q20_hidden_mac(a.data(), rows, units, x.data(), init.data(),
-                         out_simd.data(), relu, sat_simd);
-          scalar::q20_hidden_mac(a.data(), rows, units, x.data(), init.data(),
-                                 out_ref.data(), relu, sat_ref);
-          EXPECT_EQ(out_simd, out_ref)
-              << "units=" << units << " rows=" << rows
-              << " extreme=" << extreme << " relu=" << relu;
-          expect_sat_eq(sat_simd, sat_ref, "q20_hidden_mac", units);
-        }
+        check_hidden_mac(a, x, random_q20(units, rng),
+                         "q20_hidden_mac rows=" + std::to_string(rows) +
+                             " extreme=" + std::to_string(extreme));
       }
     }
   }
@@ -400,15 +478,9 @@ TEST_F(Q20KernelTest, ActionDotIsBitExactIncludingSaturation) {
       const auto shared = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
       const auto last = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
       const auto beta = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
-      const std::int32_t code = fixed::Q20::from_double(-1.0).raw();
-      Q20SatCounts sat_simd;
-      Q20SatCounts sat_ref;
-      const std::int32_t got = q20_action_dot(shared.data(), last.data(),
-                                              code, beta.data(), n, sat_simd);
-      const std::int32_t want = scalar::q20_action_dot(
-          shared.data(), last.data(), code, beta.data(), n, sat_ref);
-      EXPECT_EQ(got, want) << "n=" << n << " extreme=" << extreme;
-      expect_sat_eq(sat_simd, sat_ref, "q20_action_dot", n);
+      check_action_dot(shared, last, fixed::Q20::from_double(-1.0).raw(),
+                       beta,
+                       "q20_action_dot extreme=" + std::to_string(extreme));
     }
   }
 }
@@ -416,16 +488,12 @@ TEST_F(Q20KernelTest, ActionDotIsBitExactIncludingSaturation) {
 TEST_F(Q20KernelTest, MatvecIsBitExact) {
   util::Rng rng(13);
   for (const std::size_t n : kSizes) {
-    const auto m = random_q20(n * n, rng);
-    const auto x = random_q20(n, rng);
-    std::vector<std::int32_t> y_simd(n, 0);
-    std::vector<std::int32_t> y_ref(n, 0);
-    Q20SatCounts sat_simd;
-    Q20SatCounts sat_ref;
-    q20_matvec(m.data(), n, x.data(), y_simd.data(), sat_simd);
-    scalar::q20_matvec(m.data(), n, x.data(), y_ref.data(), sat_ref);
-    EXPECT_EQ(y_simd, y_ref) << "n=" << n;
-    expect_sat_eq(sat_simd, sat_ref, "q20_matvec", n);
+    for (const bool extreme : {false, true}) {
+      const auto m = extreme ? extreme_q20(n * n, rng)
+                             : random_q20(n * n, rng);
+      const auto x = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
+      check_matvec(m, x, "q20_matvec extreme=" + std::to_string(extreme));
+    }
   }
 }
 
@@ -436,19 +504,8 @@ TEST_F(Q20KernelTest, Rank1DowndateIsBitExactIncludingSaturation) {
       const auto p0 = extreme ? extreme_q20(n * n, rng)
                               : random_q20(n * n, rng);
       const auto u = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
-      const std::int32_t inv = fixed::Q20::from_double(0.493).raw();
-      std::vector<std::int32_t> p_simd = p0;
-      std::vector<std::int32_t> p_ref = p0;
-      std::vector<std::int32_t> ws_simd(n, 0);
-      std::vector<std::int32_t> ws_ref(n, 0);
-      Q20SatCounts sat_simd;
-      Q20SatCounts sat_ref;
-      q20_rank1_downdate(p_simd.data(), n, u.data(), inv, ws_simd.data(),
-                         sat_simd);
-      scalar::q20_rank1_downdate(p_ref.data(), n, u.data(), inv,
-                                 ws_ref.data(), sat_ref);
-      EXPECT_EQ(p_simd, p_ref) << "n=" << n << " extreme=" << extreme;
-      expect_sat_eq(sat_simd, sat_ref, "q20_rank1_downdate", n);
+      check_downdate(p0, u, fixed::Q20::from_double(0.493).raw(),
+                     "q20_rank1_downdate extreme=" + std::to_string(extreme));
     }
   }
 }
@@ -459,16 +516,8 @@ TEST_F(Q20KernelTest, AxpyIsBitExactIncludingSaturation) {
     for (const bool extreme : {false, true}) {
       const auto x = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
       const auto y0 = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
-      const std::int32_t a =
-          fixed::Q20::from_double(extreme ? 800.0 : 0.7).raw();
-      std::vector<std::int32_t> y_simd = y0;
-      std::vector<std::int32_t> y_ref = y0;
-      Q20SatCounts sat_simd;
-      Q20SatCounts sat_ref;
-      q20_axpy(y_simd.data(), a, x.data(), n, sat_simd);
-      scalar::q20_axpy(y_ref.data(), a, x.data(), n, sat_ref);
-      EXPECT_EQ(y_simd, y_ref) << "n=" << n << " extreme=" << extreme;
-      expect_sat_eq(sat_simd, sat_ref, "q20_axpy", n);
+      check_axpy(y0, fixed::Q20::from_double(extreme ? 800.0 : 0.7).raw(), x,
+                 "q20_axpy extreme=" + std::to_string(extreme));
     }
   }
 }
@@ -503,6 +552,262 @@ TEST_F(Q20KernelTest, QuantizeRoundTripIsBitExactIncludingSaturation) {
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(d_ref[i], fixed::Q20::from_raw(q_ref[i]).to_double()) << i;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Q20 range-proof boundaries: the AVX2 set runs 8 wrap-free int32 lanes only
+// when |a|*|b| < 2^51 - 2^19 (no multiply saturates) and |init| + n*term
+// <= INT32_MAX (no prefix saturates). Cases sit one raw unit either side of
+// each guard, land sums exactly on INT32_MAX/INT32_MIN, and use INT32_MIN
+// operands (whose int32 abs overflows). Every case compares values and
+// counters with the scalar reference.
+// ---------------------------------------------------------------------------
+
+constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+constexpr std::int32_t kOne = 1 << 20;  // Q20 1.0
+
+/// Operand pairs whose magnitude product sits at the multiply guard
+/// L = 2^51 - 2^19: L - 1 (largest exact product, rounds to INT32_MAX),
+/// L (the first saturating product) and the next product one raw unit of
+/// `b` above it. L + 1 has no factorization into two int32 magnitudes.
+struct MulPair {
+  std::int32_t a;
+  std::int32_t b;
+  const char* name;
+};
+const MulPair kMulPairs[] = {
+    {595980851, 3778309, "L-1"},  // 2351*253501 * 101*37409
+    {16843009, 133693440, "L"},   // 257*65537 * 255*2^19
+    {16843009, 133693441, "L+a"},
+};
+
+/// Sum targets around the accumulation guard, relative to INT32_MAX/MIN.
+const std::int64_t kSumTargets[] = {
+    std::int64_t{kMax} - 1, std::int64_t{kMax}, std::int64_t{kMax} + 1,
+    std::int64_t{kMin} + 1, std::int64_t{kMin}, std::int64_t{kMin} - 1};
+
+/// n words summing to `total` (each within one unit of total / n). A
+/// single word cannot hold a total beyond int32, so it is clamped there.
+std::vector<std::int32_t> spread(std::int64_t total, std::size_t n) {
+  std::vector<std::int32_t> v(n);
+  const auto count = static_cast<std::int64_t>(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto k = static_cast<std::int64_t>(j);
+    v[j] = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+        total * (k + 1) / count - total * k / count, kMin, kMax));
+  }
+  return v;
+}
+
+const std::size_t kBoundarySizes[] = {1, 9, 64};
+
+std::string case_label(const char* kernel, const std::string& what) {
+  return std::string(kernel) + " " + what;
+}
+
+TEST_F(Q20KernelTest, MultiplyGuardBoundaryIsBitExact) {
+  util::Rng rng(17);
+  for (const std::size_t n : kBoundarySizes) {
+    for (const MulPair& pair : kMulPairs) {
+      for (const std::int32_t sign : {1, -1}) {
+        const std::string what =
+            std::string(pair.name) + (sign < 0 ? " negative" : "");
+        const std::int32_t a = sign * pair.a;
+        const std::size_t last = n - 1;
+
+        // The guard product in one element, and split across elements
+        // (max|a| and max|b| in different words: no real product is near
+        // the limit, but the proof must still refuse).
+        auto va = random_q20(n, rng);
+        auto vb = random_q20(n, rng);
+        va[last] = a;
+        vb[last] = pair.b;
+        check_dot(va, vb, 0, case_label("q20_dot", what));
+        vb[last] = 3;
+        vb[0] = pair.b;
+        check_dot(va, vb, 0, case_label("q20_dot split", what));
+
+        auto m = random_q20(n * n, rng);
+        auto x = random_q20(n, rng);
+        x[last] = a;
+        m[last] = pair.b;  // row 0 hits the guard, the other rows do not
+        check_matvec(m, x, case_label("q20_matvec", what));
+
+        for (const std::size_t rows : {std::size_t{1}, std::size_t{5}}) {
+          auto xs = random_q20(rows, rng);
+          auto alpha = random_q20(rows * n, rng);
+          xs[rows - 1] = a;
+          alpha[(rows - 1) * n + last] = pair.b;
+          check_hidden_mac(alpha, xs, std::vector<std::int32_t>(n, 0),
+                           case_label("q20_hidden_mac", what));
+        }
+
+        // Correction guard (code * last_row) and output guard (h * beta).
+        auto shared = random_q20(n, rng);
+        auto last_row = random_q20(n, rng);
+        auto beta = random_q20(n, rng);
+        last_row[last] = pair.b;
+        check_action_dot(shared, last_row, a, beta,
+                         case_label("q20_action_dot corr", what));
+        last_row[last] = 0;
+        shared[last] = pair.a;  // relu keeps h = a > 0
+        beta[last] = sign * pair.b;
+        check_action_dot(shared, last_row, kOne, beta,
+                         case_label("q20_action_dot out", what));
+
+        // inv = 1.0 makes scaled == u, so row i's guard is |u_i| * max|u|.
+        auto u = random_q20(n, rng);
+        u[0] = sign * pair.b;
+        if (n > 1) u[last] = a;
+        check_downdate(random_q20(n * n, rng), u, kOne,
+                       case_label("q20_rank1_downdate", what));
+
+        auto xa = random_q20(n, rng);
+        xa[last] = pair.b;
+        check_axpy(random_q20(n, rng), a, xa, case_label("q20_axpy", what));
+      }
+    }
+  }
+}
+
+TEST_F(Q20KernelTest, SumGuardBoundaryIsBitExact) {
+  util::Rng rng(18);
+  for (const std::size_t n : kBoundarySizes) {
+    const std::vector<std::int32_t> ones(n, kOne);  // 1.0 * b == b exactly
+    for (const std::int64_t target : kSumTargets) {
+      const std::string what = "target=" + std::to_string(target);
+      // Tight dot proof: n equal terms t and init = target - n*t.
+      const std::int32_t t = target > 0 ? 1000003 : -1000003;
+      const auto init =
+          static_cast<std::int32_t>(target - static_cast<std::int64_t>(n) * t);
+      check_dot(ones, std::vector<std::int32_t>(n, t), init,
+                case_label("q20_dot", what));
+      check_dot(ones, spread(target, n), 0,
+                case_label("q20_dot spread", what));
+
+      // Matvec rows land on the target, next to healthy rows.
+      auto m = random_q20(n * n, rng);
+      const auto row = spread(target, n);
+      std::copy(row.begin(), row.end(), m.begin());
+      check_matvec(m, ones, case_label("q20_matvec", what));
+
+      // Hidden MAC: every column is init + sum_i 1.0 * a(i, j).
+      for (const std::size_t rows : {std::size_t{1}, std::size_t{5}}) {
+        std::vector<std::int32_t> alpha(rows * n, t);
+        check_hidden_mac(
+            alpha, std::vector<std::int32_t>(rows, kOne),
+            std::vector<std::int32_t>(
+                n, static_cast<std::int32_t>(
+                       target - static_cast<std::int64_t>(rows) * t)),
+            case_label("q20_hidden_mac", what));
+      }
+
+      // Action dot: h = shared + 1.0 * last_row lands on the target (then
+      // relu), and the output sum of 1.0 * beta lands on the target.
+      const std::int32_t corr = target > 0 ? 4096 : -4096;
+      check_action_dot(
+          std::vector<std::int32_t>(n,
+                                    static_cast<std::int32_t>(target - corr)),
+          std::vector<std::int32_t>(n, corr), kOne, random_q20(n, rng),
+          case_label("q20_action_dot h", what));
+      check_action_dot(ones, std::vector<std::int32_t>(n, 0), kOne,
+                       spread(target, n),
+                       case_label("q20_action_dot out", what));
+
+      // Elementwise kernels: y + product lands on the target.
+      check_axpy(std::vector<std::int32_t>(
+                     n, static_cast<std::int32_t>(target - t)),
+                 kOne, std::vector<std::int32_t>(n, t),
+                 case_label("q20_axpy", what));
+      // Downdate with u = +-1.0 and inv = 1.0: p(i, j) - u_i * u_j.
+      std::vector<std::int32_t> u(n);
+      for (std::size_t j = 0; j < n; ++j) u[j] = j % 2 == 0 ? kOne : -kOne;
+      std::vector<std::int32_t> p0(n * n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          const std::int64_t product = (i + j) % 2 == 0 ? kOne : -kOne;
+          p0[i * n + j] = static_cast<std::int32_t>(
+              std::clamp<std::int64_t>(target + product, kMin, kMax));
+        }
+      }
+      check_downdate(p0, u, kOne, case_label("q20_rank1_downdate", what));
+    }
+  }
+}
+
+TEST_F(Q20KernelTest, Int32MinOperandsAreBitExact) {
+  util::Rng rng(19);
+  for (const std::size_t n : kBoundarySizes) {
+    for (const std::int32_t other : {1, kOne, -kOne, 3 * kOne, kMin}) {
+      const std::string what = "other=" + std::to_string(other);
+      auto a = random_q20(n, rng, -0.01, 0.01);
+      a[n / 2] = kMin;
+      const std::vector<std::int32_t> b(n, other);
+      check_dot(a, b, 0, case_label("q20_dot", what));
+      check_dot(a, b, -1, case_label("q20_dot init=-1", what));
+
+      auto m = random_q20(n * n, rng, -0.01, 0.01);
+      m[n / 2] = kMin;
+      check_matvec(m, b, case_label("q20_matvec", what));
+
+      check_hidden_mac(a, std::vector<std::int32_t>(1, other),
+                       random_q20(n, rng),
+                       case_label("q20_hidden_mac", what));
+      check_hidden_mac(b, std::vector<std::int32_t>(1, kMin),
+                       std::vector<std::int32_t>(n, 0),
+                       case_label("q20_hidden_mac x=min", what));
+
+      check_action_dot(a, b, kOne, random_q20(n, rng),
+                       case_label("q20_action_dot shared", what));
+      check_action_dot(random_q20(n, rng), a, other, random_q20(n, rng),
+                       case_label("q20_action_dot last", what));
+      check_action_dot(std::vector<std::int32_t>(n, kOne),
+                       std::vector<std::int32_t>(n, 0), kOne, a,
+                       case_label("q20_action_dot beta", what));
+
+      check_downdate(m, a, other, case_label("q20_rank1_downdate", what));
+      check_downdate(m, b, kOne, case_label("q20_rank1_downdate u", what));
+
+      check_axpy(a, other, b, case_label("q20_axpy y", what));
+      check_axpy(b, kOne, a, case_label("q20_axpy x", what));
+      check_axpy(b, kMin, random_q20(n, rng, -0.01, 0.01),
+                 case_label("q20_axpy a=min", what));
+    }
+  }
+}
+
+/// Words with log-uniform magnitudes over the whole int32 range, so the
+/// range proofs hold for some calls, rows and groups and fail for others.
+std::vector<std::int32_t> log_uniform_q20(std::size_t n, util::Rng& rng) {
+  std::vector<std::int32_t> v(n);
+  for (auto& w : v) {
+    const double magnitude = std::pow(2.0, rng.uniform(0.0, 31.0));
+    const auto word = static_cast<std::int64_t>(magnitude);
+    w = static_cast<std::int32_t>(rng.bernoulli(0.5) ? word : -word);
+  }
+  return v;
+}
+
+TEST_F(Q20KernelTest, RandomMagnitudesAreBitExact) {
+  util::Rng rng(20);
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(70);
+    const std::string what = "trial=" + std::to_string(trial);
+    const auto a = log_uniform_q20(n, rng);
+    const auto b = log_uniform_q20(n, rng);
+    const auto word = log_uniform_q20(1, rng)[0];
+    check_dot(a, b, word, case_label("q20_dot", what));
+    check_matvec(log_uniform_q20(n * n, rng), a,
+                 case_label("q20_matvec", what));
+    check_hidden_mac(log_uniform_q20(5 * n, rng), log_uniform_q20(5, rng), b,
+                     case_label("q20_hidden_mac", what));
+    check_action_dot(a, b, word, log_uniform_q20(n, rng),
+                     case_label("q20_action_dot", what));
+    check_downdate(log_uniform_q20(n * n, rng), a, word,
+                   case_label("q20_rank1_downdate", what));
+    check_axpy(a, word, b, case_label("q20_axpy", what));
   }
 }
 
