@@ -12,7 +12,10 @@
 //
 // It also times the FPGA model's host-side Q20 layers at the same N:
 // FpgaOsElmBackend::seq_train and a two-action predict_actions, once on
-// each Q20 kernel set (telemetry only, no gate).
+// each Q20 kernel set, and the DQN baseline's training step: one
+// DqnAgent::observe at 4 -> 64 -> 2, batch 32 (two batch forwards, the
+// backward pass and Adam), once on each MLP kernel set. Both are
+// telemetry only, no gate.
 //
 // The regression gate (OSELM_BENCH_MIN_SPEEDUP_PCT, CI passes 130) binds
 // simd-vs-seed: the acceptance target is >= 1.5x locally, gated at 1.3x
@@ -32,6 +35,7 @@
 #include "linalg/kernels.hpp"
 #include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
+#include "rl/dqn_agent.hpp"
 #include "util/env_flags.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -235,6 +239,37 @@ FpgaLayerTiming measure_fpga_layers(std::size_t hidden_units,
   return out;
 }
 
+/// Microseconds per training DqnAgent::observe (paper DQN shapes: 4 -> 64
+/// -> 2, batch 32) with the MLP kernel set pinned to `simd`, over a fixed
+/// pool of transitions. Both sets compute bit-identical weights.
+double measure_dqn_observe_us(std::size_t iters, bool simd) {
+  kernels::set_simd_enabled(simd);
+  const oselm::rl::DqnAgentConfig config;
+  oselm::rl::DqnAgent agent(config, 2024);
+  oselm::util::Rng rng(5);
+  std::vector<oselm::nn::Transition> pool(kSamplePool);
+  for (auto& t : pool) {
+    t.state = VecD(config.state_dim, 0.0);
+    t.next_state = VecD(config.state_dim, 0.0);
+    rng.fill_uniform(t.state, -1.0, 1.0);
+    rng.fill_uniform(t.next_state, -1.0, 1.0);
+    t.action = rng.uniform_index(config.action_count);
+    t.reward = 1.0;
+    t.done = rng.bernoulli(0.05);
+  }
+  // Fill the replay past learning_starts so every timed call trains.
+  for (std::size_t it = 0; it < config.learning_starts + iters / 10; ++it) {
+    agent.observe(pool[it % kSamplePool]);
+  }
+  oselm::util::WallTimer timer;
+  for (std::size_t it = 0; it < iters; ++it) {
+    agent.observe(pool[it % kSamplePool]);
+  }
+  const double us = timer.seconds() * 1e6 / static_cast<double>(iters);
+  kernels::reset_simd_override();
+  return us;
+}
+
 struct ServingPoint {
   std::size_t sessions = 0;
   double sessions_per_sec = 0.0;
@@ -348,6 +383,20 @@ int main(int argc, char** argv) {
               fpga_scalar.predict_us, simd_active ? "avx2" : "scalar",
               fpga_simd.predict_us);
 
+  // --- DQN baseline training step, best of 3 per kernel set.
+  const std::size_t dqn_iters = std::max<std::size_t>(iters / 4, 1);
+  double dqn_scalar_us = 0.0;
+  double dqn_simd_us = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const double scalar_us = measure_dqn_observe_us(dqn_iters, false);
+    const double simd_us = measure_dqn_observe_us(dqn_iters, simd_active);
+    if (rep == 0 || scalar_us < dqn_scalar_us) dqn_scalar_us = scalar_us;
+    if (rep == 0 || simd_us < dqn_simd_us) dqn_simd_us = simd_us;
+  }
+  std::printf("dqn observe (4->64->2, batch 32, %zu iters)\n", dqn_iters);
+  std::printf("  train step      : scalar %8.3f us  %-6s %8.3f us\n",
+              dqn_scalar_us, simd_active ? "avx2" : "scalar", dqn_simd_us);
+
   // --- Lockstep serving throughput.
   const std::size_t session_counts[] = {1, 8, 32};
   std::vector<ServingPoint> serving;
@@ -375,13 +424,15 @@ int main(int argc, char** argv) {
       "  \"fpga_q20\": {\"seq_train_scalar_us\": %.3f, "
       "\"seq_train_simd_us\": %.3f, \"predict_actions_scalar_us\": %.3f, "
       "\"predict_actions_simd_us\": %.3f},\n"
+      "  \"dqn_observe\": {\"scalar_us\": %.3f, \"simd_us\": %.3f},\n"
       "  \"serving\": [\n",
       hidden_units, iters, kernels::simd_available() ? "true" : "false",
       simd_active ? "avx2" : "scalar", best.seed_scalar_ns,
       best.scalar_kernels_ns, best.simd_ns, speedup_vs_seed,
       speedup_vs_scalar_kernels, symmetry_only_speedup,
       fpga_scalar.seq_train_us, fpga_simd.seq_train_us,
-      fpga_scalar.predict_us, fpga_simd.predict_us);
+      fpga_scalar.predict_us, fpga_simd.predict_us, dqn_scalar_us,
+      dqn_simd_us);
   for (std::size_t i = 0; i < serving.size(); ++i) {
     const ServingPoint& p = serving[i];
     std::fprintf(

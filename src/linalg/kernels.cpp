@@ -49,6 +49,15 @@ void q20_quantize(const double* src, std::int32_t* dst, std::size_t n,
                   Q20SatCounts& sat) noexcept;
 void q20_dequantize(const std::int32_t* src, double* dst,
                     std::size_t n) noexcept;
+void mlp_forward(const double* x, const double* w1, const double* b1,
+                 const double* w2, const double* b2, const MlpShape& shape,
+                 double* h_pre, double* h, double* out) noexcept;
+void mlp_backward(const double* x, const double* h_pre, const double* h,
+                  const double* dout, const double* w2, const MlpShape& shape,
+                  double* dw1, double* db1, double* dw2, double* db2,
+                  double* dh) noexcept;
+void adam_update(double* param, const double* grad, double* m, double* v,
+                 std::size_t n, const AdamCoeffs& coeffs) noexcept;
 }  // namespace avx2
 #endif
 
@@ -386,5 +395,40 @@ void q20_dequantize(const std::int32_t* src, double* dst,
 }
 
 #undef OSELM_DISPATCH
+
+// The MLP/Adam entries have no scalar twin here: the caller's loops are the
+// reference, so without the SIMD set they report "not run".
+#if defined(OSELM_HAVE_AVX2_KERNELS)
+#define OSELM_SIMD_ONLY(fn, ...) \
+  (simd_enabled() ? (avx2::fn(__VA_ARGS__), true) : false)
+#else
+template <class... Args>
+constexpr bool not_run(const Args&... /*unused*/) noexcept {
+  return false;
+}
+#define OSELM_SIMD_ONLY(fn, ...) not_run(__VA_ARGS__)
+#endif
+
+bool mlp_forward(const double* x, const double* w1, const double* b1,
+                 const double* w2, const double* b2, const MlpShape& shape,
+                 double* h_pre, double* h, double* out) noexcept {
+  return OSELM_SIMD_ONLY(mlp_forward, x, w1, b1, w2, b2, shape, h_pre, h,
+                         out);
+}
+
+bool mlp_backward(const double* x, const double* h_pre, const double* h,
+                  const double* dout, const double* w2, const MlpShape& shape,
+                  double* dw1, double* db1, double* dw2, double* db2,
+                  double* dh) noexcept {
+  return OSELM_SIMD_ONLY(mlp_backward, x, h_pre, h, dout, w2, shape, dw1, db1,
+                         dw2, db2, dh);
+}
+
+bool adam_update(double* param, const double* grad, double* m, double* v,
+                 std::size_t n, const AdamCoeffs& coeffs) noexcept {
+  return OSELM_SIMD_ONLY(adam_update, param, grad, m, v, n, coeffs);
+}
+
+#undef OSELM_SIMD_ONLY
 
 }  // namespace oselm::linalg::kernels

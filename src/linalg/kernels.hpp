@@ -5,6 +5,8 @@
 //   * an AVX2/FMA implementation compiled only when the toolchain supports
 //     `-mavx2 -mfma` (see src/CMakeLists.txt) and used only when the CPU
 //     reports both features at runtime.
+// The DQN-baseline MLP/Adam entries are the exception: their scalar
+// reference lives with the caller (see their section below).
 //
 // Dispatch rules:
 //   * `OSELM_SIMD=off|0|false|no` in the environment forces the scalar
@@ -15,7 +17,8 @@
 // Numerical contract:
 //   * double kernels: the AVX2 path fuses multiply-adds (FMA) and
 //     vector-reduces dot products, so results may differ from the scalar
-//     reference at the last few ulps (tests pin <= 1e-12 relative).
+//     reference at the last few ulps (tests pin <= 1e-12 relative). The
+//     MLP/Adam entries use no FMA and are bit-identical to theirs.
 //     Within ONE dispatch mode the kernels are mutually bit-consistent:
 //     `fused_act_dot` reproduces `act_combine` + `dot` exactly, and the
 //     backend prediction paths built on them stay bit-identical to each
@@ -110,6 +113,70 @@ void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
 /// matches sym_rank1_update's p_scale == 1 arithmetic.
 void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
                         const double* ut, std::size_t k) noexcept;
+
+// ---------------------------------------------------------------------------
+// DQN-baseline training kernels (three-layer MLP and Adam, batch path)
+// ---------------------------------------------------------------------------
+//
+// SIMD-only entries. When simd_enabled(), each runs its AVX2 body and
+// returns true. Otherwise it returns false and touches nothing, and the
+// caller (nn::Mlp, nn::AdamOptimizer) runs its own scalar code, which is
+// the reference. The AVX2 bodies are bit-identical to that reference:
+//   * every dot product is summed from 0.0 in the reference's index order,
+//     one rounded multiply and one rounded add per term (no FMA — the
+//     library is built with -ffp-contract=off and these bodies use no
+//     fused intrinsic), then the bias is added;
+//   * ReLU keeps -0.0 and NaN like `pre < 0 ? 0 : pre`, the ReLU' mask is
+//     `h_pre <= 0` (false on NaN), and the zero-skips of dW1/dW2 add
+//     nothing for a zero operand, exactly like linalg::matmul_at_b;
+//   * Adam's vector div and sqrt are correctly rounded, like the scalar
+//     operators; MXCSR (FTZ/DAZ) is never touched.
+// Any batch, input, hidden and output size is accepted; remainders run the
+// same 4-lane bodies on masked lanes.
+
+/// Row-major operand shapes of an input -> ReLU hidden -> linear output
+/// MLP batch: x is batch x input, w1 input x hidden, w2 hidden x output.
+struct MlpShape {
+  std::size_t batch = 0;
+  std::size_t input = 0;
+  std::size_t hidden = 0;
+  std::size_t output = 0;
+};
+
+/// h_pre = x w1 + b1;  h = relu(h_pre);  out = h w2 + b2  (all row-major).
+[[nodiscard]] bool mlp_forward(const double* x, const double* w1,
+                               const double* b1, const double* w2,
+                               const double* b2, const MlpShape& shape,
+                               double* h_pre, double* h,
+                               double* out) noexcept;
+
+/// Gradients of the MLP above, given dout = dLoss/dOut (batch x output):
+///   dw2 = h^T dout (terms with h == 0 skipped);  db2 = column sums of dout
+///   dh  = dout w2^T, zeroed where h_pre <= 0     (batch x hidden)
+///   dw1 = x^T dh (terms with x == 0 skipped);    db1 = column sums of dh
+/// `dw2` must not alias `w2`.
+[[nodiscard]] bool mlp_backward(const double* x, const double* h_pre,
+                                const double* h, const double* dout,
+                                const double* w2, const MlpShape& shape,
+                                double* dw1, double* db1, double* dw2,
+                                double* db2, double* dh) noexcept;
+
+/// Adam's per-step constants; bias1/bias2 are 1 - beta^t.
+struct AdamCoeffs {
+  double learning_rate = 0.0;
+  double beta1 = 0.0;
+  double beta2 = 0.0;
+  double epsilon = 0.0;
+  double bias1 = 0.0;
+  double bias2 = 0.0;
+};
+
+/// Element-wise Adam over n parameters:
+///   m = beta1 m + (1 - beta1) g;   v = beta2 v + (1 - beta2) g g
+///   param -= lr (m / bias1) / (sqrt(v / bias2) + epsilon)
+[[nodiscard]] bool adam_update(double* param, const double* grad, double* m,
+                               double* v, std::size_t n,
+                               const AdamCoeffs& coeffs) noexcept;
 
 // ---------------------------------------------------------------------------
 // Q20 fixed-point kernels (raw int32 words, fixed::Q20 semantics)

@@ -10,6 +10,10 @@
 // accumulators over 8-element blocks, a fixed horizontal sum, then a
 // sequential fma tail) so they stay bit-identical to each other.
 //
+// MLP and Adam kernels (the DQN baseline): the exception. They use no FMA
+// and sum in the scalar reference's order, so they are bit-identical to
+// nn::Mlp and nn::AdamOptimizer's loops (see their section below).
+//
 // Q20 kernels: each call first proves, from max-abs scans of its
 // operands, that no multiply and no prefix of any accumulation can
 // saturate (see "Range proof" below). When it holds, the call runs in 8
@@ -49,6 +53,18 @@ inline double hsum(__m256d v) noexcept {
 inline __m256d relu_pd(__m256d v) noexcept {
   const __m256d keep = _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GE_OQ);
   return _mm256_and_pd(v, keep);
+}
+
+/// In-register 4x4 transpose: t[i] lane l becomes t[l] lane i.
+inline void transpose4(__m256d (&t)[4]) noexcept {
+  const __m256d lo01 = _mm256_unpacklo_pd(t[0], t[1]);
+  const __m256d hi01 = _mm256_unpackhi_pd(t[0], t[1]);
+  const __m256d lo23 = _mm256_unpacklo_pd(t[2], t[3]);
+  const __m256d hi23 = _mm256_unpackhi_pd(t[2], t[3]);
+  t[0] = _mm256_permute2f128_pd(lo01, lo23, 0x20);
+  t[1] = _mm256_permute2f128_pd(hi01, hi23, 0x20);
+  t[2] = _mm256_permute2f128_pd(lo01, lo23, 0x31);
+  t[3] = _mm256_permute2f128_pd(hi01, hi23, 0x31);
 }
 
 inline double act_scalar(Act act, double x) noexcept {
@@ -383,22 +399,14 @@ void mirror_lower(double* p, std::size_t n) noexcept {
                                    std::size_t dst_row) noexcept {
     // dst rows dst_row..+3 cols src_row..+3 receive the transpose of
     // src rows src_row..+3 cols dst_row..+3.
-    const __m256d r0 = _mm256_loadu_pd(p + (src_row + 0) * n + dst_row);
-    const __m256d r1 = _mm256_loadu_pd(p + (src_row + 1) * n + dst_row);
-    const __m256d r2 = _mm256_loadu_pd(p + (src_row + 2) * n + dst_row);
-    const __m256d r3 = _mm256_loadu_pd(p + (src_row + 3) * n + dst_row);
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-    _mm256_storeu_pd(p + (dst_row + 0) * n + src_row,
-                     _mm256_permute2f128_pd(t0, t2, 0x20));
-    _mm256_storeu_pd(p + (dst_row + 1) * n + src_row,
-                     _mm256_permute2f128_pd(t1, t3, 0x20));
-    _mm256_storeu_pd(p + (dst_row + 2) * n + src_row,
-                     _mm256_permute2f128_pd(t0, t2, 0x31));
-    _mm256_storeu_pd(p + (dst_row + 3) * n + src_row,
-                     _mm256_permute2f128_pd(t1, t3, 0x31));
+    __m256d t[4];
+    for (std::size_t i = 0; i < 4; ++i) {
+      t[i] = _mm256_loadu_pd(p + (src_row + i) * n + dst_row);
+    }
+    transpose4(t);
+    for (std::size_t i = 0; i < 4; ++i) {
+      _mm256_storeu_pd(p + (dst_row + i) * n + src_row, t[i]);
+    }
   };
   for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
     const std::size_t t1 = std::min(t0 + kTile, n);
@@ -630,6 +638,313 @@ void q20_dequantize(const std::int32_t* src, double* dst,
     _mm256_storeu_pd(dst + i, _mm256_mul_pd(values, inv_scale));
   }
   for (; i < n; ++i) dst[i] = static_cast<double>(src[i]) / 1048576.0;
+}
+
+// ---------------------------------------------------------------------------
+// DQN-baseline MLP and Adam kernels
+// ---------------------------------------------------------------------------
+//
+// No FMA in this section: every term is one _mm256_mul_pd and one
+// _mm256_add_pd with the reference's operand order, every sum starts from
+// 0.0 and runs in the reference's index order, so each element rounds
+// exactly like the scalar loops in nn::Mlp and nn::AdamOptimizer.
+
+namespace {
+
+/// A whole group of 4 doubles, or the first `count` < 4 lanes of one
+/// (missing lanes load as 0.0 and are never stored).
+struct Quad {};
+struct QuadPart {
+  std::size_t count;
+  __m256i mask;
+};
+
+inline __m256i first_lanes(std::size_t count) noexcept {
+  return _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(count)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+inline std::size_t width(Quad) noexcept { return 4; }
+inline std::size_t width(const QuadPart& part) noexcept { return part.count; }
+
+inline __m256d load(const double* p, Quad) noexcept {
+  return _mm256_loadu_pd(p);
+}
+inline __m256d load(const double* p, const QuadPart& part) noexcept {
+  return _mm256_maskload_pd(p, part.mask);
+}
+inline void store(double* p, __m256d v, Quad) noexcept {
+  _mm256_storeu_pd(p, v);
+}
+inline void store(double* p, __m256d v, const QuadPart& part) noexcept {
+  _mm256_maskstore_pd(p, part.mask, v);
+}
+
+/// Calls body(offset, quad) over n doubles, 4 at a time.
+template <class Body>
+inline void for_quads(std::size_t n, Body&& body) noexcept {
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) body(j, Quad{});
+  if (j < n) body(j, QuadPart{n - j, first_lanes(n - j)});
+}
+
+/// Stores the first C lanes of v.
+template <std::size_t C>
+inline void store_first(double* p, __m256d v) noexcept {
+  if constexpr (C == 4) {
+    _mm256_storeu_pd(p, v);
+  } else {
+    _mm256_maskstore_pd(p, first_lanes(C), v);
+  }
+}
+
+inline __m256d mul_add(__m256d acc, __m256d a, __m256d b) noexcept {
+  return _mm256_add_pd(acc, _mm256_mul_pd(a, b));
+}
+
+/// The four rows of a batch block; rows past the batch repeat its last
+/// row, so they compute and store that row's values again.
+struct RowBlock {
+  const double* x[4];
+  double* h_pre[4];
+  double* h[4];
+  double* out[4];
+};
+
+/// Outputs [c0, c0 + C) of one row block: out = h w2 + b2 with the four
+/// rows in the lanes (h's 4x4 tiles transposed, so a vector is one hidden
+/// unit over the rows). When c0 == 0 the same pass first computes layer 1
+/// (h_pre = x w1 + b1, h = relu(h_pre)) a group of units at a time;
+/// later output groups read h back.
+template <std::size_t C>
+void forward_block(const RowBlock& rows, const double* w1, const double* b1,
+                   const double* w2, const double* b2, const MlpShape& shape,
+                   std::size_t c0) noexcept {
+  const std::size_t units = shape.hidden;
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d acc[C];
+  for (__m256d& a : acc) a = zero;
+  for_quads(units, [&](std::size_t j, auto quad) {
+    __m256d t[4];
+    if (c0 == 0) {
+      for (__m256d& v : t) v = zero;
+      for (std::size_t k = 0; k < shape.input; ++k) {
+        const __m256d w = load(w1 + k * units + j, quad);
+        for (std::size_t i = 0; i < 4; ++i) {
+          t[i] = mul_add(t[i], _mm256_broadcast_sd(rows.x[i] + k), w);
+        }
+      }
+      const __m256d bias = load(b1 + j, quad);
+      for (std::size_t i = 0; i < 4; ++i) {
+        t[i] = _mm256_add_pd(t[i], bias);
+        store(rows.h_pre[i] + j, t[i], quad);
+        // max(0, pre) returns its second operand for NaN and for -0.0,
+        // exactly like `pre < 0 ? 0 : pre`.
+        t[i] = _mm256_max_pd(zero, t[i]);
+        store(rows.h[i] + j, t[i], quad);
+      }
+    } else {
+      for (std::size_t i = 0; i < 4; ++i) t[i] = load(rows.h[i] + j, quad);
+    }
+    transpose4(t);
+    for (std::size_t l = 0; l < width(quad); ++l) {
+      const double* w = w2 + (j + l) * shape.output + c0;
+      for (std::size_t c = 0; c < C; ++c) {
+        acc[c] = mul_add(acc[c], t[l], _mm256_broadcast_sd(w + c));
+      }
+    }
+  });
+  __m256d out[4] = {zero, zero, zero, zero};
+  for (std::size_t c = 0; c < C; ++c) {
+    out[c] = _mm256_add_pd(acc[c], _mm256_broadcast_sd(b2 + c0 + c));
+  }
+  transpose4(out);
+  for (std::size_t i = 0; i < 4; ++i) store_first<C>(rows.out[i] + c0, out[i]);
+}
+
+/// dw2 columns [c0, c0 + C) = h^T dout, a group of 4 hidden units (the
+/// lanes) at a time, summed over the batch. A zero h adds +0.0, like
+/// matmul_at_b's skip; the unordered != keeps NaN terms.
+template <std::size_t C>
+void backward_w2(const double* h, const double* dout, const MlpShape& shape,
+                 std::size_t c0, double* dw2) noexcept {
+  const std::size_t units = shape.hidden;
+  const std::size_t outputs = shape.output;
+  const __m256d zero = _mm256_setzero_pd();
+  for_quads(units, [&](std::size_t j, auto quad) {
+    __m256d acc[4] = {zero, zero, zero, zero};
+    for (std::size_t r = 0; r < shape.batch; ++r) {
+      const __m256d hv = load(h + r * units + j, quad);
+      const __m256d live = _mm256_cmp_pd(hv, zero, _CMP_NEQ_UQ);
+      const double* d = dout + r * outputs + c0;
+      for (std::size_t c = 0; c < C; ++c) {
+        acc[c] = _mm256_add_pd(
+            acc[c],
+            _mm256_and_pd(live, _mm256_mul_pd(hv, _mm256_broadcast_sd(d + c))));
+      }
+    }
+    transpose4(acc);  // acc[l]: unit j + l over the C outputs
+    for (std::size_t l = 0; l < width(quad); ++l) {
+      store_first<C>(dw2 + (j + l) * outputs + c0, acc[l]);
+    }
+  });
+}
+
+/// Hidden units [j, j + width) of dh, db1 and dw1 rows [k0, k0 + K),
+/// summed over the batch in registers. When k0 == 0 the same pass first
+/// forms dh = dout w2^T (w2t holds w2^T), zeroes it where h_pre <= 0 (the
+/// ordered compare keeps NaN) and sums db1; later input groups read dh
+/// back. A zero x adds +0.0, like matmul_at_b's skip (the unordered !=
+/// keeps NaN terms).
+template <std::size_t K, class Q>
+void backward_units(const double* x, const double* h_pre, const double* dout,
+                    const double* w2t, const MlpShape& shape, std::size_t j,
+                    Q quad, std::size_t k0, double* dw1, double* db1,
+                    double* dh) noexcept {
+  const std::size_t units = shape.hidden;
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d acc[K];
+  for (__m256d& a : acc) a = zero;
+  __m256d bias_sum = zero;
+  for (std::size_t r = 0; r < shape.batch; ++r) {
+    double* dh_at = dh + r * units + j;
+    __m256d g;
+    if (k0 == 0) {
+      g = zero;
+      const double* d = dout + r * shape.output;
+      for (std::size_t c = 0; c < shape.output; ++c) {
+        g = mul_add(g, _mm256_broadcast_sd(d + c),
+                    load(w2t + c * units + j, quad));
+      }
+      const __m256d dead = _mm256_cmp_pd(load(h_pre + r * units + j, quad),
+                                         zero, _CMP_LE_OQ);
+      g = _mm256_andnot_pd(dead, g);
+      store(dh_at, g, quad);
+      bias_sum = _mm256_add_pd(bias_sum, g);
+    } else {
+      g = load(dh_at, quad);
+    }
+    const double* xr = x + r * shape.input + k0;
+    for (std::size_t k = 0; k < K; ++k) {
+      const __m256d xv = _mm256_broadcast_sd(xr + k);
+      const __m256d live = _mm256_cmp_pd(xv, zero, _CMP_NEQ_UQ);
+      acc[k] = _mm256_add_pd(acc[k],
+                             _mm256_and_pd(live, _mm256_mul_pd(xv, g)));
+    }
+  }
+  for (std::size_t k = 0; k < K; ++k) {
+    store(dw1 + (k0 + k) * units + j, acc[k], quad);
+  }
+  if (k0 == 0) store(db1 + j, bias_sum, quad);
+}
+
+/// Runs body.template operator()<C>(c0) over [0, count) in groups of up
+/// to 4 (C is the group's size).
+template <class Body>
+inline void for_groups_of_4(std::size_t count, Body&& body) noexcept {
+  for (std::size_t c0 = 0; c0 < count; c0 += 4) {
+    switch (std::min<std::size_t>(count - c0, 4)) {
+      case 1:
+        body.template operator()<1>(c0);
+        break;
+      case 2:
+        body.template operator()<2>(c0);
+        break;
+      case 3:
+        body.template operator()<3>(c0);
+        break;
+      default:
+        body.template operator()<4>(c0);
+        break;
+    }
+  }
+}
+
+}  // namespace
+
+void mlp_forward(const double* x, const double* w1, const double* b1,
+                 const double* w2, const double* b2, const MlpShape& shape,
+                 double* h_pre, double* h, double* out) noexcept {
+  for (std::size_t r0 = 0; r0 < shape.batch; r0 += 4) {
+    RowBlock rows{};
+    for (std::size_t i = 0; i < 4; ++i) {
+      const std::size_t r = std::min(r0 + i, shape.batch - 1);
+      rows.x[i] = x + r * shape.input;
+      rows.h_pre[i] = h_pre + r * shape.hidden;
+      rows.h[i] = h + r * shape.hidden;
+      rows.out[i] = out + r * shape.output;
+    }
+    for_groups_of_4(shape.output, [&]<std::size_t C>(std::size_t c0) {
+      forward_block<C>(rows, w1, b1, w2, b2, shape, c0);
+    });
+  }
+}
+
+void mlp_backward(const double* x, const double* h_pre, const double* h,
+                  const double* dout, const double* w2, const MlpShape& shape,
+                  double* dw1, double* db1, double* dw2, double* db2,
+                  double* dh) noexcept {
+  const std::size_t units = shape.hidden;
+  const std::size_t outputs = shape.output;
+  const __m256d zero = _mm256_setzero_pd();
+
+  // dw2 first holds w2^T, so dh reads the columns of w2 as contiguous
+  // groups; it receives h^T dout afterwards.
+  double* w2t = dw2;
+  for (std::size_t j = 0; j < units; ++j) {
+    for (std::size_t c = 0; c < outputs; ++c) {
+      w2t[c * units + j] = w2[j * outputs + c];
+    }
+  }
+
+  // One pass over the batch per group of hidden units forms dh, db1 and
+  // dw1 in registers.
+  for_quads(units, [&](std::size_t j, auto quad) {
+    for_groups_of_4(shape.input, [&]<std::size_t K>(std::size_t k0) {
+      backward_units<K>(x, h_pre, dout, w2t, shape, j, quad, k0, dw1, db1,
+                        dh);
+    });
+  });
+
+  for_groups_of_4(outputs, [&]<std::size_t C>(std::size_t c0) {
+    backward_w2<C>(h, dout, shape, c0, dw2);
+  });
+  for_quads(outputs, [&](std::size_t c, auto quad) {
+    __m256d acc = zero;
+    for (std::size_t r = 0; r < shape.batch; ++r) {
+      acc = _mm256_add_pd(acc, load(dout + r * outputs + c, quad));
+    }
+    store(db2 + c, acc, quad);
+  });
+}
+
+void adam_update(double* param, const double* grad, double* m, double* v,
+                 std::size_t n, const AdamCoeffs& coeffs) noexcept {
+  const __m256d beta1 = _mm256_set1_pd(coeffs.beta1);
+  const __m256d keep1 = _mm256_set1_pd(1.0 - coeffs.beta1);
+  const __m256d beta2 = _mm256_set1_pd(coeffs.beta2);
+  const __m256d keep2 = _mm256_set1_pd(1.0 - coeffs.beta2);
+  const __m256d lr = _mm256_set1_pd(coeffs.learning_rate);
+  const __m256d epsilon = _mm256_set1_pd(coeffs.epsilon);
+  const __m256d bias1 = _mm256_set1_pd(coeffs.bias1);
+  const __m256d bias2 = _mm256_set1_pd(coeffs.bias2);
+  for_quads(n, [&](std::size_t i, auto quad) {
+    const __m256d g = load(grad + i, quad);
+    const __m256d mi = _mm256_add_pd(_mm256_mul_pd(beta1, load(m + i, quad)),
+                                     _mm256_mul_pd(keep1, g));
+    const __m256d vi =
+        _mm256_add_pd(_mm256_mul_pd(beta2, load(v + i, quad)),
+                      _mm256_mul_pd(_mm256_mul_pd(keep2, g), g));
+    store(m + i, mi, quad);
+    store(v + i, vi, quad);
+    const __m256d m_hat = _mm256_div_pd(mi, bias1);
+    const __m256d v_hat = _mm256_div_pd(vi, bias2);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(lr, m_hat),
+                      _mm256_add_pd(_mm256_sqrt_pd(v_hat), epsilon));
+    store(param + i, _mm256_sub_pd(load(param + i, quad), step), quad);
+  });
 }
 
 }  // namespace oselm::linalg::kernels::avx2

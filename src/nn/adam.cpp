@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/kernels.hpp"
+
 namespace oselm::nn {
 
 AdamOptimizer::AdamOptimizer(AdamConfig config, const MlpConfig& shapes)
@@ -31,6 +33,13 @@ void AdamOptimizer::reset() {
 void AdamOptimizer::update_buffer(double* param, const double* grad,
                                   double* m, double* v, std::size_t count,
                                   double bias1, double bias2) const {
+  // The AVX2 kernel, when enabled, is bit-identical to the loop below.
+  if (linalg::kernels::adam_update(
+          param, grad, m, v, count,
+          {config_.learning_rate, config_.beta1, config_.beta2,
+           config_.epsilon, bias1, bias2})) {
+    return;
+  }
   // Hyper-parameters in locals: the stores through param/m/v could
   // otherwise alias config_ and block vectorization (this file is built
   // with -fno-math-errno so std::sqrt vectorizes too).

@@ -2,6 +2,8 @@
 // with Adam at learning rate 0.01 (§4.1).
 #pragma once
 
+#include <array>
+
 #include "nn/mlp.hpp"
 
 namespace oselm::nn {
@@ -26,6 +28,12 @@ class AdamOptimizer {
 
   [[nodiscard]] const AdamConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t steps_taken() const noexcept { return t_; }
+
+  /// First and second moments, (m, v) per tensor in the order w1, b1, w2,
+  /// b2 (parity tests compare optimizer state across kernel sets).
+  [[nodiscard]] std::array<const linalg::VecD*, 8> moments() const noexcept {
+    return {&m_w1_, &v_w1_, &m_b1_, &v_b1_, &m_w2_, &v_w2_, &m_b2_, &v_b2_};
+  }
 
  private:
   /// Element-wise Adam over a flat buffer with per-buffer moment storage.

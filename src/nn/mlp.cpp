@@ -3,9 +3,19 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/kernels.hpp"
 #include "linalg/ops.hpp"
 
 namespace oselm::nn {
+
+namespace {
+
+linalg::kernels::MlpShape batch_shape(const MlpConfig& config,
+                                      std::size_t batch) {
+  return {batch, config.input_dim, config.hidden_units, config.output_dim};
+}
+
+}  // namespace
 
 void MlpConfig::validate() const {
   if (input_dim == 0 || hidden_units == 0 || output_dim == 0) {
@@ -71,6 +81,17 @@ const linalg::MatD& Mlp::forward_cached(const linalg::MatD& x,
     throw std::invalid_argument("Mlp::forward_cached: input width mismatch");
   }
   cache.x = x;
+  // The AVX2 kernel, when enabled, is bit-identical to the loops below.
+  const std::size_t batch = x.rows();
+  cache.h_pre.resize(batch, config_.hidden_units);
+  cache.h.resize(batch, config_.hidden_units);
+  cache.out.resize(batch, config_.output_dim);
+  if (linalg::kernels::mlp_forward(
+          x.data(), w1_.data(), b1_.data(), w2_.data(), b2_.data(),
+          batch_shape(config_, batch), cache.h_pre.data(), cache.h.data(),
+          cache.out.data())) {
+    return cache.out;
+  }
   linalg::matmul_into(x, w1_, cache.h_pre);
   for (std::size_t r = 0; r < cache.h_pre.rows(); ++r) {
     double* row = cache.h_pre.row_ptr(r);
@@ -78,7 +99,6 @@ const linalg::MatD& Mlp::forward_cached(const linalg::MatD& x,
   }
   // ReLU as an unconditional select, here and in backward_into: a
   // data-dependent branch would mispredict on about half the units.
-  cache.h.resize(cache.h_pre.rows(), cache.h_pre.cols());
   for (std::size_t i = 0; i < cache.h.size(); ++i) {
     const double pre = cache.h_pre.data()[i];
     cache.h.data()[i] = pre < 0.0 ? 0.0 : pre;
@@ -106,6 +126,25 @@ void Mlp::backward_into(const MlpCache& cache,
   if (dloss_dout.rows() != batch ||
       dloss_dout.cols() != config_.output_dim) {
     throw std::invalid_argument("Mlp::backward: gradient shape mismatch");
+  }
+  if (cache.x.cols() != config_.input_dim ||
+      cache.h_pre.rows() != batch || cache.h.rows() != batch ||
+      cache.h_pre.cols() != config_.hidden_units ||
+      cache.h.cols() != config_.hidden_units) {
+    throw std::invalid_argument("Mlp::backward: cache shape mismatch");
+  }
+  // The AVX2 kernel, when enabled, is bit-identical to the loops below.
+  grads.w1.resize(config_.input_dim, config_.hidden_units);
+  grads.b1.resize(config_.hidden_units);
+  grads.w2.resize(config_.hidden_units, config_.output_dim);
+  grads.b2.resize(config_.output_dim);
+  dhidden.resize(batch, config_.hidden_units);
+  if (linalg::kernels::mlp_backward(
+          cache.x.data(), cache.h_pre.data(), cache.h.data(),
+          dloss_dout.data(), w2_.data(), batch_shape(config_, batch),
+          grads.w1.data(), grads.b1.data(), grads.w2.data(), grads.b2.data(),
+          dhidden.data())) {
+    return;
   }
 
   // dW2 = h^T dOut;  db2 = column sums of dOut.

@@ -56,6 +56,9 @@ class DqnAgent final : public Agent {
   [[nodiscard]] const nn::Mlp& target_network() const noexcept {
     return target_;
   }
+  [[nodiscard]] const nn::AdamOptimizer& optimizer() const noexcept {
+    return optimizer_;
+  }
   [[nodiscard]] std::size_t training_steps() const noexcept {
     return training_steps_;
   }

@@ -8,6 +8,8 @@
 #include <new>
 
 #include "env/registry.hpp"
+#include "linalg/kernels.hpp"
+#include "test_support.hpp"
 #include "util/hash.hpp"
 
 // Counts heap allocations made through operator new in this test binary.
@@ -182,17 +184,13 @@ std::uint64_t weight_digest(const nn::Mlp& net) {
   return hash;
 }
 
-TEST(DqnAgent, FixedSeedRunReproducesPinnedWeightsBitForBit) {
-  // 500 CartPole steps at the paper's DQN shapes (64 hidden units, batch
-  // 32), with the trainer's episode loop and target syncs. The digest was
-  // recorded from the plain i-k-j GEMM and scalar MLP/Adam code; any
-  // change to the order or fusion of a floating-point operation on the
-  // DQN path changes it.
-  DqnAgent agent(DqnAgentConfig{}, 2024);
+/// Drives `agent` through `steps` CartPole-v0 steps with the trainer's
+/// episode loop and target syncs.
+void run_cartpole(DqnAgent& agent, int steps) {
   const env::EnvironmentPtr env = env::make_environment("CartPole-v0", 77);
   linalg::VecD state = env->reset();
   std::size_t episodes = 0;
-  for (int step = 0; step < 500; ++step) {
+  for (int step = 0; step < steps; ++step) {
     const std::size_t action = agent.act(state);
     const env::StepResult result = env->step(action);
     agent.observe(nn::Transition{state, action, result.reward,
@@ -203,8 +201,56 @@ TEST(DqnAgent, FixedSeedRunReproducesPinnedWeightsBitForBit) {
       state = env->reset();
     }
   }
-  ASSERT_EQ(agent.training_steps(), 500u - 31u);
-  EXPECT_EQ(weight_digest(agent.online_network()), 0xe6b43ff9556fcb1bull);
+}
+
+TEST(DqnAgent, FixedSeedRunReproducesPinnedWeightsBitForBit) {
+  // 500 CartPole steps at the paper's DQN shapes (64 hidden units, batch
+  // 32), with the trainer's episode loop and target syncs. The digest was
+  // recorded from the plain i-k-j GEMM and scalar MLP/Adam code; any
+  // change to the order or fusion of a floating-point operation on the
+  // DQN path changes it. It must hold on both kernel sets.
+  for (const bool simd : {false, true}) {
+    if (simd && !linalg::kernels::simd_available()) continue;
+    const test_support::KernelSetScope scope(simd);
+    DqnAgent agent(DqnAgentConfig{}, 2024);
+    run_cartpole(agent, 500);
+    ASSERT_EQ(agent.training_steps(), 500u - 31u);
+    EXPECT_EQ(weight_digest(agent.online_network()), 0xe6b43ff9556fcb1bull)
+        << (simd ? "avx2" : "scalar");
+  }
+}
+
+TEST(DqnAgent, SimdTrainingMatchesScalarBitForBitOverFiveThousandSteps) {
+  if (!linalg::kernels::simd_available()) {
+    GTEST_SKIP() << "no SIMD kernel set on this host";
+  }
+  DqnAgent scalar(DqnAgentConfig{}, 31);
+  DqnAgent simd(DqnAgentConfig{}, 31);
+  {
+    const test_support::KernelSetScope scope(false);
+    run_cartpole(scalar, 5000);
+  }
+  {
+    const test_support::KernelSetScope scope(true);
+    run_cartpole(simd, 5000);
+  }
+  ASSERT_EQ(simd.training_steps(), scalar.training_steps());
+  EXPECT_EQ(weight_digest(simd.online_network()),
+            weight_digest(scalar.online_network()));
+  EXPECT_EQ(weight_digest(simd.target_network()),
+            weight_digest(scalar.target_network()));
+  const auto simd_moments = simd.optimizer().moments();
+  const auto scalar_moments = scalar.optimizer().moments();
+  for (std::size_t t = 0; t < simd_moments.size(); ++t) {
+    const linalg::VecD& a = *simd_moments[t];
+    const linalg::VecD& b = *scalar_moments[t];
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                std::bit_cast<std::uint64_t>(b[i]))
+          << "moment tensor " << t << " element " << i;
+    }
+  }
 }
 
 TEST(DqnAgent, SteadyStateStepsDoNotAllocate) {

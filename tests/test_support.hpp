@@ -5,6 +5,7 @@
 #include <cstddef>
 
 #include "elm/elm.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -37,5 +38,17 @@ inline elm::ElmConfig config_for(std::size_t input, std::size_t hidden,
   cfg.l2_delta = delta;
   return cfg;
 }
+
+/// Pins the kernel set (SIMD or scalar) for the scope, then follows the
+/// OSELM_SIMD environment flag again.
+class KernelSetScope {
+ public:
+  explicit KernelSetScope(bool simd) {
+    linalg::kernels::set_simd_enabled(simd);
+  }
+  ~KernelSetScope() { linalg::kernels::reset_simd_override(); }
+  KernelSetScope(const KernelSetScope&) = delete;
+  KernelSetScope& operator=(const KernelSetScope&) = delete;
+};
 
 }  // namespace oselm::test_support
