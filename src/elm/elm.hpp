@@ -65,7 +65,7 @@ class Elm {
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 
   /// Direct weight access for spectral normalization / target snapshots /
-  /// checkpoint restore.
+  /// OsElm::from_parts.
   linalg::MatD& mutable_alpha() noexcept { return alpha_; }
   linalg::VecD& mutable_bias() noexcept { return bias_; }
   linalg::MatD& mutable_beta() noexcept { return beta_; }

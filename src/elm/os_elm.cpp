@@ -52,8 +52,8 @@ OsElm OsElm::from_parts(const ElmConfig& config, linalg::MatD alpha,
     }
   } else if (!p.empty()) {
     // A model that never ran its initial training has no P. Accepting one
-    // anyway would let a corrupt checkpoint (initialized=false plus stale
-    // P bytes) load silently, and a later init_train round-trip would
+    // anyway would let inconsistent parts (initialized=false plus a stale
+    // P) build silently, and a later init_train round-trip would
     // resurrect the stale state.
     throw std::invalid_argument(
         "OsElm::from_parts: uninitialized model carries a non-empty P");

@@ -25,9 +25,10 @@ class OsElm {
  public:
   OsElm(ElmConfig config, util::Rng& rng);
 
-  /// Reconstructs a model from checkpointed state (see elm/checkpoint.hpp).
-  /// Shapes are validated against `config`; `p` may be empty when the
-  /// model was saved before its initial training.
+  /// Builds a model around given weights and P, e.g. a copy of another
+  /// model's state to replay one update stream from the same start.
+  /// Shapes are validated against `config`; `p` must be empty when the
+  /// model has not run its initial training.
   static OsElm from_parts(const ElmConfig& config, linalg::MatD alpha,
                           linalg::VecD bias, linalg::MatD beta,
                           linalg::MatD p, bool initialized);

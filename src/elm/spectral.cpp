@@ -1,23 +1,11 @@
 #include "elm/spectral.hpp"
 
-#include "linalg/power_iteration.hpp"
 #include "linalg/svd.hpp"
 
 namespace oselm::elm {
 
-double sigma_max(const linalg::MatD& m, SigmaMethod method, util::Rng& rng) {
-  switch (method) {
-    case SigmaMethod::kSvd:
-      return linalg::largest_singular_value(m);
-    case SigmaMethod::kPowerIteration:
-      return linalg::power_iteration_sigma_max(m, rng).sigma_max;
-  }
-  return 0.0;
-}
-
-double spectral_normalize_inplace(linalg::MatD& m, SigmaMethod method,
-                                  util::Rng& rng) {
-  const double sigma = sigma_max(m, method, rng);
+double spectral_normalize_inplace(linalg::MatD& m) {
+  const double sigma = linalg::largest_singular_value(m);
   if (sigma <= 0.0) return 0.0;
   for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] /= sigma;
   return sigma;

@@ -8,23 +8,13 @@
 #pragma once
 
 #include "linalg/matrix.hpp"
-#include "util/rng.hpp"
 
 namespace oselm::elm {
 
-enum class SigmaMethod {
-  kSvd,             ///< exact via one-sided Jacobi SVD (Algorithm 1 line 2)
-  kPowerIteration,  ///< cheap estimate, validated against SVD in tests
-};
-
-/// sigma_max of a matrix by the chosen method.
-double sigma_max(const linalg::MatD& m, SigmaMethod method, util::Rng& rng);
-
-/// Divides `m` by sigma_max(m) in place; returns the sigma used.
-/// No-op (returns 0) for an all-zero matrix.
-double spectral_normalize_inplace(linalg::MatD& m,
-                                  SigmaMethod method,
-                                  util::Rng& rng);
+/// Divides `m` by sigma_max(m) in place, with sigma_max computed exactly
+/// by the one-sided Jacobi SVD (Algorithm 1 line 2); returns the sigma
+/// used. No-op (returns 0) for an all-zero matrix.
+double spectral_normalize_inplace(linalg::MatD& m);
 
 /// Upper bound on the Lipschitz constant of a single-hidden-layer network
 /// with 1-Lipschitz activation: sigma_max(alpha) * sigma_max(beta).

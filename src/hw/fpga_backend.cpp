@@ -45,8 +45,7 @@ void FpgaOsElmBackend::initialize() {
                     config_.init_high);
   rng_.fill_uniform(bias_host_, config_.init_low, config_.init_high);
   if (config_.spectral_normalize) {
-    elm::spectral_normalize_inplace(alpha_host_, elm::SigmaMethod::kSvd,
-                                    rng_);
+    elm::spectral_normalize_inplace(alpha_host_);
   }
 
   linalg::MatD beta_host(units, 1);
@@ -203,25 +202,13 @@ void FpgaOsElmBackend::predict_actions_multi(const linalg::MatD& states,
 
   const std::size_t evaluations = states.rows() * action_codes.size();
   predict_calls_ += evaluations;
-  // Timing per the configured accounting mode (see MultiChargePolicy):
-  // one amortized multi-batch, or every row as its own batch so totals
-  // stay independent of the coalescing schedule.
-  if (config_.multi_charge == MultiChargePolicy::kPerRow) {
-    total_pl_cycles_ += states.rows() *
-                        cycles_.predict_batch_cycles(action_codes.size());
-    ledger_->charge_predict(
-        initialized_,
-        static_cast<double>(states.rows()) *
-            cycles_.predict_batch_seconds(action_codes.size()),
-        evaluations);
-  } else {
-    total_pl_cycles_ +=
-        cycles_.predict_multi_cycles(states.rows(), action_codes.size());
-    ledger_->charge_predict(
-        initialized_,
-        cycles_.predict_multi_seconds(states.rows(), action_codes.size()),
-        evaluations);
-  }
+  // Timing: one amortized multi-batch for the whole coalesced call.
+  total_pl_cycles_ +=
+      cycles_.predict_multi_cycles(states.rows(), action_codes.size());
+  ledger_->charge_predict(
+      initialized_,
+      cycles_.predict_multi_seconds(states.rows(), action_codes.size()),
+      evaluations);
 }
 
 void FpgaOsElmBackend::init_train(const linalg::MatD& x,

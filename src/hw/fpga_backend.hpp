@@ -24,21 +24,6 @@
 
 namespace oselm::hw {
 
-/// How predict_actions_multi prices a coalesced cross-session batch.
-///
-/// The arithmetic is identical either way (row i is bit-identical to a
-/// standalone predict_actions call); only the modeled time differs:
-///   * kAsBatched — the physical story: the whole batch pays ONE pipeline
-///     fill and ONE AXI handshake (CycleModel::predict_multi_*). Totals
-///     then depend on how the caller composed batches, which is exactly
-///     what the serving benches measure.
-///   * kPerRow — the accounting story for asynchronous serving: every row
-///     is priced as its own predict_actions batch, so the modeled seconds
-///     are a pure function of the evaluations performed, independent of
-///     the scheduling-dependent batch composition an AsyncQServer
-///     produces. Deterministic time for a nondeterministic schedule.
-enum class MultiChargePolicy { kAsBatched, kPerRow };
-
 struct FpgaBackendConfig {
   std::size_t input_dim = 5;      ///< states + action code (CartPole: 5)
   std::size_t hidden_units = 64;  ///< N-tilde
@@ -48,7 +33,6 @@ struct FpgaBackendConfig {
   double init_high = 1.0;
   CycleModelParams cycle_params;
   BoardClocks clocks;
-  MultiChargePolicy multi_charge = MultiChargePolicy::kAsBatched;
 };
 
 class FpgaOsElmBackend final : public rl::OsElmQBackend {
@@ -65,6 +49,8 @@ class FpgaOsElmBackend final : public rl::OsElmQBackend {
   /// Coalesced cross-session batch: per-state arithmetic bit-identical to
   /// predict_actions row by row, but charged as ONE amortized multi-batch
   /// (single pipeline fill + AXI handshake, CycleModel::predict_multi_*).
+  /// Modeled time therefore depends on how the caller composed batches,
+  /// which is exactly what the serving benches measure.
   void predict_actions_multi(const linalg::MatD& states,
                              const linalg::VecD& action_codes,
                              rl::QNetwork which,

@@ -1,5 +1,6 @@
 // LU decomposition with partial pivoting: solves, inverse, determinant.
-// Used for the ELM initial training when the Gram matrix is well-posed.
+// Its product use is the inverse of the k x k S = I + H P H^T in OsElm's
+// chunked sequential update (initial training uses Cholesky instead).
 #pragma once
 
 #include <cstdint>

@@ -218,9 +218,6 @@ AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
     throw std::invalid_argument("AsyncQServer: max_live_sessions == 0");
   }
   if (config_.max_batch == 0) config_.max_batch = 1;
-  if (config_.ready_queue_capacity == 0) {
-    config_.ready_queue_capacity = config_.max_live_sessions;
-  }
   if (config_.worker_threads == 0) {
     config_.worker_threads =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -258,7 +255,6 @@ void AsyncQServer::stop() {
     batch_stop_ = true;
   }
   queue_cv_.notify_all();
-  space_cv_.notify_all();
   if (batch_thread_.joinable()) batch_thread_.join();
   // The batch thread is gone; the ledger's next writer is whichever
   // thread touches the quiescent backend next (inline run_exclusive, an
@@ -489,12 +485,6 @@ void AsyncQServer::resume(Session& s) {
 void AsyncQServer::enqueue(Session& s) {
   OSELM_TRACE_INSTANT("session", "suspend");
   std::unique_lock lk(queue_mutex_);
-  // Backpressure: block until the bounded ready queue has room. The batch
-  // thread is the only consumer and never blocks on this queue, so space
-  // always appears.
-  space_cv_.wait(lk, [this] {
-    return ready_.size() < config_.ready_queue_capacity;
-  });
   if (ready_.empty() &&
       (obs::Tracer::enabled() || obs::timing_enabled())) {
     // Queue goes empty -> non-empty: the coalescing linger for the next
@@ -503,7 +493,6 @@ void AsyncQServer::enqueue(Session& s) {
     pending_since_us_ = obs::Tracer::now_us();
   }
   ready_.push_back(&s);
-  OSELM_DCHECK_LE(ready_.size(), config_.ready_queue_capacity);
   lk.unlock();
   queue_cv_.notify_one();
   // NOTE: the session may already be running on another worker by the
@@ -584,13 +573,10 @@ void AsyncQServer::batch_loop() {
       if (!ready_.empty()) {
         // A batch is "full" at max_batch rows — or as soon as no further
         // request can arrive before a drain: every live session already
-        // has one pending (solo sessions never pay the linger), or the
-        // bounded queue is at capacity and workers are blocked on it.
+        // has one pending (solo sessions never pay the linger).
         const auto batch_full = [this] {
           return ready_.size() >= config_.max_batch ||
-                 ready_.size() >=
-                     live_count_.load(std::memory_order_relaxed) ||
-                 ready_.size() >= config_.ready_queue_capacity;
+                 ready_.size() >= live_count_.load(std::memory_order_relaxed);
         };
         if (config_.max_wait_us > 0 && !batch_full() && exclusive.empty()) {
           // Continuous-batching linger: give co-tenants max_wait_us to
@@ -612,9 +598,10 @@ void AsyncQServer::batch_loop() {
                 ready);
           }
         }
-        // Bounded-queue invariant: workers' backpressure wait keeps the
-        // ready queue within its configured capacity at every drain.
-        OSELM_DCHECK_LE(ready_.size(), config_.ready_queue_capacity);
+        // Each live session has at most one request in flight, so the
+        // ready queue never outgrows the live count.
+        OSELM_DCHECK_LE(ready_.size(),
+                        live_count_.load(std::memory_order_relaxed));
         const std::size_t take =
             std::min(ready_.size(), config_.max_batch);
         drained.assign(ready_.begin(),
@@ -631,7 +618,6 @@ void AsyncQServer::batch_loop() {
         }
       }
     }
-    space_cv_.notify_all();
     for (ExclusiveTask& task : exclusive) run_exclusive_task(task);
     if (!drained.empty()) process_requests(drained);
   }

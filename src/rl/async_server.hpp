@@ -7,8 +7,9 @@
 //     (trainer.hpp) over the same OsElmQRules as rl::OsElmQAgent. Its
 //     environment steps, rng draws and encoding run on a util::ThreadPool
 //     worker, never waiting for co-tenants;
-//   * whenever the loop needs the shared Q-network it parks on a BOUNDED
-//     ready queue (backpressure: workers block when the queue is full);
+//   * whenever the loop needs the shared Q-network it parks on the ready
+//     queue, which holds at most one request per live session, so it is
+//     bounded by max_live_sessions and a worker never blocks on it;
 //   * a single batching thread drains pending requests — waiting up to
 //     `max_wait_us` after the first arrival to coalesce up to `max_batch`
 //     of them — into predict_actions_multi batches against ONE shared
@@ -42,9 +43,9 @@
 //     and worker-thread counts;
 //   * otherwise cross-session batch composition is NOT pinned. Co-tenant
 //     kTrain sessions share weight updates in a scheduling-dependent
-//     order, like any asynchronous trainer. On the fpga-q20 backend,
-//     BackendConfig::multi_charge_per_row (hw::MultiChargePolicy::kPerRow)
-//     makes modeled seconds composition-independent.
+//     order, like any asynchronous trainer, and the fpga-q20 backend
+//     charges each coalesced batch as one multi-batch, so modeled seconds
+//     under co-tenant training are not pinned either.
 //
 // Telemetry: per-step latency and achieved batch size land in
 // util::LatencyHistogram buckets; stats() snapshots them with the
@@ -142,10 +143,6 @@ struct AsyncQServerConfig {
   /// value whose deadline the clock cannot represent, e.g. UINT64_MAX,
   /// waits until the batch is full — the lockstep configuration).
   std::uint64_t max_wait_us = 100;
-  /// Ready-queue bound for backpressure (0 = max_live_sessions, which can
-  /// never block since each live session has at most one request in
-  /// flight; smaller values throttle workers against the batch thread).
-  std::size_t ready_queue_capacity = 0;
   /// Retirement callback mode (RouterQServer's replica seam). When set,
   /// every retiring session's result is handed to this callback INSTEAD
   /// of the internal results map: wait()/drain() must not be used (they
@@ -266,7 +263,7 @@ class AsyncQServer {
   }
   /// Consecutive batch-thread passes that ended in a backend exception
   /// (reset to zero by any clean pass). Crossing the router's
-  /// fail_after_consecutive threshold marks the replica kFailed.
+  /// kFailAfterConsecutive threshold (router.cpp) marks the replica kFailed.
   [[nodiscard]] std::uint64_t consecutive_backend_failures() const noexcept {
     return consecutive_backend_failures_.load(std::memory_order_relaxed);
   }
@@ -346,7 +343,6 @@ class AsyncQServer {
   // Ready queue (workers push, batch thread drains).
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;  ///< batch thread waits for work
-  std::condition_variable space_cv_;  ///< workers wait for queue space
   std::deque<Session*> ready_;
   std::deque<ExclusiveTask> exclusive_;  ///< run_exclusive queue
   bool batch_stop_ = false;

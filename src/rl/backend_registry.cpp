@@ -55,9 +55,6 @@ OsElmQBackendPtr make_fpga_q20(const BackendConfig& config) {
   native.spectral_normalize = config.spectral_normalize;
   native.init_low = config.init_low;
   native.init_high = config.init_high;
-  native.multi_charge = config.multi_charge_per_row
-                            ? hw::MultiChargePolicy::kPerRow
-                            : hw::MultiChargePolicy::kAsBatched;
   return std::make_shared<hw::FpgaOsElmBackend>(native, config.seed,
                                                 config.ledger);
 }

@@ -39,14 +39,6 @@ struct BackendConfig {
   /// FOS-ELM forgetting factor; only honored by backends with the
   /// forgetting capability (the software backend). 1.0 = the paper.
   double forgetting_factor = 1.0;
-  /// Modeled-time accounting for coalesced predict_actions_multi batches
-  /// on fixed-point backends (hw::MultiChargePolicy): false = as-batched
-  /// (one pipeline fill + AXI handshake per coalesced call), true =
-  /// per-row (each row priced as its own batch, so modeled seconds do not
-  /// depend on the scheduling-dependent batch composition — what
-  /// AsyncQServer uses when it needs deterministic time accounting).
-  /// Backends that measure wall-clock ignore it.
-  bool multi_charge_per_row = false;
   std::uint64_t seed = 42;
   /// Shared time account; nullptr gives the backend a private ledger.
   util::TimeLedgerPtr ledger;

@@ -17,6 +17,20 @@ namespace {
 
 constexpr std::size_t kNoReplica = static_cast<std::size_t>(-1);
 
+/// kPeriodicAverage: how often the sync thread polls the update counters
+/// between rounds.
+constexpr std::uint64_t kSyncPollUs = 500;
+/// Maintenance-thread poll cadence for the health state machine.
+constexpr std::uint64_t kHealthPollUs = 200;
+/// Consecutive failed batch-thread passes (AsyncQServer::
+/// consecutive_backend_failures) at which the maintenance thread marks a
+/// replica kFailed and replaces it.
+constexpr std::uint64_t kFailAfterConsecutive = 3;
+/// Re-placement attempts per rescued session before abandoning it.
+constexpr std::size_t kRescueMaxAttempts = 3;
+/// Linear backoff between rescue attempts: attempt * kRescueBackoffUs.
+constexpr std::uint64_t kRescueBackoffUs = 200;
+
 /// Process-wide router metrics, registered once and cached as references
 /// (see async_server.cpp's AsyncMetrics for the pattern rationale).
 struct RouterMetrics {
@@ -546,7 +560,7 @@ std::vector<std::size_t> RouterQServer::observe_health(
     }
     const bool threshold =
         replicas_[i]->consecutive_backend_failures() >=
-        config_.fail_after_consecutive;
+        kFailAfterConsecutive;
     const bool killed =
         std::find(kill_requests.begin(), kill_requests.end(), i) !=
         kill_requests.end();
@@ -626,9 +640,7 @@ void RouterQServer::replace_replica(std::size_t index) {
 
 void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
   OSELM_TRACE_SPAN("rescue", "attempt");
-  const std::size_t max_attempts =
-      std::max<std::size_t>(1, config_.rescue_max_attempts);
-  for (std::size_t attempt = 1; !abandon_all && attempt <= max_attempts;
+  for (std::size_t attempt = 1; !abandon_all && attempt <= kRescueMaxAttempts;
        ++attempt) {
     if (stopping_.load(std::memory_order_acquire)) break;
     {
@@ -668,9 +680,9 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
         }
       }
     }
-    // Deterministic linear backoff: attempt * rescue_backoff_us.
+    // Deterministic linear backoff: attempt * kRescueBackoffUs.
     std::this_thread::sleep_for(std::chrono::microseconds(
-        config_.rescue_backoff_us * static_cast<std::uint64_t>(attempt)));
+        kRescueBackoffUs * static_cast<std::uint64_t>(attempt)));
   }
   // Abandoned: deliver the partial result as a backend failure so the
   // session still ends exactly once, with an error naming why.
@@ -686,7 +698,7 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
       abandon_all || stopping_.load(std::memory_order_acquire);
   std::string note =
       shutdown ? "router stopping"
-               : "no capacity after " + std::to_string(max_attempts) +
+               : "no capacity after " + std::to_string(kRescueMaxAttempts) +
                      " attempts";
   AsyncSessionResult result = std::move(job.partial);
   result.cause = SessionEndCause::kBackendError;
@@ -716,7 +728,7 @@ void RouterQServer::maintenance_loop() {
   std::unique_lock lk(maintenance_mutex_);
   for (;;) {
     maintenance_cv_.wait_for(
-        lk, std::chrono::microseconds(config_.health_poll_us), [this] {
+        lk, std::chrono::microseconds(kHealthPollUs), [this] {
           return maintenance_stop_ || !kill_requests_.empty() ||
                  !rescue_queue_.empty();
         });
@@ -818,7 +830,7 @@ void RouterQServer::sync_loop() {
   obs::Tracer::set_thread_name((config_.name + "/sync").c_str());
   std::unique_lock lk(sync_mutex_);
   for (;;) {
-    sync_cv_.wait_for(lk, std::chrono::microseconds(config_.sync_poll_us),
+    sync_cv_.wait_for(lk, std::chrono::microseconds(kSyncPollUs),
                       [this] { return sync_stop_; });
     const bool stopping = sync_stop_;
     std::uint64_t total = 0;

@@ -35,11 +35,12 @@
 //
 // Replica lifecycle (the self-healing tier). Each replica slot carries a
 // health state machine, advanced by a dedicated maintenance thread that
-// polls the replicas' failure counters every health_poll_us:
+// polls the replicas' failure counters every kHealthPollUs (the lifecycle
+// constants live in router.cpp):
 //
 //   kHealthy --(any backend-failure event)--> kDegraded
 //   kDegraded/kHealthy --(consecutive failed batch passes >=
-//        fail_after_consecutive, or an explicit kill_replica())--> kFailed
+//        kFailAfterConsecutive, or an explicit kill_replica())--> kFailed
 //   kFailed --(replacement server built and swapped in)--> kReplaced,
 //        then a NEW incarnation starts at kHealthy
 //
@@ -61,7 +62,7 @@
 // same agent seed — so its completed work on the failed replica is
 // discarded and its final result looks like a clean run with
 // AsyncSessionResult::rescues > 0. Re-placement retries up to
-// rescue_max_attempts times with linear backoff; a session that cannot
+// kRescueMaxAttempts times with linear backoff; a session that cannot
 // be placed (or is caught by router shutdown) is ABANDONED: its partial
 // result is delivered with failed = true, cause kBackendError, and an
 // error naming the abandonment. Every admitted session therefore ends
@@ -197,23 +198,10 @@ struct RouterConfig {
   /// kPeriodicAverage: run a sync round whenever the fleet accumulated
   /// this many train updates since the last round.
   std::uint64_t sync_every_updates = 256;
-  /// kPeriodicAverage: how often the sync thread polls the update
-  /// counters between rounds.
-  std::uint64_t sync_poll_us = 500;
   /// Bounded-wait admission: when every usable replica is at cap,
   /// add_session blocks up to this long for a retirement to free a slot
   /// before throwing AdmissionError(kCapacity). 0 = reject immediately.
   std::uint64_t admission_wait_us = 0;
-  /// Consecutive failed batch-thread passes (AsyncQServer::
-  /// consecutive_backend_failures) at which the maintenance thread marks
-  /// a replica kFailed and replaces it.
-  std::uint64_t fail_after_consecutive = 3;
-  /// Re-placement attempts per rescued session before abandoning it.
-  std::size_t rescue_max_attempts = 3;
-  /// Linear backoff between rescue attempts: attempt * rescue_backoff_us.
-  std::uint64_t rescue_backoff_us = 200;
-  /// Maintenance-thread poll cadence for the health state machine.
-  std::uint64_t health_poll_us = 200;
 };
 
 /// A session plus its placement key.

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "elm/spectral.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/ops.hpp"
 #include "util/timer.hpp"
@@ -24,8 +25,7 @@ SoftwareOsElmBackend::SoftwareOsElmBackend(SoftwareBackendConfig config,
 void SoftwareOsElmBackend::initialize() {
   net_.reinitialize(rng_);
   if (config_.spectral_normalize) {
-    sigma_at_init_ = elm::spectral_normalize_inplace(
-        net_.mutable_alpha(), config_.sigma_method, rng_);
+    sigma_at_init_ = elm::spectral_normalize_inplace(net_.mutable_alpha());
   } else {
     sigma_at_init_ = 0.0;
   }

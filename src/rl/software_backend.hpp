@@ -8,7 +8,6 @@
 #pragma once
 
 #include "elm/os_elm.hpp"
-#include "elm/spectral.hpp"
 #include "rl/agent.hpp"
 #include "util/rng.hpp"
 
@@ -17,7 +16,6 @@ namespace oselm::rl {
 struct SoftwareBackendConfig {
   elm::ElmConfig elm;              ///< input_dim, hidden_units, delta, ...
   bool spectral_normalize = false; ///< Algorithm 1 lines 2-3 (alpha /= sigma)
-  elm::SigmaMethod sigma_method = elm::SigmaMethod::kSvd;
   /// FOS-ELM forgetting factor for sequential updates; 1.0 (default)
   /// reproduces the paper exactly, <1 exponentially discounts old TD
   /// targets (extension experiment, see bench_ext_future_work).

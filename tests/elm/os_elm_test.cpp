@@ -271,5 +271,26 @@ TEST(OsElm, StreamingRegressionConvergesToFunction) {
   EXPECT_LT(total_error / kProbes, 0.05);
 }
 
+TEST(FromParts, ValidatesShapes) {
+  const ElmConfig cfg = config_for(4, 12, 2, 0.25);
+  EXPECT_THROW(OsElm::from_parts(cfg, linalg::MatD(2, 2), linalg::VecD(12),
+                                 linalg::MatD(12, 2), linalg::MatD(), false),
+               std::invalid_argument);
+  EXPECT_THROW(OsElm::from_parts(cfg, linalg::MatD(4, 12),
+                                 linalg::VecD(12), linalg::MatD(12, 2),
+                                 linalg::MatD(3, 3), true),
+               std::invalid_argument);
+}
+
+TEST(FromParts, RejectsNonEmptyPWhenUninitialized) {
+  // A model that never ran init_train has no P; accepting one would let a
+  // later init_train round-trip resurrect stale inverse-Gram state.
+  const ElmConfig cfg = config_for(4, 12, 2, 0.25);
+  EXPECT_THROW(OsElm::from_parts(cfg, linalg::MatD(4, 12), linalg::VecD(12),
+                                 linalg::MatD(12, 2), linalg::MatD(12, 12),
+                                 /*initialized=*/false),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace oselm::elm

@@ -12,40 +12,19 @@ namespace {
 
 using test_support::random_matrix;
 
-TEST(SigmaMax, BothMethodsAgree) {
-  util::Rng rng(1);
-  for (int trial = 0; trial < 5; ++trial) {
-    const linalg::MatD m = random_matrix(5, 32, rng);
-    util::Rng pi_rng(static_cast<std::uint64_t>(trial) + 10);
-    const double by_svd = sigma_max(m, SigmaMethod::kSvd, pi_rng);
-    const double by_pi = sigma_max(m, SigmaMethod::kPowerIteration, pi_rng);
-    EXPECT_NEAR(by_svd, by_pi, 1e-5 * (1.0 + by_svd)) << trial;
-  }
-}
-
 TEST(SpectralNormalize, ResultHasUnitSigmaMax) {
   // Algorithm 1 lines 2-3: alpha <- alpha / sigma_max(alpha).
   util::Rng rng(2);
   linalg::MatD alpha = random_matrix(5, 64, rng);
   const double sigma_before = linalg::largest_singular_value(alpha);
-  const double reported =
-      spectral_normalize_inplace(alpha, SigmaMethod::kSvd, rng);
+  const double reported = spectral_normalize_inplace(alpha);
   EXPECT_NEAR(reported, sigma_before, 1e-10);
   EXPECT_NEAR(linalg::largest_singular_value(alpha), 1.0, 1e-9);
 }
 
-TEST(SpectralNormalize, PowerIterationVariantAlsoLandsNearOne) {
-  util::Rng rng(3);
-  linalg::MatD alpha = random_matrix(5, 48, rng);
-  spectral_normalize_inplace(alpha, SigmaMethod::kPowerIteration, rng);
-  EXPECT_NEAR(linalg::largest_singular_value(alpha), 1.0, 1e-4);
-}
-
 TEST(SpectralNormalize, ZeroMatrixIsNoOp) {
-  util::Rng rng(4);
   linalg::MatD zeros(3, 3);
-  EXPECT_DOUBLE_EQ(spectral_normalize_inplace(zeros, SigmaMethod::kSvd, rng),
-                   0.0);
+  EXPECT_DOUBLE_EQ(spectral_normalize_inplace(zeros), 0.0);
   EXPECT_TRUE(linalg::approx_equal(zeros, linalg::MatD(3, 3), 0.0));
 }
 
@@ -53,8 +32,7 @@ TEST(SpectralNormalize, DirectionIsPreserved) {
   util::Rng rng(5);
   linalg::MatD alpha = random_matrix(4, 8, rng);
   const linalg::MatD before = alpha;
-  const double sigma = spectral_normalize_inplace(alpha, SigmaMethod::kSvd,
-                                                  rng);
+  const double sigma = spectral_normalize_inplace(alpha);
   for (std::size_t i = 0; i < alpha.size(); ++i) {
     EXPECT_NEAR(alpha.data()[i] * sigma, before.data()[i], 1e-10);
   }
@@ -76,7 +54,7 @@ TEST(LipschitzBound, NetworkOutputsRespectTheBound) {
   cfg.output_dim = 1;
   Elm net(cfg, rng);
   // Spectral-normalize alpha like the Lipschitz designs do.
-  spectral_normalize_inplace(net.mutable_alpha(), SigmaMethod::kSvd, rng);
+  spectral_normalize_inplace(net.mutable_alpha());
   const double k = lipschitz_upper_bound(net.alpha(), net.beta());
 
   for (int trial = 0; trial < 200; ++trial) {
@@ -100,7 +78,7 @@ TEST(LipschitzBound, NormalizedAlphaCapsConstantAtSigmaBeta) {
   // bounded by sigma_max(beta) alone.
   util::Rng rng(7);
   linalg::MatD alpha = random_matrix(5, 32, rng);
-  spectral_normalize_inplace(alpha, SigmaMethod::kSvd, rng);
+  spectral_normalize_inplace(alpha);
   const linalg::MatD beta = random_matrix(32, 1, rng);
   const double bound = lipschitz_upper_bound(alpha, beta);
   EXPECT_NEAR(bound, linalg::largest_singular_value(beta), 1e-9);

@@ -301,71 +301,6 @@ TEST(FpgaBackend, MultiStateBatchChargesOneHandshake) {
   EXPECT_DOUBLE_EQ(m.predict_multi_seconds(1, 2), m.predict_batch_seconds(2));
 }
 
-TEST(FpgaBackend, PerRowChargePolicyIsCompositionIndependent) {
-  // Under MultiChargePolicy::kPerRow the modeled time for a stream of
-  // evaluations is the same no matter how a scheduler slices it into
-  // multi batches — the accounting mode AsyncQServer relies on — and the
-  // arithmetic stays bit-identical to the as-batched backend's.
-  FpgaBackendConfig per_row_cfg = small_config(64);
-  per_row_cfg.multi_charge = MultiChargePolicy::kPerRow;
-  FpgaOsElmBackend one_call(per_row_cfg, 21);
-  FpgaOsElmBackend three_calls(per_row_cfg, 21);
-  FpgaOsElmBackend as_batched(small_config(64), 21);
-  const CycleModel& m = one_call.cycle_model();
-  const linalg::VecD codes{-1.0, 1.0};
-  linalg::MatD states(6, 4);
-  for (std::size_t s = 0; s < 6; ++s) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      states(s, i) = 0.05 * static_cast<double>(s) - 0.1 * static_cast<double>(i);
-    }
-  }
-
-  linalg::MatD q_one(6, 2);
-  one_call.predict_actions_multi(states, codes, rl::QNetwork::kMain, q_one);
-
-  linalg::MatD q_three(6, 2);
-  for (std::size_t chunk = 0; chunk < 3; ++chunk) {
-    linalg::MatD part(2, 4);
-    linalg::MatD q_part(2, 2);
-    for (std::size_t r = 0; r < 2; ++r) {
-      part.set_row(r, states.row(chunk * 2 + r));
-    }
-    three_calls.predict_actions_multi(part, codes, rl::QNetwork::kMain,
-                                      q_part);
-    for (std::size_t r = 0; r < 2; ++r) {
-      q_three.set_row(chunk * 2 + r, q_part.row(r));
-    }
-  }
-
-  linalg::MatD q_ref(6, 2);
-  as_batched.predict_actions_multi(states, codes, rl::QNetwork::kMain, q_ref);
-
-  // Values: policy never touches arithmetic.
-  for (std::size_t s = 0; s < 6; ++s) {
-    for (std::size_t a = 0; a < 2; ++a) {
-      EXPECT_EQ(q_one(s, a), q_three(s, a)) << s << "," << a;
-      EXPECT_EQ(q_one(s, a), q_ref(s, a)) << s << "," << a;
-    }
-  }
-  // Time: per-row totals are slicing-independent and equal 6 standalone
-  // batches; the as-batched total is strictly cheaper (one handshake).
-  const double expected = 6.0 * m.predict_batch_seconds(2);
-  using util::OpCategory;
-  EXPECT_DOUBLE_EQ(
-      one_call.ledger().breakdown().get(OpCategory::kPredictInit), expected);
-  EXPECT_DOUBLE_EQ(
-      three_calls.ledger().breakdown().get(OpCategory::kPredictInit),
-      expected);
-  EXPECT_EQ(one_call.total_pl_cycles(), 6 * m.predict_batch_cycles(2));
-  EXPECT_LT(
-      as_batched.ledger().breakdown().get(OpCategory::kPredictInit),
-      expected);
-  // Invocation counts stay one-per-evaluation under both policies.
-  EXPECT_EQ(one_call.ledger().breakdown().invocations(
-                OpCategory::kPredictInit),
-            12u);
-}
-
 TEST(FpgaBackend, InitializeResetsState) {
   FpgaOsElmBackend backend(small_config(8), 10);
   util::Rng rng(100);

@@ -27,6 +27,7 @@
 #include <tuple>
 
 #include "env/registry.hpp"
+#include "obs/metrics.hpp"
 #include "rl/backend_registry.hpp"
 #include "rl/oselm_q_agent.hpp"
 #include "rl/trainer.hpp"
@@ -486,6 +487,61 @@ TEST(AsyncQServer, AdmissionControlRejectsBeyondTheCapWithAClearError) {
   (void)b;
 }
 
+std::uint64_t global_counter(const obs::MetricsSnapshot& snapshot,
+                             const std::string& name) {
+  for (const auto& [counter, value] : snapshot.counters) {
+    if (counter == name) return value;
+  }
+  return 0;  // not registered yet: no server has bumped it
+}
+
+TEST(AsyncQServer, ProcessWideCountersAdvanceByExactlyTheServerStats) {
+  // Every serving event is counted twice: in the server's own atomics
+  // (stats()) and in the process-wide oselm_async_* registry counters.
+  // Both books must agree on a whole server lifetime.
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+  AsyncQServerConfig config;
+  config.max_live_sessions = 2;
+  config.worker_threads = 2;
+  AsyncQServer server(make_backend("software", backend_config(15)),
+                      SimplifiedOutputModel(4, 2), config);
+  // A training session to completion: init_train and seq_train both run.
+  EXPECT_TRUE(server.wait(server.add_session(train_spec(160, 170, 20)))
+                  .completed);
+  // Two slow sessions fill the cap, so a third is refused.
+  AsyncSessionSpec slow = eval_spec(161, 171, 50);
+  slow.session.env_id = "delay:2000:ShapedCartPole-v0";
+  server.add_session(slow);
+  slow.session.env_seed = 162;
+  server.add_session(slow);
+  EXPECT_THROW(server.add_session(eval_spec(163, 173)), AdmissionError);
+  server.stop();
+
+  const AsyncServerStats stats = server.stats();
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::global().snapshot();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"oselm_async_steps_total", stats.steps},
+      {"oselm_async_batches_total", stats.batches},
+      {"oselm_async_batch_rows_total", stats.batch_rows},
+      {"oselm_async_train_updates_total", stats.train_updates},
+      {"oselm_async_init_trains_total", stats.init_trains},
+      {"oselm_async_sessions_admitted_total", stats.sessions_admitted},
+      {"oselm_async_sessions_retired_total", stats.sessions_retired},
+      {"oselm_async_admission_rejections_total", stats.admission_rejections},
+      {"oselm_async_backend_failures_total", stats.backend_failures},
+  };
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(global_counter(after, name) - global_counter(before, name),
+              value)
+        << name;
+  }
+  EXPECT_GT(stats.train_updates, 0u);
+  EXPECT_GT(stats.init_trains, 0u);
+  EXPECT_EQ(stats.sessions_admitted, 3u);
+  EXPECT_EQ(stats.sessions_retired, 3u);
+  EXPECT_EQ(stats.admission_rejections, 1u);
+}
+
 TEST(AsyncQServer, ConcurrentJoinsRacingStopNeverHangOrMiscount) {
   // Regression for the join()-racing-stop() window: joins that land
   // while stop() tears the server down must either be admitted (and then
@@ -709,21 +765,6 @@ TEST(AsyncQServer, DestructionWithoutStopIsAGracefulStop) {
     // Destructor runs with the session mid-flight.
   }
   SUCCEED();
-}
-
-TEST(AsyncQServer, BoundedReadyQueueBackpressureStillCompletes) {
-  AsyncQServerConfig config;
-  config.ready_queue_capacity = 1;  // maximal backpressure
-  config.worker_threads = 3;
-  AsyncQServer server(make_backend("software", backend_config(12)),
-                      SimplifiedOutputModel(4, 2), config);
-  std::vector<std::size_t> ids;
-  for (std::size_t i = 0; i < 6; ++i) {
-    ids.push_back(server.add_session(eval_spec(100 + i, 110 + i)));
-  }
-  for (const std::size_t id : ids) {
-    EXPECT_TRUE(server.wait(id).completed) << id;
-  }
 }
 
 TEST(AsyncQServer, EvaluationNeverMutatesTheBackend) {

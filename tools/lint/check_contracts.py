@@ -34,6 +34,11 @@ Rules:
       util::TimeLedger/WallTimer seams. The pre-existing Clock::now()
       sites in async_server.cpp (admission stamps, batch deadline) are
       baselined; new direct clock reads on the hot path are rejected.
+  dead-header
+      Every src/**/*.hpp must be reachable through #include chains from
+      a translation unit under bench/, perfbench/, examples/ or tools/.
+      Reaching x.hpp also follows the includes of its x.cpp. A header
+      only tests include is dead code: delete it with its .cpp.
 
 Usage:
   python3 tools/lint/check_contracts.py            # gate (CI mode)
@@ -80,6 +85,12 @@ HEAP_ALLOC_PATTERNS = (
 )
 
 COMMENT_RE = re.compile(r"//.*$")
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+
+# Directories whose translation units are the program's callers: a
+# src/ header none of them reaches is dead code.
+CALLER_DIRS = ("bench", "perfbench", "examples", "tools")
 
 
 class Finding:
@@ -190,12 +201,49 @@ def check_hot_loop_clock() -> list[Finding]:
     return findings
 
 
+def resolve_include(including: Path, name: str) -> Path | None:
+    """Resolves a quoted include the way the builds do: next to the
+    including file first, then from src/."""
+    for base in (including.parent, REPO / "src"):
+        candidate = (base / name).resolve()
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def check_dead_header() -> list[Finding]:
+    src = REPO / "src"
+    pending = [path.resolve() for d in CALLER_DIRS
+               for path in sorted((REPO / d).glob("**/*.cpp"))]
+    seen = set(pending)
+    while pending:
+        path = pending.pop()
+        for name in INCLUDE_RE.findall(path.read_text()):
+            header = resolve_include(path, name)
+            if header is None:
+                continue
+            reached = [header]
+            source = header.with_suffix(".cpp")
+            if header.suffix == ".hpp" and source.is_file():
+                reached.append(source)
+            for item in reached:
+                if item not in seen:
+                    seen.add(item)
+                    pending.append(item)
+    return [Finding("dead-header", path, 1,
+                    "no translation unit under " + ", ".join(CALLER_DIRS)
+                    + " reaches this header; delete it with its .cpp")
+            for path in sorted(src.glob("**/*.hpp"))
+            if path.resolve() not in seen]
+
+
 CHECKS = (
     check_kernel_heap_alloc,
     check_backend_call_outside_batch,
     check_naked_thread,
     check_mutex_lock_order,
     check_hot_loop_clock,
+    check_dead_header,
 )
 
 

@@ -6,13 +6,28 @@
 # (then remove them from the baseline — the ratchet only shrinks).
 # New files must match .clang-format exactly.
 #
-# Exits 0 with a notice when no clang-format binary is available, so the
-# script is callable from toolchains without LLVM; the static-analysis
-# CI job is where it gates.
+# Every baseline line must name an existing file: a deleted file's line
+# would otherwise linger silently. That check needs no clang-format and
+# runs first, on every host. The format check itself exits 0 with a
+# notice when no clang-format binary is available, so the script is
+# callable from toolchains without LLVM; the static-analysis CI job is
+# where it gates.
 set -eu
 
 repo="$(cd "$(dirname "$0")/../.." && pwd)"
 baseline="$repo/tools/lint/format_baseline.txt"
+
+stale=0
+while IFS= read -r file || [ -n "$file" ]; do
+  if [ -n "$file" ] && [ ! -f "$repo/$file" ]; then
+    echo "FAIL $file: listed in format_baseline.txt but does not exist" \
+         "(remove its line)" >&2
+    stale=1
+  fi
+done < "$baseline"
+if [ "$stale" -ne 0 ]; then
+  exit 1
+fi
 
 clang_format=""
 for candidate in clang-format clang-format-18 clang-format-17 \
