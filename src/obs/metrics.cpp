@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "util/thread_pool.hpp"
@@ -29,17 +30,109 @@ bool valid_metric_name(const std::string& name) noexcept {
   return true;
 }
 
-void append_double(std::string* out, double value) {
+void append(std::string* out, double value) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   *out += buf;
 }
 
-void append_u64(std::string* out, std::uint64_t value) {
+void append(std::string* out, std::uint64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%llu",
                 static_cast<unsigned long long>(value));
   *out += buf;
+}
+
+void append(std::string* out, const util::LatencyHistogram& histogram) {
+  *out += histogram.to_json();
+}
+
+/// Finds or registers `name` in `metrics`; throws if the name is invalid
+/// or registered in one of `others` (the other kinds).
+template <typename Metric, typename... Others>
+Metric& find_or_add(std::map<std::string, std::unique_ptr<Metric>>& metrics,
+                    const std::string& name, const Others&... others) {
+  if (!valid_metric_name(name)) {
+    throw std::invalid_argument("obs: invalid metric name '" + name + "'");
+  }
+  if ((others.contains(name) || ...)) {
+    throw std::invalid_argument("obs: metric '" + name +
+                                "' already registered as another kind");
+  }
+  auto& slot = metrics[name];
+  if (!slot) slot = std::make_unique<Metric>();
+  return *slot;
+}
+
+void add_to(std::uint64_t* sum, std::uint64_t value) { *sum += value; }
+void add_to(double* sum, double value) { *sum += value; }
+void add_to(util::LatencyHistogram* sum, const util::LatencyHistogram& value) {
+  sum->merge(value);
+}
+
+/// Sorts series by (name, labels), summing series with equal keys.
+template <typename Value>
+void sort_and_sum(std::vector<Series<Value>>& series) {
+  std::map<std::pair<std::string, Labels>, Value> merged;
+  for (Series<Value>& s : series) {
+    const auto [it, fresh] = merged.try_emplace(
+        {std::move(s.name), std::move(s.labels)}, s.value);
+    if (!fresh) add_to(&it->second, s.value);
+  }
+  series.clear();
+  for (auto& [key, value] : merged) {
+    series.push_back({key.first, key.second, std::move(value)});
+  }
+}
+
+/// The Prometheus spelling of a series: name{k="v",...}, label values
+/// escaped; just the name when there are no labels.
+std::string series_text(const std::string& name, const Labels& labels) {
+  if (labels.empty()) return name;
+  std::string out = name + '{';
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (i > 0) out += ',';
+    out += labels[i].first + "=\"";
+    for (const char c : labels[i].second) {
+      if (c == '\\' || c == '"' || c == '\n') out += '\\';
+      out += c == '\n' ? 'n' : c;
+    }
+    out += '"';
+  }
+  return out + '}';
+}
+
+/// Appends `# TYPE name kind` when series `i` starts a new family.
+template <typename Value>
+void append_type_line(std::string* out, const std::vector<Series<Value>>& all,
+                      std::size_t i, const char* kind) {
+  if (i > 0 && all[i - 1].name == all[i].name) return;
+  *out += "# TYPE " + all[i].name + ' ' + kind + '\n';
+}
+
+/// Prometheus lines of a counter or gauge family list.
+template <typename Value>
+void append_prometheus(std::string* out, const std::vector<Series<Value>>& all,
+                       const char* kind) {
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    append_type_line(out, all, i, kind);
+    *out += series_text(all[i].name, all[i].labels) + ' ';
+    append(out, all[i].value);
+    *out += '\n';
+  }
+}
+
+/// `"key":{"series":value,...}` for one kind of a JSONL record.
+template <typename Value>
+void append_json_object(std::string* out, const char* key,
+                        const std::vector<Series<Value>>& all) {
+  *out += '"' + std::string(key) + "\":{";
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (i > 0) *out += ',';
+    *out += '"' + json_escape(series_text(all[i].name, all[i].labels)) + "\":";
+    append(out, all[i].value);
+  }
+  *out += '}';
 }
 
 }  // namespace
@@ -71,92 +164,80 @@ MetricsRegistry& MetricsRegistry::global() {
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
-  if (!valid_metric_name(name)) {
-    throw std::invalid_argument("obs: invalid metric name '" + name + "'");
-  }
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (gauges_.count(name) != 0 || histograms_.count(name) != 0) {
-    throw std::invalid_argument("obs: metric '" + name +
-                                "' already registered as another kind");
-  }
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  return find_or_add(counters_, name, gauges_, histograms_);
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  if (!valid_metric_name(name)) {
-    throw std::invalid_argument("obs: invalid metric name '" + name + "'");
-  }
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (counters_.count(name) != 0 || histograms_.count(name) != 0) {
-    throw std::invalid_argument("obs: metric '" + name +
-                                "' already registered as another kind");
-  }
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return find_or_add(gauges_, name, counters_, histograms_);
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name) {
-  if (!valid_metric_name(name)) {
-    throw std::invalid_argument("obs: invalid metric name '" + name + "'");
-  }
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (counters_.count(name) != 0 || gauges_.count(name) != 0) {
-    throw std::invalid_argument("obs: metric '" + name +
-                                "' already registered as another kind");
-  }
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  return find_or_add(histograms_, name, counters_, gauges_);
+}
+
+MetricsRegistry::CollectorHandle MetricsRegistry::add_collector(
+    Collector collector) {
+  const std::lock_guard<std::mutex> lock(collectors_mutex_);
+  const std::uint64_t id = next_collector_id_++;
+  collectors_.emplace(id, std::move(collector));
+  return CollectorHandle(this, Detach{id});
+}
+
+void MetricsRegistry::remove_collector(std::uint64_t id) noexcept {
+  write_sample();  // the collector's last values, while a sampler runs
+  const std::lock_guard<std::mutex> lock(collectors_mutex_);
+  collectors_.erase(id);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.captured_at_us = wall_clock_us();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace_back(name, counter->value());
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [name, counter] : counters_) {
+      snap.counters.push_back({name, {}, counter->value()});
+    }
+    for (const auto& [name, gauge] : gauges_) {
+      snap.gauges.push_back({name, {}, gauge->value()});
+    }
+    for (const auto& [name, histogram] : histograms_) {
+      snap.histograms.push_back({name, {}, histogram->snapshot()});
+    }
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges.emplace_back(name, gauge->value());
+  {
+    const std::lock_guard<std::mutex> lock(collectors_mutex_);
+    for (const auto& [id, collector] : collectors_) collector(snap);
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    snap.histograms.emplace_back(name, histogram->snapshot());
-  }
-  return snap;  // std::map iteration => names already sorted
+  sort_and_sum(snap.counters);
+  sort_and_sum(snap.gauges);
+  sort_and_sum(snap.histograms);
+  return snap;
 }
 
 std::string MetricsRegistry::prometheus_text(const MetricsSnapshot& snapshot) {
   std::string out;
-  for (const auto& [name, value] : snapshot.counters) {
-    out += "# TYPE " + name + " counter\n" + name + " ";
-    append_u64(&out, value);
-    out += '\n';
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += "# TYPE " + name + " gauge\n" + name + " ";
-    append_double(&out, value);
-    out += '\n';
-  }
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    out += "# TYPE " + name + " summary\n";
+  append_prometheus(&out, snapshot.counters, "counter");
+  append_prometheus(&out, snapshot.gauges, "gauge");
+  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
+    const Series<util::LatencyHistogram>& s = snapshot.histograms[i];
+    append_type_line(&out, snapshot.histograms, i, "summary");
     for (const auto& [label, q] :
          {std::pair<const char*, double>{"0.5", 0.50},
           {"0.95", 0.95},
           {"0.99", 0.99}}) {
-      out += name + "{quantile=\"" + label + "\"} ";
-      append_double(&out, histogram.quantile(q));
+      Labels labels = s.labels;
+      labels.emplace_back("quantile", label);
+      out += series_text(s.name, labels) + ' ';
+      append(&out, s.value.quantile(q));
       out += '\n';
     }
-    out += name + "_sum ";
-    append_double(&out, histogram.sum());
-    out += '\n' + name + "_count ";
-    append_u64(&out, histogram.count());
+    out += series_text(s.name + "_sum", s.labels) + ' ';
+    append(&out, s.value.sum());
+    out += '\n' + series_text(s.name + "_count", s.labels) + ' ';
+    append(&out, s.value.count());
     out += '\n';
   }
   return out;
@@ -164,32 +245,14 @@ std::string MetricsRegistry::prometheus_text(const MetricsSnapshot& snapshot) {
 
 std::string MetricsRegistry::jsonl_line(const MetricsSnapshot& snapshot) {
   std::string out = "{\"captured_at_us\":";
-  append_u64(&out, snapshot.captured_at_us);
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(name) + "\":";
-    append_u64(&out, value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(name) + "\":";
-    append_double(&out, value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(name) + "\":" + histogram.to_json();
-  }
-  out += "}}";
-  return out;
+  append(&out, snapshot.captured_at_us);
+  out += ',';
+  append_json_object(&out, "counters", snapshot.counters);
+  out += ',';
+  append_json_object(&out, "gauges", snapshot.gauges);
+  out += ',';
+  append_json_object(&out, "histograms", snapshot.histograms);
+  return out + '}';
 }
 
 bool MetricsRegistry::start_sampler(const std::string& path,
@@ -200,10 +263,13 @@ bool MetricsRegistry::start_sampler(const std::string& path,
     // Truncate up front so a restart never appends to a stale series,
     // and so an unwritable path fails here rather than silently in the
     // background lane.
-    std::ofstream probe(path, std::ios::trunc);
-    if (!probe) return false;
+    const std::lock_guard<std::mutex> file_lock(file_mutex_);
+    sampler_file_.open(path, std::ios::trunc);
+    if (!sampler_file_) {
+      sampler_file_.close();
+      return false;
+    }
   }
-  sampler_path_ = path;
   {
     const std::lock_guard<std::mutex> loop_lock(loop_mutex_);
     sampler_stop_ = false;
@@ -215,13 +281,16 @@ bool MetricsRegistry::start_sampler(const std::string& path,
   return true;
 }
 
+void MetricsRegistry::write_sample() {
+  const std::lock_guard<std::mutex> lock(file_mutex_);
+  if (!sampler_file_.is_open()) return;
+  sampler_file_ << jsonl_line(snapshot()) << '\n';
+  sampler_file_.flush();
+}
+
 void MetricsRegistry::sampler_loop(std::uint64_t period_ms) {
-  std::ofstream file(sampler_path_, std::ios::app);
   while (true) {
-    if (file) {
-      file << jsonl_line(snapshot()) << '\n';
-      file.flush();
-    }
+    write_sample();
     std::unique_lock<std::mutex> lock(loop_mutex_);
     if (loop_cv_.wait_for(lock, std::chrono::milliseconds(period_ms),
                           [this] { return sampler_stop_; })) {
@@ -229,10 +298,7 @@ void MetricsRegistry::sampler_loop(std::uint64_t period_ms) {
     }
   }
   // Final snapshot so short runs always leave at least two points.
-  if (file) {
-    file << jsonl_line(snapshot()) << '\n';
-    file.flush();
-  }
+  write_sample();
 }
 
 void MetricsRegistry::stop_sampler() {
@@ -244,6 +310,10 @@ void MetricsRegistry::stop_sampler() {
   }
   loop_cv_.notify_all();
   sampler_pool_.reset();  // joins the lane; the loop wrote its final line
+  {
+    const std::lock_guard<std::mutex> file_lock(file_mutex_);
+    sampler_file_.close();
+  }
   set_timing_enabled(false);
 }
 

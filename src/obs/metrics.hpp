@@ -1,22 +1,26 @@
-// Named metrics registry: atomic counters/gauges, histogram handles, a
-// periodic sampler, and Prometheus / JSONL exporters.
+// Named metrics registry: atomic counters/gauges, histogram handles,
+// labeled collector series, a periodic sampler, and Prometheus / JSONL
+// exporters.
 //
 // Instrumented code registers a metric ONCE (registration takes a mutex
 // and validates the name against the Prometheus grammar) and then holds
 // the returned reference forever — updates are single relaxed atomic ops
 // on the handle, safe from any thread. Histograms wrap the existing
 // util::LatencyHistogram (quarter-octave buckets, merge-based) behind a
-// tiny spinlock-free mutex; they sit off the per-step hot path (batch
-// linger, admission wait), so a mutexed record is fine there.
+// mutex; they sit off the per-step hot path (batch linger, admission
+// wait), so a mutexed record is fine there. Objects that already count
+// their own events (AsyncQServer, RouterQServer) are not counted twice:
+// each attaches one collector that snapshot() calls to read its counters
+// as labeled series, e.g. `oselm_async_steps_total{server="router/r1"}`.
 //
 // Snapshots are wall-clock stamped (`captured_at_us`, microseconds since
 // the Unix epoch) so they line up with AsyncServerStats/RouterStats
 // captured_at_us and with trace timelines. Two writers, no network
 // dependency:
-//   - prometheus_text(): the text exposition format (counters as
-//     `# TYPE x counter`, histograms as summaries with p50/p95/p99
-//     quantile lines) — serve the file with any static server or
-//     node_exporter's textfile collector;
+//   - prometheus_text(): the text exposition format (one `# TYPE` line
+//     per family, histograms as summaries with p50/p95/p99 quantile
+//     lines) — serve the file with any static server or node_exporter's
+//     textfile collector;
 //   - jsonl_line(): one self-contained JSON object per snapshot,
 //     appended to a .metrics.jsonl time-series file by the sampler.
 //
@@ -30,6 +34,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -87,10 +93,6 @@ class Histogram {
     const std::lock_guard<std::mutex> lock(mutex_);
     histogram_.record(value);
   }
-  void merge(const util::LatencyHistogram& other) noexcept {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    histogram_.merge(other);
-  }
   [[nodiscard]] util::LatencyHistogram snapshot() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return histogram_;
@@ -101,12 +103,25 @@ class Histogram {
   util::LatencyHistogram histogram_;
 };
 
-/// One timestamped view of every registered metric, names sorted.
+/// (key, value) pairs, printed in this order.
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
+/// One series of a snapshot; registered metrics have no labels.
+template <typename Value>
+struct Series {
+  std::string name;
+  Labels labels;
+  Value value{};
+};
+
+/// One timestamped view of every registered metric and collector series,
+/// sorted by (name, labels) so a family is contiguous; series with equal
+/// name and labels are summed.
 struct MetricsSnapshot {
   std::uint64_t captured_at_us = 0;  ///< wall clock, us since Unix epoch
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, util::LatencyHistogram>> histograms;
+  std::vector<Series<std::uint64_t>> counters;
+  std::vector<Series<double>> gauges;
+  std::vector<Series<util::LatencyHistogram>> histograms;
 };
 
 class MetricsRegistry {
@@ -115,6 +130,21 @@ class MetricsRegistry {
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  using Collector = std::function<void(MetricsSnapshot&)>;
+  struct Detach {
+    std::uint64_t id = 0;
+    void operator()(MetricsRegistry* registry) const noexcept {
+      registry->remove_collector(id);
+    }
+  };
+  /// Keeps a collector attached; destroying (or assigning over) it
+  /// detaches the collector, waiting out a snapshot that is running it.
+  /// While a sampler runs, detaching first writes one sample that still
+  /// holds the collector's series, so an object shorter-lived than the
+  /// period leaves its last values in the file. The registry must
+  /// outlive its handles.
+  using CollectorHandle = std::unique_ptr<MetricsRegistry, Detach>;
 
   /// Process-wide registry the serving stack's instrumentation uses.
   /// Tests build private instances instead.
@@ -129,10 +159,18 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
+  /// Attaches `collector`: every snapshot() calls it, in attach order,
+  /// to append series (names must match the grammar above). It runs on
+  /// the snapshotting thread (the sampler lane) under the registry's
+  /// collector lock, so it may take only leaf locks of its owner, and no
+  /// caller may attach or detach while holding a lock it could wait on.
+  [[nodiscard]] CollectorHandle add_collector(Collector collector);
+
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Prometheus text exposition for a snapshot: counters/gauges with
-  /// `# TYPE` headers, histograms as summaries (quantile labels 0.5 /
+  /// Prometheus text exposition for a snapshot: one `# TYPE` line per
+  /// family, `name{k="v",...} value` per series (label values escape \,
+  /// " and newline), histograms as summaries (quantile labels 0.5 /
   /// 0.95 / 0.99 plus _sum/_count). Pinned by tests/obs/metrics_test.
   [[nodiscard]] static std::string prometheus_text(
       const MetricsSnapshot& snapshot);
@@ -141,7 +179,8 @@ class MetricsRegistry {
   }
 
   /// One JSONL record: {"captured_at_us":..,"counters":{..},
-  /// "gauges":{..},"histograms":{name:{count,min,mean,p50,p95,p99,max}}}
+  /// "gauges":{..},"histograms":{name:{count,min,mean,p50,p95,p99,max}}},
+  /// each key a series' Prometheus spelling.
   [[nodiscard]] static std::string jsonl_line(const MetricsSnapshot& snapshot);
 
   /// Starts a background sampler appending jsonl_line(snapshot()) to
@@ -153,18 +192,26 @@ class MetricsRegistry {
 
  private:
   void sampler_loop(std::uint64_t period_ms);
+  void write_sample();  ///< a snapshot line, if the sampler file is open
+  void remove_collector(std::uint64_t id) noexcept;
 
-  // Lock order: sampler_mutex_ > loop_mutex_; mutex_ (the name maps) and
-  // each Histogram's internal mutex are leaves, never held across
-  // another lock. The sampler lane takes loop_mutex_ only.
+  // Lock order: sampler_mutex_ > loop_mutex_; file_mutex_ >
+  // collectors_mutex_ > the leaf locks collectors take. mutex_ (the name
+  // maps) and each Histogram's internal mutex are leaves, never held
+  // across another lock.
   mutable std::mutex mutex_;  // name maps; handles are internally synced
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 
+  mutable std::mutex collectors_mutex_;            // held while collectors run
+  std::map<std::uint64_t, Collector> collectors_;  // by id: attach order
+  std::uint64_t next_collector_id_ = 0;
+
   std::mutex sampler_mutex_;  // start/stop lifecycle (never held in loop)
   std::unique_ptr<util::ThreadPool> sampler_pool_;
-  std::string sampler_path_;
+  std::mutex file_mutex_;  // held across a whole sample
+  std::ofstream sampler_file_;
   std::mutex loop_mutex_;  // sampler_stop_ + wakeup cv
   std::condition_variable loop_cv_;
   bool sampler_stop_ = false;

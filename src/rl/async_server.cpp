@@ -21,47 +21,12 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-/// Process-wide serving metrics (totals across every AsyncQServer in the
-/// process — router replicas included). Handles are resolved once; every
-/// update afterwards is a single relaxed atomic op.
-struct AsyncMetrics {
-  obs::Counter& steps;
-  obs::Counter& batches;
-  obs::Counter& batch_rows;
-  obs::Counter& train_updates;
-  obs::Counter& init_trains;
-  obs::Counter& sessions_admitted;
-  obs::Counter& sessions_retired;
-  obs::Counter& admission_rejections;
-  obs::Counter& backend_failures;
-  obs::Histogram& batch_linger_us;
-
-  AsyncMetrics()
-      : steps(obs::MetricsRegistry::global().counter(
-            "oselm_async_steps_total")),
-        batches(obs::MetricsRegistry::global().counter(
-            "oselm_async_batches_total")),
-        batch_rows(obs::MetricsRegistry::global().counter(
-            "oselm_async_batch_rows_total")),
-        train_updates(obs::MetricsRegistry::global().counter(
-            "oselm_async_train_updates_total")),
-        init_trains(obs::MetricsRegistry::global().counter(
-            "oselm_async_init_trains_total")),
-        sessions_admitted(obs::MetricsRegistry::global().counter(
-            "oselm_async_sessions_admitted_total")),
-        sessions_retired(obs::MetricsRegistry::global().counter(
-            "oselm_async_sessions_retired_total")),
-        admission_rejections(obs::MetricsRegistry::global().counter(
-            "oselm_async_admission_rejections_total")),
-        backend_failures(obs::MetricsRegistry::global().counter(
-            "oselm_async_backend_failures_total")),
-        batch_linger_us(obs::MetricsRegistry::global().histogram(
-            "oselm_async_batch_linger_us")) {}
-};
-
-AsyncMetrics& async_metrics() {
-  static AsyncMetrics metrics;
-  return metrics;
+/// Achieved batch-assembly linger across every server in the process
+/// (registry-only: no server counts it).
+obs::Histogram& batch_linger_us() {
+  static obs::Histogram& histogram =
+      obs::MetricsRegistry::global().histogram("oselm_async_batch_linger_us");
+  return histogram;
 }
 
 /// A corrupting backend (rl::FaultBackend kNan, a real numerical blow-up)
@@ -123,8 +88,7 @@ struct AsyncQServer::Session final : EpisodeDriver {
     result.step_latency_us.record(
         std::chrono::duration<double, std::micro>(Clock::now() - step_start)
             .count());
-    server.steps_.fetch_add(1, std::memory_order_relaxed);
-    async_metrics().steps.add();
+    server.counters_.add<&AsyncServerStats::steps>();
   }
   void finish(std::exception_ptr error) override {  // retire() deletes us
     if (error) {
@@ -161,7 +125,7 @@ struct AsyncQServer::Session final : EpisodeDriver {
     return false;
   }
   bool episode_end(std::size_t episodes_since_reset) override {
-    server.episodes_.fetch_add(1, std::memory_order_relaxed);
+    server.counters_.add<&AsyncServerStats::episodes>();
     if (!training || !rules.sync_due(episodes_since_reset)) return false;
     return wait_for(RequestKind::kSyncTarget);
   }
@@ -236,6 +200,10 @@ AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
   started_at_us_ = obs::Tracer::now_us();
   pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
   batch_thread_ = std::thread([this] { batch_loop(); });
+  metrics_ = obs::MetricsRegistry::global().add_collector(
+      [this](obs::MetricsSnapshot& snapshot) {
+        counters_.append_series(snapshot, "oselm_async_", config_.name);
+      });
 }
 
 AsyncQServer::~AsyncQServer() { stop(); }
@@ -313,14 +281,13 @@ std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
   {
     const std::scoped_lock lk(sessions_mutex_);
     if (stopping_.load(std::memory_order_acquire)) {
-      stopping_rejections_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&AsyncServerStats::stopping_rejections>();
       throw AdmissionError(AdmissionRejectReason::kStopping,
                            "AsyncQServer::add_session",
                            session_descriptor(spec), "server is stopping");
     }
     if (live_.size() >= config_.max_live_sessions) {
-      admission_rejections_.fetch_add(1, std::memory_order_relaxed);
-      async_metrics().admission_rejections.add();
+      counters_.add<&AsyncServerStats::admission_rejections>();
       OSELM_TRACE_INSTANT("session", "admission_rejected");
       throw AdmissionError(
           AdmissionRejectReason::kCapacity, "AsyncQServer::add_session",
@@ -337,8 +304,7 @@ std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
     live_.emplace(id, std::move(session));
     live_count_.store(live_.size(), std::memory_order_relaxed);
   }
-  sessions_admitted_.fetch_add(1, std::memory_order_relaxed);
-  async_metrics().sessions_admitted.add();
+  counters_.add<&AsyncServerStats::sessions_admitted>();
   OSELM_TRACE_INSTANT("session", "admit");
   resume(*raw);
   return id;
@@ -385,20 +351,7 @@ std::size_t AsyncQServer::live_sessions() const {
 
 AsyncServerStats AsyncQServer::stats() const {
   AsyncServerStats out;
-  out.steps = steps_.load(std::memory_order_relaxed);
-  out.episodes = episodes_.load(std::memory_order_relaxed);
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.batch_rows = batch_rows_.load(std::memory_order_relaxed);
-  out.train_updates = train_updates_.load(std::memory_order_relaxed);
-  out.init_trains = init_trains_.load(std::memory_order_relaxed);
-  out.sessions_admitted = sessions_admitted_.load(std::memory_order_relaxed);
-  out.sessions_retired = sessions_retired_.load(std::memory_order_relaxed);
-  out.admission_rejections =
-      admission_rejections_.load(std::memory_order_relaxed);
-  out.stopping_rejections =
-      stopping_rejections_.load(std::memory_order_relaxed);
-  out.env_failures = env_failures_.load(std::memory_order_relaxed);
-  out.backend_failures = backend_failures_.load(std::memory_order_relaxed);
+  counters_.read_into(out);
   out.captured_at_us = obs::wall_clock_us();
   out.uptime_us = obs::Tracer::now_us() - started_at_us_;
   {
@@ -410,18 +363,9 @@ AsyncServerStats AsyncQServer::stats() const {
 }
 
 void AsyncServerStats::merge(const AsyncServerStats& other) {
-  steps += other.steps;
-  episodes += other.episodes;
-  batches += other.batches;
-  batch_rows += other.batch_rows;
-  train_updates += other.train_updates;
-  init_trains += other.init_trains;
-  sessions_admitted += other.sessions_admitted;
-  sessions_retired += other.sessions_retired;
-  admission_rejections += other.admission_rejections;
-  stopping_rejections += other.stopping_rejections;
-  env_failures += other.env_failures;
-  backend_failures += other.backend_failures;
+  for (const auto& [key, field] : kAsyncServerCounters) {
+    this->*field += other.*field;
+  }
   captured_at_us = std::max(captured_at_us, other.captured_at_us);
   uptime_us = std::max(uptime_us, other.uptime_us);
   step_latency_us.merge(other.step_latency_us);
@@ -429,34 +373,17 @@ void AsyncServerStats::merge(const AsyncServerStats& other) {
 }
 
 std::string AsyncServerStats::to_json() const {
-  char head[768];
-  std::snprintf(
-      head, sizeof(head),
-      "{\n"
-      "  \"steps\": %llu, \"episodes\": %llu,\n"
-      "  \"batches\": %llu, \"batch_rows\": %llu, "
-      "\"mean_batch_rows\": %.3f,\n"
-      "  \"train_updates\": %llu, \"init_trains\": %llu,\n"
-      "  \"sessions_admitted\": %llu, \"sessions_retired\": %llu, "
-      "\"admission_rejections\": %llu, \"stopping_rejections\": %llu,\n"
-      "  \"env_failures\": %llu, \"backend_failures\": %llu,\n"
-      "  \"captured_at_us\": %llu, \"uptime_us\": %llu,\n",
-      static_cast<unsigned long long>(steps),
-      static_cast<unsigned long long>(episodes),
-      static_cast<unsigned long long>(batches),
-      static_cast<unsigned long long>(batch_rows), mean_batch_rows(),
-      static_cast<unsigned long long>(train_updates),
-      static_cast<unsigned long long>(init_trains),
-      static_cast<unsigned long long>(sessions_admitted),
-      static_cast<unsigned long long>(sessions_retired),
-      static_cast<unsigned long long>(admission_rejections),
-      static_cast<unsigned long long>(stopping_rejections),
-      static_cast<unsigned long long>(env_failures),
-      static_cast<unsigned long long>(backend_failures),
-      static_cast<unsigned long long>(captured_at_us),
-      static_cast<unsigned long long>(uptime_us));
-  return std::string(head) +
-         "  \"step_latency_us\": " + step_latency_us.to_json() + ",\n" +
+  std::string json = "{\n  ";
+  append_counters_json(json, *this, kAsyncServerCounters);
+  char tail[160];
+  std::snprintf(tail, sizeof(tail),
+                "\"mean_batch_rows\": %.3f,\n"
+                "  \"captured_at_us\": %llu, \"uptime_us\": %llu,\n",
+                mean_batch_rows(),
+                static_cast<unsigned long long>(captured_at_us),
+                static_cast<unsigned long long>(uptime_us));
+  return json + tail + "  \"step_latency_us\": " +
+         step_latency_us.to_json() + ",\n" +
          "  \"batch_rows_hist\": " + batch_rows_hist.to_json() + "\n}";
 }
 
@@ -516,10 +443,9 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
     retired_latency_.merge(result.step_latency_us);
   }
   if (cause == SessionEndCause::kEnvError) {
-    env_failures_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add<&AsyncServerStats::env_failures>();
   }
-  sessions_retired_.fetch_add(1, std::memory_order_relaxed);
-  async_metrics().sessions_retired.add();
+  counters_.add<&AsyncServerStats::sessions_retired>();
   OSELM_TRACE_INSTANT("session", "retire");
   const std::size_t id = result.id;
   // Callback mode (the router's replica seam): deliver the result with
@@ -611,7 +537,7 @@ void AsyncQServer::batch_loop() {
         if (pending_since_us_ != 0) {
           // Achieved batch-assembly linger: first enqueue -> this drain.
           const std::uint64_t now = obs::Tracer::now_us();
-          async_metrics().batch_linger_us.record(
+          batch_linger_us().record(
               static_cast<double>(now - pending_since_us_));
           // Requests left behind re-arm; linger restarts at this drain.
           pending_since_us_ = ready_.empty() ? 0 : now;
@@ -701,10 +627,8 @@ void AsyncQServer::coalesced_predict(QNetwork which) {
       batch_sessions_[i]->max_next_q = q[best];
     }
   }
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_rows_.fetch_add(rows, std::memory_order_relaxed);
-  async_metrics().batches.add();
-  async_metrics().batch_rows.add(rows);
+  counters_.add<&AsyncServerStats::batches>();
+  counters_.add<&AsyncServerStats::batch_rows>(rows);
   {
     const std::scoped_lock lk(stats_mutex_);
     batch_rows_hist_.record(static_cast<double>(rows));
@@ -730,8 +654,7 @@ void AsyncQServer::apply_init_train(Session& s) {
   const OsElmQRules::InitChunk chunk =
       s.rules.take_init_chunk(model_, max_target_q);
   checked_backend().init_train(chunk.x, chunk.t);
-  init_trains_.fetch_add(1, std::memory_order_relaxed);
-  async_metrics().init_trains.add();
+  counters_.add<&AsyncServerStats::init_trains>();
   backend_initialized_.store(true, std::memory_order_release);
 }
 
@@ -752,8 +675,7 @@ void AsyncQServer::process_requests(std::vector<Session*>& requests) {
   bool had_backend_error = false;
   const auto fail = [&](const std::vector<Session*>& failed) {
     had_backend_error = true;
-    backend_failures_.fetch_add(1, std::memory_order_relaxed);
-    async_metrics().backend_failures.add();
+    counters_.add<&AsyncServerStats::backend_failures>();
     OSELM_TRACE_INSTANT("batch", "backend_failure");
     const std::string error =
         failure_text(std::current_exception(), "backend failure");
@@ -806,8 +728,7 @@ void AsyncQServer::process_requests(std::vector<Session*>& requests) {
           const nn::Transition& t = *s->transition;
           checked_backend().seq_train(
               s->sa, s->rules.td_target(t.reward, t.done, s->max_next_q));
-          train_updates_.fetch_add(1, std::memory_order_relaxed);
-          async_metrics().train_updates.add();
+          counters_.add<&AsyncServerStats::train_updates>();
           break;
         }
         case RequestKind::kInitTrain:

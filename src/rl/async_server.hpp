@@ -49,7 +49,10 @@
 //
 // Telemetry: per-step latency and achieved batch size land in
 // util::LatencyHistogram buckets; stats() snapshots them with the
-// counters, and AsyncServerStats::to_json() emits the bench JSON.
+// counters, and AsyncServerStats::to_json() emits the bench JSON. The
+// counters are the only count of their events: the server's collector
+// in obs::MetricsRegistry::global() reads the same atomics as
+// `oselm_async_<field>_total{server="<name>"}` until it is destroyed.
 #pragma once
 
 #include <atomic>
@@ -68,6 +71,7 @@
 #include <vector>
 
 #include "env/environment.hpp"
+#include "obs/metrics.hpp"
 #include "rl/sa_encoding.hpp"
 #include "rl/serving_types.hpp"
 #include "rl/trainer.hpp"
@@ -197,6 +201,24 @@ struct AsyncServerStats {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// Every counter field of AsyncServerStats: merge() sums these,
+/// to_json() writes them, and each server's metrics collector exports
+/// them as `oselm_async_<key>_total`.
+inline constexpr CounterField<AsyncServerStats> kAsyncServerCounters[] = {
+    {"steps", &AsyncServerStats::steps},
+    {"episodes", &AsyncServerStats::episodes},
+    {"batches", &AsyncServerStats::batches},
+    {"batch_rows", &AsyncServerStats::batch_rows},
+    {"train_updates", &AsyncServerStats::train_updates},
+    {"init_trains", &AsyncServerStats::init_trains},
+    {"sessions_admitted", &AsyncServerStats::sessions_admitted},
+    {"sessions_retired", &AsyncServerStats::sessions_retired},
+    {"admission_rejections", &AsyncServerStats::admission_rejections},
+    {"stopping_rejections", &AsyncServerStats::stopping_rejections},
+    {"env_failures", &AsyncServerStats::env_failures},
+    {"backend_failures", &AsyncServerStats::backend_failures},
+};
+
 class AsyncQServer {
  public:
   /// `backend` is shared by every session and only ever touched by the
@@ -254,12 +276,12 @@ class AsyncQServer {
   /// seq_train applications so far (lock-free; RouterQServer's periodic
   /// averaging polls it to pace sync rounds).
   [[nodiscard]] std::uint64_t train_update_count() const noexcept {
-    return train_updates_.load(std::memory_order_relaxed);
+    return counters_.get<&AsyncServerStats::train_updates>();
   }
   /// Backend exception events so far (lock-free; the router's health
   /// thread polls it — any growth marks the replica kDegraded).
   [[nodiscard]] std::uint64_t backend_failure_events() const noexcept {
-    return backend_failures_.load(std::memory_order_relaxed);
+    return counters_.get<&AsyncServerStats::backend_failures>();
   }
   /// Consecutive batch-thread passes that ended in a backend exception
   /// (reset to zero by any clean pass). Crossing the router's
@@ -339,6 +361,9 @@ class AsyncQServer {
   // stats_mutex_ (outermost to innermost). A thread holding a later
   // mutex never acquires an earlier one; in practice only stop() nests
   // at all (stop_mutex_ around each of the others, one at a time).
+  // The metrics collector (run by registry snapshots) reads counters_
+  // only and takes no server lock; it attaches and detaches with none
+  // held.
 
   // Ready queue (workers push, batch thread drains).
   mutable std::mutex queue_mutex_;
@@ -376,18 +401,7 @@ class AsyncQServer {
   mutable std::mutex stats_mutex_;
   util::LatencyHistogram retired_latency_;
   util::LatencyHistogram batch_rows_hist_;
-  std::atomic<std::uint64_t> steps_{0};
-  std::atomic<std::uint64_t> episodes_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batch_rows_{0};
-  std::atomic<std::uint64_t> train_updates_{0};
-  std::atomic<std::uint64_t> init_trains_{0};
-  std::atomic<std::uint64_t> sessions_admitted_{0};
-  std::atomic<std::uint64_t> sessions_retired_{0};
-  std::atomic<std::uint64_t> admission_rejections_{0};
-  std::atomic<std::uint64_t> stopping_rejections_{0};
-  std::atomic<std::uint64_t> env_failures_{0};
-  std::atomic<std::uint64_t> backend_failures_{0};
+  CounterSet<kAsyncServerCounters> counters_;
   std::atomic<std::uint64_t> consecutive_backend_failures_{0};
 
   // Batch-thread workspaces (only that thread touches them). Batch sizes
@@ -404,6 +418,9 @@ class AsyncQServer {
   // stop() joins batch_thread_ before any member teardown regardless.
   std::unique_ptr<util::ThreadPool> pool_;
   std::thread batch_thread_;
+  /// Declared last, so destroyed first: the collector detaches before
+  /// any member it reads goes away.
+  obs::MetricsRegistry::CollectorHandle metrics_;
 };
 
 /// The lockstep configuration for a cohort of `sessions`: max_batch,

@@ -31,40 +31,12 @@ constexpr std::size_t kRescueMaxAttempts = 3;
 /// Linear backoff between rescue attempts: attempt * kRescueBackoffUs.
 constexpr std::uint64_t kRescueBackoffUs = 200;
 
-/// Process-wide router metrics, registered once and cached as references
-/// (see async_server.cpp's AsyncMetrics for the pattern rationale).
-struct RouterMetrics {
-  obs::Counter& spillovers;
-  obs::Counter& placement_rejections;
-  obs::Counter& rescued;
-  obs::Counter& abandoned;
-  obs::Counter& replacements;
-  obs::Counter& syncs;
-  obs::Counter& health_transitions;
-  obs::Histogram& admission_wait_us;
-
-  RouterMetrics()
-      : spillovers(obs::MetricsRegistry::global().counter(
-            "oselm_router_spillovers_total")),
-        placement_rejections(obs::MetricsRegistry::global().counter(
-            "oselm_router_placement_rejections_total")),
-        rescued(obs::MetricsRegistry::global().counter(
-            "oselm_router_rescues_total")),
-        abandoned(obs::MetricsRegistry::global().counter(
-            "oselm_router_rescues_abandoned_total")),
-        replacements(obs::MetricsRegistry::global().counter(
-            "oselm_router_replacements_total")),
-        syncs(obs::MetricsRegistry::global().counter(
-            "oselm_router_averaging_rounds_total")),
-        health_transitions(obs::MetricsRegistry::global().counter(
-            "oselm_router_health_transitions_total")),
-        admission_wait_us(obs::MetricsRegistry::global().histogram(
-            "oselm_router_admission_wait_us")) {}
-};
-
-RouterMetrics& router_metrics() {
-  static RouterMetrics metrics;
-  return metrics;
+/// Wall time admissions spent blocked at capacity, across every router
+/// in the process (registry-only: no router counts it).
+obs::Histogram& admission_wait_us() {
+  static obs::Histogram& histogram = obs::MetricsRegistry::global().histogram(
+      "oselm_router_admission_wait_us");
+  return histogram;
 }
 
 /// Trace-instant spelling of a health transition; literals so the
@@ -136,6 +108,14 @@ RouterQServer::RouterQServer(RouterConfig config, SimplifiedOutputModel model)
     sync_thread_ = std::thread([this] { sync_loop(); });
   }
   maintenance_thread_ = std::thread([this] { maintenance_loop(); });
+  metrics_ = obs::MetricsRegistry::global().add_collector(
+      [this](obs::MetricsSnapshot& snapshot) {
+        counters_.append_series(snapshot, "oselm_router_", config_.name);
+        snapshot.counters.push_back(
+            {"oselm_router_health_transitions_total",
+             {{"server", config_.name}},
+             health_transitions_.load(std::memory_order_relaxed)});
+      });
 }
 
 std::unique_ptr<AsyncQServer> RouterQServer::build_replica(
@@ -287,8 +267,7 @@ std::size_t RouterQServer::pick_replica_locked(const std::string& key,
     if (best == kNoReplica || l < load(best)) best = r;
   }
   if (best != kNoReplica && count_spillover) {
-    spillovers_.fetch_add(1, std::memory_order_relaxed);
-    router_metrics().spillovers.add();
+    counters_.add<&RouterStats::spillovers>();
     OSELM_TRACE_INSTANT("router", "spillover");
   }
   return best;
@@ -307,7 +286,7 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
   std::uint64_t wait_start_us = 0;  // 0 = never blocked / timing off
   for (;;) {
     if (stopping_.load(std::memory_order_acquire)) {
-      stopping_rejections_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&RouterStats::stopping_rejections>();
       throw AdmissionError(AdmissionRejectReason::kStopping,
                            "RouterQServer::add_session", key,
                            "router is stopping");
@@ -352,10 +331,10 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
       // insert: placement_mutex_ is held across the replica admission
       // AND the recording.
       OSELM_DCHECK_EQ(placements_.size(), next_router_id_);
-      sessions_admitted_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&RouterStats::sessions_admitted>();
       OSELM_TRACE_INSTANT("router", "place");
       if (wait_start_us != 0) {
-        router_metrics().admission_wait_us.record(
+        admission_wait_us().record(
             static_cast<double>(obs::Tracer::now_us() - wait_start_us));
       }
       return router_id;
@@ -365,13 +344,12 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
     // stop()), then re-pick; reject on deadline.
     if (config_.admission_wait_us == 0 ||
         std::chrono::steady_clock::now() >= deadline) {
-      placement_rejections_.fetch_add(1, std::memory_order_relaxed);
-      router_metrics().placement_rejections.add();
+      counters_.add<&RouterStats::placement_rejections>();
       OSELM_TRACE_INSTANT("router", "placement_rejected");
       if (waited) {
-        admission_wait_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        counters_.add<&RouterStats::admission_wait_timeouts>();
         if (wait_start_us != 0) {
-          router_metrics().admission_wait_us.record(
+          admission_wait_us().record(
               static_cast<double>(obs::Tracer::now_us() - wait_start_us));
         }
       }
@@ -387,7 +365,7 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
     }
     if (!waited) {
       waited = true;
-      admission_waits_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&RouterStats::admission_waits>();
       if (obs::Tracer::enabled() || obs::timing_enabled()) {
         wait_start_us = obs::Tracer::now_us();
       }
@@ -489,8 +467,7 @@ AsyncSessionResult RouterQServer::wait(std::size_t router_session_id) {
 std::vector<AsyncSessionResult> RouterQServer::drain() {
   std::unique_lock lk(results_mutex_);
   results_cv_.wait(lk, [&] {
-    return finalized_ ==
-           sessions_admitted_.load(std::memory_order_acquire);
+    return finalized_ == counters_.get<&RouterStats::sessions_admitted>();
   });
   std::vector<AsyncSessionResult> out;
   out.reserve(results_.size());
@@ -537,7 +514,7 @@ void RouterQServer::record_health_event_locked(std::size_t index,
   slot.state = state;
   slot.timeline.push_back(
       ReplicaHealthEvent{slot.incarnation, state, now_ms()});
-  router_metrics().health_transitions.add();
+  health_transitions_.fetch_add(1, std::memory_order_relaxed);
   trace_health_transition(state);
 }
 
@@ -632,9 +609,8 @@ void RouterQServer::replace_replica(std::size_t index) {
     record_health_event_locked(index, ReplicaHealth::kHealthy);
   }
   fresh.reset();  // destroy the old incarnation outside the fleet lock
-  replacements_.fetch_add(1, std::memory_order_relaxed);
-  router_metrics().replacements.add();
-  if (seeded) replacements_seeded_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add<&RouterStats::replacements>();
+  if (seeded) counters_.add<&RouterStats::replacements_seeded>();
   capacity_cv_.notify_all();  // a whole replica's capacity came back
 }
 
@@ -670,8 +646,7 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
                            job.router_id)
                   .second;
           OSELM_DCHECK(unique);
-          rescued_.fetch_add(1, std::memory_order_relaxed);
-          router_metrics().rescued.add();
+          counters_.add<&RouterStats::rescued>();
           OSELM_TRACE_INSTANT("rescue", "rescued");
           return;  // the re-placed run delivers the final result
         } catch (const AdmissionError&) {
@@ -691,8 +666,7 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
     const std::scoped_lock lk(placement_mutex_);
     rescues = placements_.at(job.router_id).rescues;
   }
-  abandoned_.fetch_add(1, std::memory_order_relaxed);
-  router_metrics().abandoned.add();
+  counters_.add<&RouterStats::abandoned>();
   OSELM_TRACE_INSTANT("rescue", "abandoned");
   const bool shutdown =
       abandon_all || stopping_.load(std::memory_order_acquire);
@@ -821,8 +795,7 @@ bool RouterQServer::average_replicas() {
       backend.import_state(average);
     });
   }
-  syncs_.fetch_add(1, std::memory_order_relaxed);
-  router_metrics().syncs.add();
+  counters_.add<&RouterStats::syncs>();
   return true;
 }
 
@@ -868,21 +841,7 @@ void RouterQServer::sync_loop() {
 RouterStats RouterQServer::stats() const {
   RouterStats out;
   out.replicas = replica_slots_;
-  out.sessions_admitted = sessions_admitted_.load(std::memory_order_relaxed);
-  out.spillovers = spillovers_.load(std::memory_order_relaxed);
-  out.placement_rejections =
-      placement_rejections_.load(std::memory_order_relaxed);
-  out.stopping_rejections =
-      stopping_rejections_.load(std::memory_order_relaxed);
-  out.syncs = syncs_.load(std::memory_order_relaxed);
-  out.rescued = rescued_.load(std::memory_order_relaxed);
-  out.abandoned = abandoned_.load(std::memory_order_relaxed);
-  out.replacements = replacements_.load(std::memory_order_relaxed);
-  out.replacements_seeded =
-      replacements_seeded_.load(std::memory_order_relaxed);
-  out.admission_waits = admission_waits_.load(std::memory_order_relaxed);
-  out.admission_wait_timeouts =
-      admission_wait_timeouts_.load(std::memory_order_relaxed);
+  counters_.read_into(out);
   out.captured_at_us = obs::wall_clock_us();
   out.uptime_us = static_cast<std::uint64_t>(now_ms() * 1000.0);
   out.per_replica.reserve(replica_slots_);
@@ -946,33 +905,12 @@ std::string RouterStats::health_json() const {
 }
 
 std::string RouterStats::to_json() const {
-  char head[768];
-  std::snprintf(
-      head, sizeof(head),
-      "{\n"
-      "  \"replicas\": %llu,\n"
-      "  \"sessions_admitted\": %llu, \"spillovers\": %llu, "
-      "\"placement_rejections\": %llu, \"stopping_rejections\": %llu, "
-      "\"syncs\": %llu,\n"
-      "  \"rescued\": %llu, \"abandoned\": %llu, \"replacements\": %llu, "
-      "\"replacements_seeded\": %llu,\n"
-      "  \"admission_waits\": %llu, \"admission_wait_timeouts\": %llu,\n"
-      "  \"captured_at_us\": %llu, \"uptime_us\": %llu,\n",
-      static_cast<unsigned long long>(replicas),
-      static_cast<unsigned long long>(sessions_admitted),
-      static_cast<unsigned long long>(spillovers),
-      static_cast<unsigned long long>(placement_rejections),
-      static_cast<unsigned long long>(stopping_rejections),
-      static_cast<unsigned long long>(syncs),
-      static_cast<unsigned long long>(rescued),
-      static_cast<unsigned long long>(abandoned),
-      static_cast<unsigned long long>(replacements),
-      static_cast<unsigned long long>(replacements_seeded),
-      static_cast<unsigned long long>(admission_waits),
-      static_cast<unsigned long long>(admission_wait_timeouts),
-      static_cast<unsigned long long>(captured_at_us),
-      static_cast<unsigned long long>(uptime_us));
-  std::string json = std::string(head) + "  \"health\": ";
+  std::string json =
+      "{\n  \"replicas\": " + std::to_string(replicas) + ",\n  ";
+  append_counters_json(json, *this, kRouterCounters);
+  json += "\"captured_at_us\": " + std::to_string(captured_at_us) +
+          ", \"uptime_us\": " + std::to_string(uptime_us) +
+          ",\n  \"health\": ";
   json += health_json();
   json += ",\n  \"aggregate\": ";
   json += aggregate.to_json();

@@ -31,7 +31,10 @@
 //     bucket-merge; retired incarnations' stats included) next to the
 //     per-replica snapshots, the router's own placement counters, and
 //     the per-replica health timelines; RouterStats::to_json() is what
-//     bench_router and the router_serving example emit.
+//     bench_router and the router_serving example emit. The metrics
+//     registry reads the router's counters as
+//     `oselm_router_<field>_total{server="<name>"}`, and each replica
+//     incarnation exports its own `oselm_async_*{server="<name>/rI"}`.
 //
 // Replica lifecycle (the self-healing tier). Each replica slot carries a
 // health state machine, advanced by a dedicated maintenance thread that
@@ -244,6 +247,23 @@ struct RouterStats {
   [[nodiscard]] std::string health_json() const;
 };
 
+/// Every router-level counter field of RouterStats: to_json() writes
+/// them and the router's metrics collector exports them as
+/// `oselm_router_<key>_total`.
+inline constexpr CounterField<RouterStats> kRouterCounters[] = {
+    {"sessions_admitted", &RouterStats::sessions_admitted},
+    {"spillovers", &RouterStats::spillovers},
+    {"placement_rejections", &RouterStats::placement_rejections},
+    {"stopping_rejections", &RouterStats::stopping_rejections},
+    {"syncs", &RouterStats::syncs},
+    {"rescued", &RouterStats::rescued},
+    {"abandoned", &RouterStats::abandoned},
+    {"replacements", &RouterStats::replacements},
+    {"replacements_seeded", &RouterStats::replacements_seeded},
+    {"admission_waits", &RouterStats::admission_waits},
+    {"admission_wait_timeouts", &RouterStats::admission_wait_timeouts},
+};
+
 class RouterQServer {
  public:
   /// Builds `config.replicas` AsyncQServer replicas, each with its own
@@ -396,7 +416,10 @@ class RouterQServer {
   // Lock order: stop_mutex_ > maintenance_mutex_ > sync_mutex_ >
   // fleet_mutex_ > placement_mutex_ > health_mutex_ > results_mutex_.
   // seed_mutex_ is a leaf. Replica-internal locks rank below every
-  // router mutex. capacity_cv_ pairs with placement_mutex_.
+  // router mutex. capacity_cv_ pairs with placement_mutex_. Metrics
+  // collectors (the router's and each replica's) take no router mutex,
+  // and replicas are built and destroyed — attaching and detaching
+  // their collectors — with none held.
 
   /// Guards the replica pointer array against replacement swaps: every
   /// reader (admission, sync, stats, run_exclusive_*) holds it shared;
@@ -426,17 +449,10 @@ class RouterQServer {
   std::set<std::size_t> claimed_;
   std::size_t finalized_ = 0;  ///< results ever deposited (claimed incl.)
 
-  std::atomic<std::uint64_t> spillovers_{0};
-  std::atomic<std::uint64_t> placement_rejections_{0};
-  std::atomic<std::uint64_t> stopping_rejections_{0};
-  std::atomic<std::uint64_t> sessions_admitted_{0};
-  std::atomic<std::uint64_t> syncs_{0};
-  std::atomic<std::uint64_t> rescued_{0};
-  std::atomic<std::uint64_t> abandoned_{0};
-  std::atomic<std::uint64_t> replacements_{0};
-  std::atomic<std::uint64_t> replacements_seeded_{0};
-  std::atomic<std::uint64_t> admission_waits_{0};
-  std::atomic<std::uint64_t> admission_wait_timeouts_{0};
+  CounterSet<kRouterCounters> counters_;
+  /// Health-timeline entries recorded after construction; exported as
+  /// oselm_router_health_transitions_total.
+  std::atomic<std::uint64_t> health_transitions_{0};
   std::atomic<bool> stopping_{false};
 
   // Maintenance thread (health polling, kills, replacement, rescue).
@@ -459,6 +475,9 @@ class RouterQServer {
   bool has_last_average_ = false;
   std::mutex stop_mutex_;               ///< serializes stop() callers
   std::thread sync_thread_;
+  /// Declared last, so destroyed first: the collector detaches before
+  /// any member it reads goes away.
+  obs::MetricsRegistry::CollectorHandle metrics_;
 };
 
 }  // namespace oselm::rl

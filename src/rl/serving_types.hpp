@@ -1,15 +1,20 @@
 // Shared serving-session types: the vocabulary rl::AsyncQServer
 // (async_server.hpp), rl::RouterQServer (router.hpp) and the scenario
 // driver use to describe sessions, admission refusals and session
-// endings.
+// endings, plus the counter-field tables their stats structs export.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "rl/oselm_q_agent.hpp"
 #include "rl/trainer.hpp"
 
@@ -110,5 +115,67 @@ struct ServingSessionSpec {
   OsElmQAgentConfig agent;   ///< exploration/update/sync knobs
   TrainerConfig trainer;     ///< episode budget, solved criterion, resets
 };
+
+/// One counter field of a serving stats struct; each struct lists its
+/// counters once, in a table of these. `key` is the field's to_json()
+/// key and names its registry series `<prefix><key>_total`.
+template <typename Stats>
+struct CounterField {
+  const char* key;
+  std::uint64_t Stats::*field;
+};
+
+/// A server's live counters, the only count of their events: one relaxed
+/// atomic per entry of the CounterField table `Fields`.
+template <const auto& Fields>
+class CounterSet {
+ public:
+  template <auto Field>
+  void add(std::uint64_t n = 1) noexcept {
+    values_[index<Field>()].fetch_add(n, std::memory_order_relaxed);
+  }
+  template <auto Field>
+  [[nodiscard]] std::uint64_t get() const noexcept {
+    return values_[index<Field>()].load(std::memory_order_relaxed);
+  }
+  /// Copies every counter into its field of `stats`.
+  template <typename Stats>
+  void read_into(Stats& stats) const noexcept {
+    for (std::size_t i = 0; i < std::size(Fields); ++i) {
+      stats.*Fields[i].field = values_[i].load(std::memory_order_relaxed);
+    }
+  }
+  /// Appends every counter to `snapshot` as the series
+  /// `<prefix><key>_total{server="<server>"}` (a metrics collector body).
+  void append_series(obs::MetricsSnapshot& snapshot, std::string_view prefix,
+                     const std::string& server) const {
+    for (std::size_t i = 0; i < std::size(Fields); ++i) {
+      snapshot.counters.push_back(
+          {std::string(prefix) + Fields[i].key + "_total",
+           {{"server", server}},
+           values_[i].load(std::memory_order_relaxed)});
+    }
+  }
+
+ private:
+  template <auto Field>
+  static consteval std::size_t index() {
+    std::size_t i = 0;
+    while (Fields[i].field != Field) ++i;  // not in the table: no constant
+    return i;
+  }
+  std::array<std::atomic<std::uint64_t>, std::size(Fields)> values_{};
+};
+
+/// Appends `"key": value, ` for every field of `fields` — the counter
+/// block of a stats struct's to_json().
+template <typename Stats, std::size_t N>
+void append_counters_json(std::string& json, const Stats& stats,
+                          const CounterField<Stats> (&fields)[N]) {
+  for (const auto& [key, field] : fields) {
+    json += '"' + std::string(key) + "\": " + std::to_string(stats.*field) +
+            ", ";
+  }
+}
 
 }  // namespace oselm::rl

@@ -1,12 +1,17 @@
-// obs::MetricsRegistry — named counters/gauges/histograms with
-// Prometheus text and JSONL exporters plus the periodic sampler.
+// obs::MetricsRegistry — named counters/gauges/histograms and labeled
+// collector series, with Prometheus text and JSONL exporters plus the
+// periodic sampler.
 //
 // Load-bearing properties:
 //   * registration validates names against the Prometheus grammar and
 //     refuses cross-kind re-registration; same-kind re-registration
 //     returns the SAME handle;
-//   * snapshots are wall-clock stamped and name-sorted;
-//   * the Prometheus exposition format is pinned (dashboards parse it);
+//   * snapshots are wall-clock stamped and sorted by (name, labels);
+//     collector series with equal name and labels are summed, and a
+//     detached collector's series are gone from the next snapshot;
+//   * the Prometheus exposition format is pinned (dashboards parse it):
+//     one `# TYPE` line per family, contiguous families, escaped label
+//     values;
 //   * every JSONL line is a self-contained parseable JSON object;
 //   * the sampler appends at least an initial and a final snapshot and
 //     flips timing_enabled() for its lifetime.
@@ -14,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +27,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -86,11 +93,118 @@ TEST(MetricsRegistry, SnapshotIsStampedAndSorted) {
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_GT(snap.captured_at_us, 0u);
   ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].first, "aa_total");
-  EXPECT_EQ(snap.counters[1].first, "zz_total");
-  EXPECT_EQ(snap.counters[1].second, 7u);
+  EXPECT_EQ(snap.counters[0].name, "aa_total");
+  EXPECT_EQ(snap.counters[1].name, "zz_total");
+  EXPECT_TRUE(snap.counters[1].labels.empty());
+  EXPECT_EQ(snap.counters[1].value, 7u);
   ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges[0].second, 3.0);
+  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 3.0);
+}
+
+/// A collector exporting `counters` as `name{server="<server>"}` series.
+MetricsRegistry::CollectorHandle attach_server(
+    MetricsRegistry& registry, const std::string& server,
+    std::vector<std::pair<std::string, std::uint64_t>> counters) {
+  return registry.add_collector([server, counters](MetricsSnapshot& snapshot) {
+    for (const auto& [name, value] : counters) {
+      snapshot.counters.push_back({name, {{"server", server}}, value});
+    }
+  });
+}
+
+TEST(MetricsRegistry, CollectorSeriesWithEqualLabelsAreSummed) {
+  MetricsRegistry registry;
+  const auto first = attach_server(registry, "a", {{"events_total", 3}});
+  const auto second = attach_server(registry, "a", {{"events_total", 4}});
+  const auto third = attach_server(registry, "b", {{"events_total", 5}});
+  const MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters[0].name, "events_total");
+  EXPECT_EQ(snap.counters[0].labels, (Labels{{"server", "a"}}));
+  EXPECT_EQ(snap.counters[0].value, 7u);
+  EXPECT_EQ(snap.counters[1].labels, (Labels{{"server", "b"}}));
+  EXPECT_EQ(snap.counters[1].value, 5u);
+}
+
+TEST(MetricsRegistry, DetachedCollectorSeriesLeaveTheNextSnapshot) {
+  MetricsRegistry registry;
+  auto kept = attach_server(registry, "kept", {{"events_total", 1}});
+  auto dropped = attach_server(registry, "dropped", {{"events_total", 2}});
+  EXPECT_EQ(registry.snapshot().counters.size(), 2u);
+  {
+    const MetricsRegistry::CollectorHandle gone = std::move(dropped);
+  }
+  MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].labels, (Labels{{"server", "kept"}}));
+  // Assigning over a handle detaches what it held.
+  kept = attach_server(registry, "replacement", {{"events_total", 3}});
+  snap = registry.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].labels, (Labels{{"server", "replacement"}}));
+  kept = MetricsRegistry::CollectorHandle();
+  EXPECT_TRUE(registry.snapshot().counters.empty());
+}
+
+TEST(MetricsRegistry, LabeledFamiliesGetOneTypeLineAndStayContiguous) {
+  MetricsRegistry registry;
+  // "steps_total_max" extends the "steps_total" prefix and sorts between
+  // the unlabeled and the labeled spellings as plain text; the family
+  // must stay in one piece anyway.
+  registry.counter("steps_total").add(1);
+  registry.counter("steps_total_max").add(9);
+  const auto collector = attach_server(
+      registry, "r0", {{"steps_total", 2}, {"steps_total_max", 8}});
+  const auto other = attach_server(registry, "r1", {{"steps_total", 3}});
+  registry.histogram("wait_us").record(10.0);
+  const auto histograms = registry.add_collector([](MetricsSnapshot& snap) {
+    util::LatencyHistogram histogram;
+    histogram.record(20.0);
+    snap.histograms.push_back({"wait_us", {{"server", "r0"}}, histogram});
+  });
+  EXPECT_EQ(registry.prometheus_text(),
+            "# TYPE steps_total counter\n"
+            "steps_total 1\n"
+            "steps_total{server=\"r0\"} 2\n"
+            "steps_total{server=\"r1\"} 3\n"
+            "# TYPE steps_total_max counter\n"
+            "steps_total_max 9\n"
+            "steps_total_max{server=\"r0\"} 8\n"
+            "# TYPE wait_us summary\n"
+            "wait_us{quantile=\"0.5\"} 10\n"
+            "wait_us{quantile=\"0.95\"} 10\n"
+            "wait_us{quantile=\"0.99\"} 10\n"
+            "wait_us_sum 10\n"
+            "wait_us_count 1\n"
+            "wait_us{server=\"r0\",quantile=\"0.5\"} 20\n"
+            "wait_us{server=\"r0\",quantile=\"0.95\"} 20\n"
+            "wait_us{server=\"r0\",quantile=\"0.99\"} 20\n"
+            "wait_us_sum{server=\"r0\"} 20\n"
+            "wait_us_count{server=\"r0\"} 1\n");
+}
+
+TEST(MetricsRegistry, LabelValuesAreEscapedInBothExporters) {
+  MetricsRegistry registry;
+  const std::string server = "say \"hi\"\\\nbye";
+  const auto collector = attach_server(registry, server, {{"events_total", 6}});
+  const MetricsSnapshot snap = registry.snapshot();
+  const std::string text = MetricsRegistry::prometheus_text(snap);
+  EXPECT_NE(text.find("events_total{server=\"say \\\"hi\\\"\\\\\\nbye\"} 6\n"),
+            std::string::npos)
+      << text;
+  // The escaped newline keeps the series on one line.
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2) << text;
+
+  const std::string line = MetricsRegistry::jsonl_line(snap);
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(parse_json(line, &root, &error)) << error << "\n" << line;
+  const JsonValue* counters = root.find("counters");
+  ASSERT_NE(counters, nullptr);
+  const JsonValue* events =
+      counters->find("events_total{server=\"say \\\"hi\\\"\\\\\\nbye\"}");
+  ASSERT_NE(events, nullptr) << line;
+  EXPECT_DOUBLE_EQ(events->number_value, 6.0);
 }
 
 TEST(MetricsRegistry, PrometheusTextFormatIsPinned) {
@@ -179,6 +293,42 @@ TEST(MetricsRegistry, SamplerWritesParseableSeriesAndFlipsTimingFlag) {
     last_stamp = static_cast<std::uint64_t>(stamp->number_value);
   }
   EXPECT_GE(lines, 2u);  // at least the initial and the final snapshot
+  std::remove(path.c_str());
+}
+
+TEST(MetricsRegistry, DetachingCollectorLeavesItsLastValuesInTheSeries) {
+  // A collector that lives shorter than the sampling period still gets
+  // one line: detaching writes a sample taken with it attached.
+  const std::string path =
+      ::testing::TempDir() + "/oselm_metrics_detach_test.jsonl";
+  MetricsRegistry registry;
+  ASSERT_TRUE(registry.start_sampler(path, /*period_ms=*/60'000));
+  {
+    const auto collector =
+        attach_server(registry, "short-lived", {{"events_total", 11}});
+  }
+  registry.stop_sampler();
+
+  std::ifstream file(path);
+  ASSERT_TRUE(file.is_open());
+  std::string line;
+  std::vector<bool> with_series;  // per line
+  while (std::getline(file, line)) {
+    JsonValue root;
+    std::string error;
+    ASSERT_TRUE(parse_json(line, &root, &error)) << error << "\n" << line;
+    const JsonValue* events = root.find("counters")->find(
+        "events_total{server=\"short-lived\"}");
+    if (events != nullptr) {
+      EXPECT_DOUBLE_EQ(events->number_value, 11.0);
+    }
+    with_series.push_back(events != nullptr);
+  }
+  // The detach sample has the series (the lane's first sample may too,
+  // if it ran after the attach); the final sample, after it, has not.
+  ASSERT_GE(with_series.size(), 3u);
+  EXPECT_GE(std::count(with_series.begin(), with_series.end(), true), 1);
+  EXPECT_FALSE(with_series.back());
   std::remove(path.c_str());
 }
 

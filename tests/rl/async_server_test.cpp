@@ -22,6 +22,7 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <map>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -487,59 +488,83 @@ TEST(AsyncQServer, AdmissionControlRejectsBeyondTheCapWithAClearError) {
   (void)b;
 }
 
-std::uint64_t global_counter(const obs::MetricsSnapshot& snapshot,
-                             const std::string& name) {
-  for (const auto& [counter, value] : snapshot.counters) {
-    if (counter == name) return value;
+/// Every counter series labeled server="<server>" in a fresh snapshot of
+/// the process-wide registry, by series name.
+std::map<std::string, std::uint64_t> server_series(const std::string& server) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& series :
+       obs::MetricsRegistry::global().snapshot().counters) {
+    if (series.labels == obs::Labels{{"server", server}}) {
+      out[series.name] = series.value;
+    }
   }
-  return 0;  // not registered yet: no server has bumped it
+  return out;
 }
 
-TEST(AsyncQServer, ProcessWideCountersAdvanceByExactlyTheServerStats) {
-  // Every serving event is counted twice: in the server's own atomics
-  // (stats()) and in the process-wide oselm_async_* registry counters.
-  // Both books must agree on a whole server lifetime.
-  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+/// Asserts the registry's series for `server` are exactly its stats().
+void expect_series_equal_stats(const AsyncQServer& server) {
+  const AsyncServerStats stats = server.stats();
+  const std::map<std::string, std::uint64_t> series =
+      server_series(server.name());
+  EXPECT_EQ(series.size(), std::size(kAsyncServerCounters));
+  for (const auto& [key, field] : kAsyncServerCounters) {
+    const std::string name = "oselm_async_" + std::string(key) + "_total";
+    ASSERT_TRUE(series.contains(name)) << name;
+    EXPECT_EQ(series.at(name), stats.*field) << name;
+  }
+}
+
+TEST(AsyncQServer, RegistrySeriesAreTheServerStatsUnderItsName) {
+  // Each server's atomics are the only count of its events; the
+  // process-wide registry reads them through the server's collector as
+  // oselm_async_<field>_total{server="<name>"}, so the two views are
+  // equal by construction, for every counter field.
   AsyncQServerConfig config;
+  config.name = "registry-series-test";
   config.max_live_sessions = 2;
   config.worker_threads = 2;
-  AsyncQServer server(make_backend("software", backend_config(15)),
-                      SimplifiedOutputModel(4, 2), config);
-  // A training session to completion: init_train and seq_train both run.
-  EXPECT_TRUE(server.wait(server.add_session(train_spec(160, 170, 20)))
-                  .completed);
-  // Two slow sessions fill the cap, so a third is refused.
-  AsyncSessionSpec slow = eval_spec(161, 171, 50);
-  slow.session.env_id = "delay:2000:ShapedCartPole-v0";
-  server.add_session(slow);
-  slow.session.env_seed = 162;
-  server.add_session(slow);
-  EXPECT_THROW(server.add_session(eval_spec(163, 173)), AdmissionError);
-  server.stop();
+  AsyncQServerConfig failing_config = config;
+  failing_config.name = "registry-series-test/failing";
+  {
+    AsyncQServer server(make_backend("software", backend_config(15)),
+                        SimplifiedOutputModel(4, 2), config);
+    // Every backend call of this one throws.
+    AsyncQServer failing(
+        make_backend("fault:throw:1:1:software", backend_config(16)),
+        SimplifiedOutputModel(4, 2), failing_config);
+    // A training session to completion: init_train and seq_train run.
+    EXPECT_TRUE(server.wait(server.add_session(train_spec(160, 170, 20)))
+                    .completed);
+    // A session whose environment throws retires as an env failure.
+    AsyncSessionSpec broken = eval_spec(164, 174);
+    broken.session.env_id = "fault:throw:1:3:ShapedCartPole-v0";
+    EXPECT_EQ(server.wait(server.add_session(broken)).cause,
+              SessionEndCause::kEnvError);
+    // Two slow sessions fill the cap, so a third is refused.
+    AsyncSessionSpec slow = eval_spec(161, 171, 50);
+    slow.session.env_id = "delay:2000:ShapedCartPole-v0";
+    server.add_session(slow);
+    slow.session.env_seed = 162;
+    server.add_session(slow);
+    EXPECT_THROW(server.add_session(eval_spec(163, 173)), AdmissionError);
+    server.stop();
+    EXPECT_THROW(server.add_session(eval_spec(163, 173)), AdmissionError);
+    (void)failing.wait(failing.add_session(train_spec(165, 175, 5)));
+    failing.stop();
 
-  const AsyncServerStats stats = server.stats();
-  const obs::MetricsSnapshot after = obs::MetricsRegistry::global().snapshot();
-  const std::pair<const char*, std::uint64_t> expected[] = {
-      {"oselm_async_steps_total", stats.steps},
-      {"oselm_async_batches_total", stats.batches},
-      {"oselm_async_batch_rows_total", stats.batch_rows},
-      {"oselm_async_train_updates_total", stats.train_updates},
-      {"oselm_async_init_trains_total", stats.init_trains},
-      {"oselm_async_sessions_admitted_total", stats.sessions_admitted},
-      {"oselm_async_sessions_retired_total", stats.sessions_retired},
-      {"oselm_async_admission_rejections_total", stats.admission_rejections},
-      {"oselm_async_backend_failures_total", stats.backend_failures},
-  };
-  for (const auto& [name, value] : expected) {
-    EXPECT_EQ(global_counter(after, name) - global_counter(before, name),
-              value)
-        << name;
+    const AsyncServerStats stats = server.stats();
+    for (const auto& [key, field] : kAsyncServerCounters) {
+      if (std::string(key) != "backend_failures") {
+        EXPECT_GT(stats.*field, 0u) << key << " not exercised";
+      }
+    }
+    EXPECT_GT(failing.stats().backend_failures, 0u);
+    expect_series_equal_stats(server);
+    expect_series_equal_stats(failing);
   }
-  EXPECT_GT(stats.train_updates, 0u);
-  EXPECT_GT(stats.init_trains, 0u);
-  EXPECT_EQ(stats.sessions_admitted, 3u);
-  EXPECT_EQ(stats.sessions_retired, 3u);
-  EXPECT_EQ(stats.admission_rejections, 1u);
+  // Destroyed servers detach: their series are gone.
+  EXPECT_TRUE(server_series(config.name).empty());
+  EXPECT_TRUE(server_series(failing_config.name).empty());
 }
 
 TEST(AsyncQServer, ConcurrentJoinsRacingStopNeverHangOrMiscount) {

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "env/registry.hpp"
+#include "obs/metrics.hpp"
 #include "rl/backend_registry.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -605,6 +607,88 @@ TEST(RouterQServer, KillReplicaRescuesItsSessionsAndSeedsTheReplacement) {
   EXPECT_EQ(state_at(slot.timeline.size() - 2), ReplicaHealth::kReplaced);
   EXPECT_EQ(state_at(slot.timeline.size() - 1), ReplicaHealth::kHealthy);
   EXPECT_NE(stats.health_json().find("\"replaced\""), std::string::npos);
+}
+
+/// Every counter series labeled server="<server>" in `snapshot`, by name.
+std::map<std::string, std::uint64_t> server_series(
+    const obs::MetricsSnapshot& snapshot, const std::string& server) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& series : snapshot.counters) {
+    if (series.labels == obs::Labels{{"server", server}}) {
+      out[series.name] = series.value;
+    }
+  }
+  return out;
+}
+
+TEST(RouterQServer, RegistrySeriesFollowTheLiveIncarnationAndRouterStats) {
+  RouterConfig config = router_config("software", 2);
+  config.name = "registry-series-router";
+  {
+    RouterQServer router(config, SimplifiedOutputModel(4, 2));
+    // One session on replica 1's first incarnation, one on its
+    // replacement.
+    AsyncSessionSpec spec = eval_spec(31, 41, 3);
+    EXPECT_TRUE(
+        router.wait(router.add_session({spec, key_for_replica(router, 1)}))
+            .completed);
+    router.kill_replica(1);
+    wait_for_replacements(router, 1);
+    spec.session.env_seed = 32;
+    EXPECT_TRUE(
+        router.wait(router.add_session({spec, key_for_replica(router, 1)}))
+            .completed);
+    router.stop();
+
+    const RouterStats stats = router.stats();
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::global().snapshot();
+    // Each replica series is its live incarnation's own stats(): the
+    // killed incarnation's session left the registry with it, while the
+    // per-slot stats keep it.
+    for (std::size_t r = 0; r < router.replica_count(); ++r) {
+      const AsyncServerStats live = router.replica(r).stats();
+      const std::map<std::string, std::uint64_t> series =
+          server_series(snapshot, router.replica(r).name());
+      EXPECT_EQ(series.size(), std::size(kAsyncServerCounters));
+      for (const auto& [key, field] : kAsyncServerCounters) {
+        const std::string name =
+            "oselm_async_" + std::string(key) + "_total";
+        ASSERT_TRUE(series.contains(name)) << name;
+        EXPECT_EQ(series.at(name), live.*field) << name << " of r" << r;
+      }
+    }
+    EXPECT_EQ(server_series(snapshot, "registry-series-router/r1")
+                  .at("oselm_async_sessions_retired_total"),
+              1u);
+    EXPECT_EQ(stats.per_replica[1].sessions_retired, 2u);
+
+    // The router-level series are RouterStats' counters, plus the health
+    // transitions its timelines record after each slot's birth event.
+    const std::map<std::string, std::uint64_t> series =
+        server_series(snapshot, config.name);
+    EXPECT_EQ(series.size(), std::size(kRouterCounters) + 1);
+    for (const auto& [key, field] : kRouterCounters) {
+      const std::string name = "oselm_router_" + std::string(key) + "_total";
+      ASSERT_TRUE(series.contains(name)) << name;
+      EXPECT_EQ(series.at(name), stats.*field) << name;
+    }
+    EXPECT_EQ(stats.replacements, 1u);
+    std::uint64_t transitions = 0;
+    for (const ReplicaHealthInfo& info : stats.health) {
+      transitions += info.timeline.size() - 1;
+    }
+    EXPECT_GT(transitions, 0u);
+    ASSERT_TRUE(series.contains("oselm_router_health_transitions_total"));
+    EXPECT_EQ(series.at("oselm_router_health_transitions_total"),
+              transitions);
+  }
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::global().snapshot();
+  for (const char* server :
+       {"registry-series-router", "registry-series-router/r0",
+        "registry-series-router/r1"}) {
+    EXPECT_TRUE(server_series(after, server).empty()) << server;
+  }
 }
 
 TEST(RouterQServer, BoundedWaitAdmissionBlocksUntilARetirementFreesASlot) {

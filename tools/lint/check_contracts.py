@@ -39,6 +39,12 @@ Rules:
       a translation unit under bench/, perfbench/, examples/ or tools/.
       Reaching x.hpp also follows the includes of its x.cpp. A header
       only tests include is dead code: delete it with its .cpp.
+  global-counter
+      MetricsRegistry::global().counter( may appear only under src/obs/.
+      A server counts its events in its own atomics and exports them
+      through a metrics collector; a process-wide registry counter for
+      the same events is a second set of books that drifts and cannot
+      tell servers apart.
 
 Usage:
   python3 tools/lint/check_contracts.py            # gate (CI mode)
@@ -91,6 +97,9 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 # Directories whose translation units are the program's callers: a
 # src/ header none of them reaches is dead code.
 CALLER_DIRS = ("bench", "perfbench", "examples", "tools")
+
+GLOBAL_COUNTER_RE = re.compile(
+    r"MetricsRegistry\s*::\s*global\s*\(\s*\)\s*\.\s*counter\s*\(")
 
 
 class Finding:
@@ -237,6 +246,27 @@ def check_dead_header() -> list[Finding]:
             if path.resolve() not in seen]
 
 
+def check_global_counter() -> list[Finding]:
+    findings = []
+    obs = REPO / "src" / "obs"
+    for d in ("src", "tests") + CALLER_DIRS:
+        for path in sorted((REPO / d).glob("**/*.?pp")):
+            if obs in path.parents:
+                continue
+            # Join comment-stripped lines so a call split across lines
+            # still matches; map each match back to its line.
+            lines = [line for _, line in stripped_code_lines(path)]
+            text = "\n".join(lines)
+            for match in GLOBAL_COUNTER_RE.finditer(text):
+                number = text.count("\n", 0, match.start()) + 1
+                findings.append(Finding(
+                    "global-counter", path, number,
+                    "process-wide registry counter outside src/obs/ — "
+                    "count in the object and export it through "
+                    "MetricsRegistry::add_collector"))
+    return findings
+
+
 CHECKS = (
     check_kernel_heap_alloc,
     check_backend_call_outside_batch,
@@ -244,6 +274,7 @@ CHECKS = (
     check_mutex_lock_order,
     check_hot_loop_clock,
     check_dead_header,
+    check_global_counter,
 )
 
 
