@@ -1,9 +1,9 @@
 #include "obs/metrics.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -13,22 +13,6 @@ namespace oselm::obs {
 namespace {
 
 std::atomic<bool> g_timing_enabled{false};
-
-bool valid_metric_name(const std::string& name) noexcept {
-  if (name.empty()) return false;
-  const auto head = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-           c == ':';
-  };
-  const auto tail = [&head](char c) {
-    return head(c) || (c >= '0' && c <= '9');
-  };
-  if (!head(name.front())) return false;
-  for (const char c : name) {
-    if (!tail(c)) return false;
-  }
-  return true;
-}
 
 void append(std::string* out, double value) {
   char buf[48];
@@ -45,23 +29,6 @@ void append(std::string* out, std::uint64_t value) {
 
 void append(std::string* out, const util::LatencyHistogram& histogram) {
   *out += histogram.to_json();
-}
-
-/// Finds or registers `name` in `metrics`; throws if the name is invalid
-/// or registered in one of `others` (the other kinds).
-template <typename Metric, typename... Others>
-Metric& find_or_add(std::map<std::string, std::unique_ptr<Metric>>& metrics,
-                    const std::string& name, const Others&... others) {
-  if (!valid_metric_name(name)) {
-    throw std::invalid_argument("obs: invalid metric name '" + name + "'");
-  }
-  if ((others.contains(name) || ...)) {
-    throw std::invalid_argument("obs: metric '" + name +
-                                "' already registered as another kind");
-  }
-  auto& slot = metrics[name];
-  if (!slot) slot = std::make_unique<Metric>();
-  return *slot;
 }
 
 void add_to(std::uint64_t* sum, std::uint64_t value) { *sum += value; }
@@ -157,25 +124,10 @@ MetricsRegistry::MetricsRegistry() = default;
 MetricsRegistry::~MetricsRegistry() { stop_sampler(); }
 
 MetricsRegistry& MetricsRegistry::global() {
-  // Leaked: instrumentation handles live in function-local statics whose
-  // destruction order against this object is unspecified.
+  // Leaked: a server destroyed during static destruction still detaches
+  // its collector from a live registry, whatever the destruction order.
   static MetricsRegistry* instance = new MetricsRegistry;
   return *instance;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return find_or_add(counters_, name, gauges_, histograms_);
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return find_or_add(gauges_, name, counters_, histograms_);
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return find_or_add(histograms_, name, counters_, gauges_);
 }
 
 MetricsRegistry::CollectorHandle MetricsRegistry::add_collector(
@@ -195,18 +147,6 @@ void MetricsRegistry::remove_collector(std::uint64_t id) noexcept {
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.captured_at_us = wall_clock_us();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [name, counter] : counters_) {
-      snap.counters.push_back({name, {}, counter->value()});
-    }
-    for (const auto& [name, gauge] : gauges_) {
-      snap.gauges.push_back({name, {}, gauge->value()});
-    }
-    for (const auto& [name, histogram] : histograms_) {
-      snap.histograms.push_back({name, {}, histogram->snapshot()});
-    }
-  }
   {
     const std::lock_guard<std::mutex> lock(collectors_mutex_);
     for (const auto& [id, collector] : collectors_) collector(snap);

@@ -1,17 +1,15 @@
-// Named metrics registry: atomic counters/gauges, histogram handles,
-// labeled collector series, a periodic sampler, and Prometheus / JSONL
-// exporters.
+// Metrics registry: labeled series pulled from collectors, a periodic
+// sampler, and Prometheus / JSONL exporters.
 //
-// Instrumented code registers a metric ONCE (registration takes a mutex
-// and validates the name against the Prometheus grammar) and then holds
-// the returned reference forever — updates are single relaxed atomic ops
-// on the handle, safe from any thread. Histograms wrap the existing
-// util::LatencyHistogram (quarter-octave buckets, merge-based) behind a
-// mutex; they sit off the per-step hot path (batch linger, admission
-// wait), so a mutexed record is fine there. Objects that already count
-// their own events (AsyncQServer, RouterQServer) are not counted twice:
-// each attaches one collector that snapshot() calls to read its counters
-// as labeled series, e.g. `oselm_async_steps_total{server="router/r1"}`.
+// The registry keeps no metric of its own. Every object that measures
+// something (AsyncQServer, RouterQServer) owns its counters, histograms
+// and gauges and attaches one collector that snapshot() calls to append
+// them as series labeled with the owner, e.g.
+// `oselm_async_steps_total{server="router/r1"}`, so each event is
+// counted once and every series names the server it belongs to.
+// Histograms wrap util::LatencyHistogram (quarter-octave buckets,
+// merge-based) behind a mutex; they sit off the per-step hot path (batch
+// linger, admission wait), so a mutexed record is fine there.
 //
 // Snapshots are wall-clock stamped (`captured_at_us`, microseconds since
 // the Unix epoch) so they line up with AsyncServerStats/RouterStats
@@ -31,7 +29,6 @@
 // measurement) so the default-off serving path stays clock-free.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
@@ -50,43 +47,9 @@ class ThreadPool;
 
 namespace oselm::obs {
 
-/// Monotone event count. add() from any thread.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-write-wins instantaneous value. set()/add() from any thread.
-class Gauge {
- public:
-  void set(double value) noexcept {
-    value_.store(value, std::memory_order_relaxed);
-  }
-  void add(double delta) noexcept {
-    double current = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(current, current + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Thread-safe wrapper over util::LatencyHistogram. Keep off per-step
-/// hot paths (record takes a mutex); fine for per-batch / per-admission
-/// seams.
+/// hot paths (record takes a mutex, a leaf lock); fine for per-batch /
+/// per-admission seams.
 class Histogram {
  public:
   void record(double value) noexcept {
@@ -106,7 +69,7 @@ class Histogram {
 /// (key, value) pairs, printed in this order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// One series of a snapshot; registered metrics have no labels.
+/// One series of a snapshot.
 template <typename Value>
 struct Series {
   std::string name;
@@ -114,9 +77,9 @@ struct Series {
   Value value{};
 };
 
-/// One timestamped view of every registered metric and collector series,
-/// sorted by (name, labels) so a family is contiguous; series with equal
-/// name and labels are summed.
+/// One timestamped view of every collector series, sorted by (name,
+/// labels) so a family is contiguous; series with equal name and labels
+/// are summed.
 struct MetricsSnapshot {
   std::uint64_t captured_at_us = 0;  ///< wall clock, us since Unix epoch
   std::vector<Series<std::uint64_t>> counters;
@@ -146,24 +109,16 @@ class MetricsRegistry {
   /// outlive its handles.
   using CollectorHandle = std::unique_ptr<MetricsRegistry, Detach>;
 
-  /// Process-wide registry the serving stack's instrumentation uses.
+  /// Process-wide registry every server attaches its collector to.
   /// Tests build private instances instead.
   static MetricsRegistry& global();
 
-  /// Registers (or finds) a metric. Names must match the Prometheus
-  /// grammar [a-zA-Z_:][a-zA-Z0-9_:]* — anything else throws
-  /// std::invalid_argument. A name registered as one kind cannot be
-  /// re-registered as another (throws). References stay valid for the
-  /// registry's lifetime; callers cache them.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
   /// Attaches `collector`: every snapshot() calls it, in attach order,
-  /// to append series (names must match the grammar above). It runs on
-  /// the snapshotting thread (the sampler lane) under the registry's
-  /// collector lock, so it may take only leaf locks of its owner, and no
-  /// caller may attach or detach while holding a lock it could wait on.
+  /// to append series (names must match the Prometheus grammar
+  /// [a-zA-Z_:][a-zA-Z0-9_:]*). It runs on the snapshotting thread (the
+  /// sampler lane) under the registry's collector lock, so it may take
+  /// only leaf locks of its owner, and no caller may attach or detach
+  /// while holding a lock it could wait on.
   [[nodiscard]] CollectorHandle add_collector(Collector collector);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -196,14 +151,8 @@ class MetricsRegistry {
   void remove_collector(std::uint64_t id) noexcept;
 
   // Lock order: sampler_mutex_ > loop_mutex_; file_mutex_ >
-  // collectors_mutex_ > the leaf locks collectors take. mutex_ (the name
-  // maps) and each Histogram's internal mutex are leaves, never held
-  // across another lock.
-  mutable std::mutex mutex_;  // name maps; handles are internally synced
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-
+  // collectors_mutex_ > the leaf locks collectors take (each Histogram's
+  // internal mutex among them).
   mutable std::mutex collectors_mutex_;            // held while collectors run
   std::map<std::uint64_t, Collector> collectors_;  // by id: attach order
   std::uint64_t next_collector_id_ = 0;

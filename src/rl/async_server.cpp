@@ -21,14 +21,6 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-/// Achieved batch-assembly linger across every server in the process
-/// (registry-only: no server counts it).
-obs::Histogram& batch_linger_us() {
-  static obs::Histogram& histogram =
-      obs::MetricsRegistry::global().histogram("oselm_async_batch_linger_us");
-  return histogram;
-}
-
 /// A corrupting backend (rl::FaultBackend kNan, a real numerical blow-up)
 /// must not leak silently into action selection or TD targets: surface it
 /// as a backend failure, so its sessions retire with kBackendError and a
@@ -203,6 +195,19 @@ AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
   metrics_ = obs::MetricsRegistry::global().add_collector(
       [this](obs::MetricsSnapshot& snapshot) {
         counters_.append_series(snapshot, "oselm_async_", config_.name);
+        const obs::Labels server{{"server", config_.name}};
+        snapshot.histograms.push_back({"oselm_async_batch_linger_us", server,
+                                       batch_linger_us_.snapshot()});
+        const std::scoped_lock lk(stats_mutex_);
+        for (std::size_t c = 0; c < util::kOpCategoryCount; ++c) {
+          const auto category = static_cast<util::OpCategory>(c);
+          const double seconds = stopped_ledger_.get(category);
+          if (seconds == 0.0) continue;
+          snapshot.gauges.push_back(
+              {"oselm_ledger_" +
+                   std::string(util::op_category_name(category)) + "_seconds",
+               server, seconds});
+        }
       });
 }
 
@@ -229,31 +234,15 @@ void AsyncQServer::stop() {
   // agent resuming training, a bench reading then reusing it).
   backend_->ledger().release_writer();
   batch_affinity_.release();
-  // Surface the quiescent ledger's charge categories as process-wide
-  // gauges (cumulative seconds across every server stopped so far).
-  const util::OpBreakdown& breakdown = backend_->ledger().breakdown();
-  for (std::size_t c = 0; c < util::kOpCategoryCount; ++c) {
-    const auto category = static_cast<util::OpCategory>(c);
-    const double seconds = breakdown.get(category);
-    if (seconds == 0.0) continue;
-    obs::MetricsRegistry::global()
-        .gauge("oselm_ledger_" +
-               std::string(util::op_category_name(category)) + "_seconds")
-        .add(seconds);
-  }
+  // The collector publishes the quiescent ledger's charge categories.
+  const std::scoped_lock lk(stats_mutex_);
+  stopped_ledger_ = backend_->ledger().breakdown();
 }
 
-namespace {
-
-/// Human-readable identity of a not-yet-admitted session for admission
-/// errors: the same env#seed#seed derivation the router uses for its
-/// default affinity keys, so logs from both tiers name sessions alike.
-std::string session_descriptor(const AsyncSessionSpec& spec) {
+std::string session_key(const AsyncSessionSpec& spec) {
   return spec.session.env_id + "#" + std::to_string(spec.session.env_seed) +
          "#" + std::to_string(spec.session.agent_seed);
 }
-
-}  // namespace
 
 std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
   spec.session.agent.validate();
@@ -284,14 +273,14 @@ std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
       counters_.add<&AsyncServerStats::stopping_rejections>();
       throw AdmissionError(AdmissionRejectReason::kStopping,
                            "AsyncQServer::add_session",
-                           session_descriptor(spec), "server is stopping");
+                           session_key(spec), "server is stopping");
     }
     if (live_.size() >= config_.max_live_sessions) {
       counters_.add<&AsyncServerStats::admission_rejections>();
       OSELM_TRACE_INSTANT("session", "admission_rejected");
       throw AdmissionError(
           AdmissionRejectReason::kCapacity, "AsyncQServer::add_session",
-          session_descriptor(spec),
+          session_key(spec),
           "live-session cap (" + std::to_string(config_.max_live_sessions) +
               ") reached; retry after a session retires");
     }
@@ -537,7 +526,7 @@ void AsyncQServer::batch_loop() {
         if (pending_since_us_ != 0) {
           // Achieved batch-assembly linger: first enqueue -> this drain.
           const std::uint64_t now = obs::Tracer::now_us();
-          batch_linger_us().record(
+          batch_linger_us_.record(
               static_cast<double>(now - pending_since_us_));
           // Requests left behind re-arm; linger restarts at this drain.
           pending_since_us_ = ready_.empty() ? 0 : now;

@@ -52,7 +52,10 @@
 // counters, and AsyncServerStats::to_json() emits the bench JSON. The
 // counters are the only count of their events: the server's collector
 // in obs::MetricsRegistry::global() reads the same atomics as
-// `oselm_async_<field>_total{server="<name>"}` until it is destroyed.
+// `oselm_async_<field>_total{server="<name>"}` until it is destroyed,
+// with the achieved batch linger (`oselm_async_batch_linger_us`) and,
+// once stop() has run, the backend ledger's breakdown
+// (`oselm_ledger_<category>_seconds`) under the same label.
 #pragma once
 
 #include <atomic>
@@ -77,6 +80,7 @@
 #include "rl/trainer.hpp"
 #include "util/contract.hpp"
 #include "util/latency_histogram.hpp"
+#include "util/op_accounting.hpp"
 #include "util/thread_pool.hpp"
 
 namespace oselm::rl {
@@ -102,6 +106,11 @@ struct AsyncSessionSpec {
   /// — custom simulators, failure injection in tests.
   std::function<env::EnvironmentPtr(std::uint64_t)> env_factory;
 };
+
+/// A session's `env_id#env_seed#agent_seed` identity: it names a
+/// not-yet-admitted session in admission errors on both tiers, and it is
+/// RouterQServer's placement key when a session brings none.
+[[nodiscard]] std::string session_key(const AsyncSessionSpec& spec);
 
 struct AsyncSessionResult {
   std::size_t id = 0;
@@ -361,9 +370,9 @@ class AsyncQServer {
   // stats_mutex_ (outermost to innermost). A thread holding a later
   // mutex never acquires an earlier one; in practice only stop() nests
   // at all (stop_mutex_ around each of the others, one at a time).
-  // The metrics collector (run by registry snapshots) reads counters_
-  // only and takes no server lock; it attaches and detaches with none
-  // held.
+  // The metrics collector (run by registry snapshots) reads counters_,
+  // batch_linger_us_ and, under stats_mutex_, stopped_ledger_; it
+  // attaches and detaches with no server lock held.
 
   // Ready queue (workers push, batch thread drains).
   mutable std::mutex queue_mutex_;
@@ -403,6 +412,12 @@ class AsyncQServer {
   util::LatencyHistogram batch_rows_hist_;
   CounterSet<kAsyncServerCounters> counters_;
   std::atomic<std::uint64_t> consecutive_backend_failures_{0};
+  /// Achieved batch-assembly linger (first enqueue -> drain), recorded
+  /// by the batch thread while tracing or metrics timing is on.
+  obs::Histogram batch_linger_us_;
+  /// The backend ledger's breakdown as stop() found it quiescent; all
+  /// zero before. Guarded by stats_mutex_.
+  util::OpBreakdown stopped_ledger_;
 
   // Batch-thread workspaces (only that thread touches them). Batch sizes
   // fluctuate under continuous batching, so the state/Q matrices are

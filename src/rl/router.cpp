@@ -31,14 +31,6 @@ constexpr std::size_t kRescueMaxAttempts = 3;
 /// Linear backoff between rescue attempts: attempt * kRescueBackoffUs.
 constexpr std::uint64_t kRescueBackoffUs = 200;
 
-/// Wall time admissions spent blocked at capacity, across every router
-/// in the process (registry-only: no router counts it).
-obs::Histogram& admission_wait_us() {
-  static obs::Histogram& histogram = obs::MetricsRegistry::global().histogram(
-      "oselm_router_admission_wait_us");
-  return histogram;
-}
-
 /// Trace-instant spelling of a health transition; literals so the
 /// record path never allocates.
 void trace_health_transition(ReplicaHealth state) {
@@ -111,10 +103,12 @@ RouterQServer::RouterQServer(RouterConfig config, SimplifiedOutputModel model)
   metrics_ = obs::MetricsRegistry::global().add_collector(
       [this](obs::MetricsSnapshot& snapshot) {
         counters_.append_series(snapshot, "oselm_router_", config_.name);
+        const obs::Labels server{{"server", config_.name}};
         snapshot.counters.push_back(
-            {"oselm_router_health_transitions_total",
-             {{"server", config_.name}},
+            {"oselm_router_health_transitions_total", server,
              health_transitions_.load(std::memory_order_relaxed)});
+        snapshot.histograms.push_back({"oselm_router_admission_wait_us",
+                                       server, admission_wait_us_.snapshot()});
       });
 }
 
@@ -222,13 +216,6 @@ double RouterQServer::now_ms() const {
 // Placement & admission
 // ---------------------------------------------------------------------------
 
-std::string RouterQServer::derived_affinity_key(
-    const AsyncSessionSpec& spec) {
-  return spec.session.env_id + "#" +
-         std::to_string(spec.session.env_seed) + "#" +
-         std::to_string(spec.session.agent_seed);
-}
-
 std::size_t RouterQServer::preferred_replica(
     const std::string& affinity_key) const noexcept {
   // util::fnv1a is platform-stable — the same key maps to the same
@@ -275,7 +262,7 @@ std::size_t RouterQServer::pick_replica_locked(const std::string& key,
 
 std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
   const std::string key = spec.affinity_key.empty()
-                              ? derived_affinity_key(spec.session)
+                              ? session_key(spec.session)
                               : spec.affinity_key;
   const std::shared_lock fleet(fleet_mutex_);
   std::unique_lock lk(placement_mutex_);
@@ -334,7 +321,7 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
       counters_.add<&RouterStats::sessions_admitted>();
       OSELM_TRACE_INSTANT("router", "place");
       if (wait_start_us != 0) {
-        admission_wait_us().record(
+        admission_wait_us_.record(
             static_cast<double>(obs::Tracer::now_us() - wait_start_us));
       }
       return router_id;
@@ -349,7 +336,7 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
       if (waited) {
         counters_.add<&RouterStats::admission_wait_timeouts>();
         if (wait_start_us != 0) {
-          admission_wait_us().record(
+          admission_wait_us_.record(
               static_cast<double>(obs::Tracer::now_us() - wait_start_us));
         }
       }

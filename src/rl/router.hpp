@@ -33,8 +33,10 @@
 //     the per-replica health timelines; RouterStats::to_json() is what
 //     bench_router and the router_serving example emit. The metrics
 //     registry reads the router's counters as
-//     `oselm_router_<field>_total{server="<name>"}`, and each replica
-//     incarnation exports its own `oselm_async_*{server="<name>/rI"}`.
+//     `oselm_router_<field>_total{server="<name>"}` and its admission
+//     waits as `oselm_router_admission_wait_us{server="<name>"}`, and
+//     each replica incarnation exports its own series under
+//     `server="<name>/rI"`.
 //
 // Replica lifecycle (the self-healing tier). Each replica slot carries a
 // health state machine, advanced by a dedicated maintenance thread that
@@ -210,8 +212,8 @@ struct RouterConfig {
 /// A session plus its placement key.
 struct RouterSessionSpec {
   AsyncSessionSpec session;
-  /// Sessions with equal keys prefer the same replica. Empty = derived
-  /// from the spec's env id and seeds (so identical specs co-locate).
+  /// Sessions with equal keys prefer the same replica. Empty =
+  /// session_key(session), so identical specs co-locate.
   std::string affinity_key;
 };
 
@@ -331,10 +333,6 @@ class RouterQServer {
   /// assert against the same mapping the router uses).
   [[nodiscard]] std::size_t preferred_replica(
       const std::string& affinity_key) const noexcept;
-  /// Placement-key derivation for an empty affinity_key (exposed for
-  /// the same reason).
-  [[nodiscard]] static std::string derived_affinity_key(
-      const AsyncSessionSpec& spec);
   /// Direct access to the CURRENT incarnation serving slot `index`.
   /// Only safe while no replacement can run concurrently (quiescent
   /// fleets, tests); the reference dangles across a replacement.
@@ -453,6 +451,9 @@ class RouterQServer {
   /// Health-timeline entries recorded after construction; exported as
   /// oselm_router_health_transitions_total.
   std::atomic<std::uint64_t> health_transitions_{0};
+  /// Wall time admissions spent blocked at capacity, recorded while
+  /// tracing or metrics timing is on.
+  obs::Histogram admission_wait_us_;
   std::atomic<bool> stopping_{false};
 
   // Maintenance thread (health polling, kills, replacement, rescue).

@@ -14,6 +14,7 @@
 
 #include "env/registry.hpp"
 #include "linalg/matrix.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
@@ -27,37 +28,6 @@ namespace oselm::scenario {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 struct EnvDims {
   std::size_t state_dim = 0;
@@ -593,10 +563,10 @@ std::string verdict_json(const ScenarioVerdict& verdict,
   std::snprintf(digest, sizeof(digest), "0x%016llx",
                 static_cast<unsigned long long>(verdict.schedule_digest));
   out << "{\n";
-  out << "  \"scenario\": \"" << json_escape(verdict.scenario) << "\",\n";
-  out << "  \"backend_tier\": \"" << json_escape(verdict.backend_tier)
+  out << "  \"scenario\": \"" << obs::json_escape(verdict.scenario) << "\",\n";
+  out << "  \"backend_tier\": \"" << obs::json_escape(verdict.backend_tier)
       << "\",\n";
-  out << "  \"backend_id\": \"" << json_escape(verdict.backend_id)
+  out << "  \"backend_id\": \"" << obs::json_escape(verdict.backend_id)
       << "\",\n";
   out << "  \"seed\": " << verdict.seed << ",\n";
   out << "  \"schedule_digest\": \"" << digest << "\",\n";
@@ -605,12 +575,12 @@ std::string verdict_json(const ScenarioVerdict& verdict,
   out << "  \"invariants\": [\n";
   for (std::size_t i = 0; i < verdict.invariants.size(); ++i) {
     const InvariantResult& inv = verdict.invariants[i];
-    out << "    {\"name\": \"" << json_escape(inv.name) << "\", \"pass\": "
+    out << "    {\"name\": \"" << obs::json_escape(inv.name) << "\", \"pass\": "
         << (inv.pass ? "true" : "false");
     // Details carry timing-dependent counts, so they belong to the full
     // verdict only — the deterministic core stays byte-stable.
     if (with_telemetry) {
-      out << ", \"detail\": \"" << json_escape(inv.detail) << "\"";
+      out << ", \"detail\": \"" << obs::json_escape(inv.detail) << "\"";
     }
     out << "}" << (i + 1 < verdict.invariants.size() ? "," : "") << "\n";
   }

@@ -1,14 +1,12 @@
-// obs::MetricsRegistry — named counters/gauges/histograms and labeled
-// collector series, with Prometheus text and JSONL exporters plus the
-// periodic sampler.
+// obs::MetricsRegistry — labeled series pulled from collectors, with
+// Prometheus text and JSONL exporters plus the periodic sampler.
 //
 // Load-bearing properties:
-//   * registration validates names against the Prometheus grammar and
-//     refuses cross-kind re-registration; same-kind re-registration
-//     returns the SAME handle;
+//   * the registry holds no metric of its own: a snapshot is exactly the
+//     series its attached collectors append, read at snapshot time;
 //   * snapshots are wall-clock stamped and sorted by (name, labels);
-//     collector series with equal name and labels are summed, and a
-//     detached collector's series are gone from the next snapshot;
+//     series with equal name and labels are summed, and a detached
+//     collector's series are gone from the next snapshot;
 //   * the Prometheus exposition format is pinned (dashboards parse it):
 //     one `# TYPE` line per family, contiguous families, escaped label
 //     values;
@@ -20,82 +18,69 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <future>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oselm::obs {
 namespace {
 
 TEST(MetricsHandles, CounterGaugeHistogramBasics) {
-  Counter counter;
-  counter.add();
-  counter.add(41);
-  EXPECT_EQ(counter.value(), 42u);
-
-  Gauge gauge;
-  gauge.set(2.5);
-  EXPECT_DOUBLE_EQ(gauge.value(), 2.5);
-  gauge.add(-1.0);
-  EXPECT_DOUBLE_EQ(gauge.value(), 1.5);
-
+  // An owner keeps its own counter, gauge and histogram; its collector
+  // reads them at snapshot time, so each snapshot sees current values.
+  std::atomic<std::uint64_t> events{0};
+  std::atomic<double> level{0.0};
   Histogram histogram;
+  MetricsRegistry registry;
+  const Labels owner{{"server", "s"}};
+  const auto collector =
+      registry.add_collector([&](MetricsSnapshot& snapshot) {
+        snapshot.counters.push_back({"events_total", owner, events.load()});
+        snapshot.gauges.push_back({"level", owner, level.load()});
+        snapshot.histograms.push_back(
+            {"wait_us", owner, histogram.snapshot()});
+      });
+  events += 42;
+  level = 2.5;
   histogram.record(10.0);
   histogram.record(20.0);
-  EXPECT_EQ(histogram.snapshot().count(), 2u);
-}
+  MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].labels, owner);
+  EXPECT_EQ(snap.counters[0].value, 42u);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 2.5);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].value.count(), 2u);
 
-TEST(MetricsHandles, ConcurrentCounterAddsSumExactly) {
-  Counter counter;
-  util::ThreadPool pool(4);
-  std::vector<std::future<void>> futures;
-  futures.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    futures.push_back(pool.submit([&counter] {
-      for (int i = 0; i < 10'000; ++i) counter.add();
-    }));
-  }
-  for (std::future<void>& f : futures) f.get();
-  EXPECT_EQ(counter.value(), 40'000u);
-}
-
-TEST(MetricsRegistry, ValidatesNamesAndKinds) {
-  MetricsRegistry registry;
-  EXPECT_THROW(registry.counter(""), std::invalid_argument);
-  EXPECT_THROW(registry.counter("1leading_digit"), std::invalid_argument);
-  EXPECT_THROW(registry.counter("has-dash"), std::invalid_argument);
-  EXPECT_THROW(registry.gauge("has space"), std::invalid_argument);
-  EXPECT_NO_THROW(registry.counter("ok_name_total"));
-  EXPECT_NO_THROW(registry.gauge("ns:scoped_value"));
-
-  // Same kind: same handle. Other kind: refused.
-  Counter& a = registry.counter("shared");
-  Counter& b = registry.counter("shared");
-  EXPECT_EQ(&a, &b);
-  EXPECT_THROW(registry.gauge("shared"), std::invalid_argument);
-  EXPECT_THROW(registry.histogram("shared"), std::invalid_argument);
+  events += 1;
+  level = 1.5;
+  snap = registry.snapshot();
+  EXPECT_EQ(snap.counters[0].value, 43u);
+  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 1.5);
 }
 
 TEST(MetricsRegistry, SnapshotIsStampedAndSorted) {
   MetricsRegistry registry;
-  registry.counter("zz_total").add(7);
-  registry.counter("aa_total").add(1);
-  registry.gauge("mid_value").set(3.0);
+  const auto collector = registry.add_collector([](MetricsSnapshot& snap) {
+    snap.counters.push_back({"zz_total", {{"server", "s"}}, 7});
+    snap.counters.push_back({"aa_total", {{"server", "s"}}, 1});
+    snap.gauges.push_back({"mid_value", {{"server", "s"}}, 3.0});
+  });
+  EXPECT_TRUE(MetricsRegistry().snapshot().counters.empty());
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_GT(snap.captured_at_us, 0u);
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].name, "aa_total");
   EXPECT_EQ(snap.counters[1].name, "zz_total");
-  EXPECT_TRUE(snap.counters[1].labels.empty());
+  EXPECT_EQ(snap.counters[1].labels, (Labels{{"server", "s"}}));
   EXPECT_EQ(snap.counters[1].value, 7u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.gauges[0].value, 3.0);
@@ -151,12 +136,16 @@ TEST(MetricsRegistry, LabeledFamiliesGetOneTypeLineAndStayContiguous) {
   // "steps_total_max" extends the "steps_total" prefix and sorts between
   // the unlabeled and the labeled spellings as plain text; the family
   // must stay in one piece anyway.
-  registry.counter("steps_total").add(1);
-  registry.counter("steps_total_max").add(9);
+  const auto unlabeled = registry.add_collector([](MetricsSnapshot& snap) {
+    snap.counters.push_back({"steps_total", {}, 1});
+    snap.counters.push_back({"steps_total_max", {}, 9});
+    util::LatencyHistogram histogram;
+    histogram.record(10.0);
+    snap.histograms.push_back({"wait_us", {}, histogram});
+  });
   const auto collector = attach_server(
       registry, "r0", {{"steps_total", 2}, {"steps_total_max", 8}});
   const auto other = attach_server(registry, "r1", {{"steps_total", 3}});
-  registry.histogram("wait_us").record(10.0);
   const auto histograms = registry.add_collector([](MetricsSnapshot& snap) {
     util::LatencyHistogram histogram;
     histogram.record(20.0);
@@ -207,35 +196,50 @@ TEST(MetricsRegistry, LabelValuesAreEscapedInBothExporters) {
   EXPECT_DOUBLE_EQ(events->number_value, 6.0);
 }
 
+/// A collector exporting one counter, gauge and histogram series of
+/// server "s": requests_total 3, queue_depth 2.5, latency_us {10}.
+MetricsRegistry::CollectorHandle attach_one_of_each(MetricsRegistry& registry) {
+  return registry.add_collector([](MetricsSnapshot& snap) {
+    const Labels server{{"server", "s"}};
+    snap.counters.push_back({"requests_total", server, 3});
+    snap.gauges.push_back({"queue_depth", server, 2.5});
+    util::LatencyHistogram histogram;
+    histogram.record(10.0);
+    snap.histograms.push_back({"latency_us", server, histogram});
+  });
+}
+
 TEST(MetricsRegistry, PrometheusTextFormatIsPinned) {
   MetricsRegistry registry;
-  registry.counter("requests_total").add(3);
-  registry.gauge("queue_depth").set(2.5);
-  registry.histogram("latency_us").record(10.0);
+  const auto collector = attach_one_of_each(registry);
   const std::string text = registry.prometheus_text();
 
-  EXPECT_NE(text.find("# TYPE requests_total counter\nrequests_total 3\n"),
+  EXPECT_NE(text.find("# TYPE requests_total counter\n"
+                      "requests_total{server=\"s\"} 3\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("# TYPE queue_depth gauge\nqueue_depth 2.5\n"),
+  EXPECT_NE(text.find("# TYPE queue_depth gauge\n"
+                      "queue_depth{server=\"s\"} 2.5\n"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("# TYPE latency_us summary\n"), std::string::npos);
   for (const char* quantile : {"0.5", "0.95", "0.99"}) {
-    EXPECT_NE(text.find("latency_us{quantile=\"" + std::string(quantile) +
-                        "\"} "),
+    EXPECT_NE(text.find("latency_us{server=\"s\",quantile=\"" +
+                        std::string(quantile) + "\"} "),
               std::string::npos)
         << text;
   }
-  EXPECT_NE(text.find("latency_us_sum 10\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("latency_us_count 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("latency_us_sum{server=\"s\"} 10\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("latency_us_count{server=\"s\"} 1\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(MetricsRegistry, JsonlLineIsSelfContainedJson) {
   MetricsRegistry registry;
-  registry.counter("events_total").add(5);
-  registry.gauge("level").set(-1.25);
-  registry.histogram("lat_us").record(100.0);
+  const auto collector = attach_one_of_each(registry);
   const std::string line = MetricsRegistry::jsonl_line(registry.snapshot());
 
   JsonValue root;
@@ -247,31 +251,36 @@ TEST(MetricsRegistry, JsonlLineIsSelfContainedJson) {
   EXPECT_TRUE(stamp->is_number());
   const JsonValue* counters = root.find("counters");
   ASSERT_NE(counters, nullptr);
-  const JsonValue* events = counters->find("events_total");
-  ASSERT_NE(events, nullptr);
-  EXPECT_DOUBLE_EQ(events->number_value, 5.0);
+  const JsonValue* requests = counters->find("requests_total{server=\"s\"}");
+  ASSERT_NE(requests, nullptr) << line;
+  EXPECT_DOUBLE_EQ(requests->number_value, 3.0);
   const JsonValue* gauges = root.find("gauges");
   ASSERT_NE(gauges, nullptr);
-  const JsonValue* level = gauges->find("level");
-  ASSERT_NE(level, nullptr);
-  EXPECT_DOUBLE_EQ(level->number_value, -1.25);
+  const JsonValue* depth = gauges->find("queue_depth{server=\"s\"}");
+  ASSERT_NE(depth, nullptr) << line;
+  EXPECT_DOUBLE_EQ(depth->number_value, 2.5);
   const JsonValue* histograms = root.find("histograms");
   ASSERT_NE(histograms, nullptr);
-  const JsonValue* lat = histograms->find("lat_us");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_NE(lat->find("count"), nullptr);
+  const JsonValue* latency = histograms->find("latency_us{server=\"s\"}");
+  ASSERT_NE(latency, nullptr) << line;
+  EXPECT_NE(latency->find("count"), nullptr);
 }
 
 TEST(MetricsRegistry, SamplerWritesParseableSeriesAndFlipsTimingFlag) {
   const std::string path =
       ::testing::TempDir() + "/oselm_metrics_sampler_test.jsonl";
   MetricsRegistry registry;
-  Counter& ticks = registry.counter("ticks_total");
+  std::atomic<std::uint64_t> ticks{0};
+  const auto collector =
+      registry.add_collector([&ticks](MetricsSnapshot& snapshot) {
+        snapshot.counters.push_back(
+            {"ticks_total", {{"server", "s"}}, ticks.load()});
+      });
   EXPECT_FALSE(timing_enabled());
   ASSERT_TRUE(registry.start_sampler(path, /*period_ms=*/5));
   EXPECT_TRUE(timing_enabled());
   EXPECT_FALSE(registry.start_sampler(path, 5));  // one sampler at a time
-  ticks.add(3);
+  ticks += 3;
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   registry.stop_sampler();
   EXPECT_FALSE(timing_enabled());

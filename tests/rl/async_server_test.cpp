@@ -567,6 +567,67 @@ TEST(AsyncQServer, RegistrySeriesAreTheServerStatsUnderItsName) {
   EXPECT_TRUE(server_series(failing_config.name).empty());
 }
 
+/// Every `oselm_ledger_*` gauge labeled server="<server>" in a fresh
+/// snapshot of the process-wide registry, by series name.
+std::map<std::string, double> ledger_series(const std::string& server) {
+  std::map<std::string, double> out;
+  for (const auto& series : obs::MetricsRegistry::global().snapshot().gauges) {
+    if (series.name.starts_with("oselm_ledger_") &&
+        series.labels == obs::Labels{{"server", server}}) {
+      out[series.name] = series.value;
+    }
+  }
+  return out;
+}
+
+/// Asserts the ledger series of `server` are its backend ledger's
+/// breakdown: one series per charged category, none for the others.
+void expect_ledger_series_equal_breakdown(const AsyncQServer& server) {
+  const util::OpBreakdown& breakdown = server.backend().ledger().breakdown();
+  const std::map<std::string, double> series = ledger_series(server.name());
+  std::size_t charged = 0;
+  for (std::size_t c = 0; c < util::kOpCategoryCount; ++c) {
+    const auto category = static_cast<util::OpCategory>(c);
+    const std::string name = "oselm_ledger_" +
+                             std::string(util::op_category_name(category)) +
+                             "_seconds";
+    if (breakdown.get(category) == 0.0) {
+      EXPECT_FALSE(series.contains(name)) << name;
+      continue;
+    }
+    ++charged;
+    ASSERT_TRUE(series.contains(name)) << name;
+    EXPECT_EQ(series.at(name), breakdown.get(category)) << name;
+  }
+  EXPECT_GT(charged, 0u);
+  EXPECT_EQ(series.size(), charged);
+}
+
+TEST(AsyncQServer, LedgerSeriesArePerServerAndPublishedAtStop) {
+  // Each server exports its own backend ledger under its own label, so
+  // two servers give two series rather than one process-wide sum.
+  AsyncQServerConfig first_config;
+  first_config.name = "ledger-series-test/a";
+  AsyncQServerConfig second_config;
+  second_config.name = "ledger-series-test/b";
+  AsyncQServer first(make_backend("fpga-q20", backend_config(17)),
+                     SimplifiedOutputModel(4, 2), first_config);
+  AsyncQServer second(make_backend("fpga-q20", backend_config(18)),
+                      SimplifiedOutputModel(4, 2), second_config);
+  EXPECT_TRUE(first.wait(first.add_session(train_spec(180, 190, 20)))
+                  .completed);
+  EXPECT_TRUE(second.wait(second.add_session(train_spec(181, 191, 5)))
+                  .completed);
+  // Published at stop(), once the backend is quiescent.
+  EXPECT_TRUE(ledger_series(first_config.name).empty());
+  first.stop();
+  second.stop();
+  expect_ledger_series_equal_breakdown(first);
+  expect_ledger_series_equal_breakdown(second);
+  EXPECT_NE(ledger_series(first_config.name),
+            ledger_series(second_config.name));
+}
+
 TEST(AsyncQServer, ConcurrentJoinsRacingStopNeverHangOrMiscount) {
   // Regression for the join()-racing-stop() window: joins that land
   // while stop() tears the server down must either be admitted (and then

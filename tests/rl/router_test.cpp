@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -747,6 +748,42 @@ TEST(RouterQServer, BoundedWaitAdmissionTimesOutWithTheWaitedError) {
   EXPECT_EQ(stats.admission_wait_timeouts, 1u);
   EXPECT_EQ(stats.placement_rejections, 1u);
   router.stop();
+}
+
+TEST(RouterQServer, AdmissionWaitSeriesCountsEveryWaitedAdmission) {
+  // With timing on, every admission that blocked at capacity records
+  // its wait into the router's own histogram, exported under its name.
+  obs::set_timing_enabled(true);
+  RouterConfig config = router_config("software", 2);
+  config.name = "admission-wait-series";
+  config.server.max_live_sessions = 1;
+  config.admission_wait_us = 5'000'000;
+  RouterQServer router(config, SimplifiedOutputModel(4, 2));
+
+  // Two sessions saturate the fleet (cap 2 x 1); the third join blocks
+  // until a retirement frees a slot.
+  AsyncSessionSpec busy = eval_spec(10, 20, 2);
+  busy.session.env_id = "delay:500:ShapedCartPole-v0";
+  router.add_session({busy, key_for_replica(router, 0)});
+  busy.session.env_seed = 11;
+  router.add_session({busy, key_for_replica(router, 1)});
+  busy.session.env_seed = 12;
+  EXPECT_TRUE(router.wait(router.add_session({busy, ""})).completed);
+  router.stop();
+  obs::set_timing_enabled(false);
+
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.admission_waits, 1u);
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::global().snapshot();
+  const auto series = std::find_if(
+      snapshot.histograms.begin(), snapshot.histograms.end(),
+      [&config](const obs::Series<util::LatencyHistogram>& s) {
+        return s.name == "oselm_router_admission_wait_us" &&
+               s.labels == obs::Labels{{"server", config.name}};
+      });
+  ASSERT_NE(series, snapshot.histograms.end());
+  EXPECT_EQ(series->value.count(), stats.admission_waits);
 }
 
 TEST_P(PerBackend, ExclusiveStateImportUnderTrafficKeepsEvalBitIdentical) {

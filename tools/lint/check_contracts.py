@@ -19,10 +19,10 @@ Rules:
       Metadata getters (initialized, input_dim, hidden_units, ledger,
       supports_state_sync) are exempt: they are safe to read anywhere.
   naked-thread
-      No std::thread construction outside util/thread_pool.*. The two
+      No std::thread construction outside util/thread_pool.*. The
       long-lived service threads (AsyncQServer's batch thread,
-      RouterQServer's sync thread) are baselined; ad-hoc thread spawns
-      must go through util::ThreadPool.
+      RouterQServer's sync and maintenance threads) are baselined;
+      ad-hoc thread spawns must go through util::ThreadPool.
   mutex-lock-order
       A header declaring two or more std::mutex members must document
       their lock order (a comment containing "Lock order").
@@ -39,12 +39,6 @@ Rules:
       a translation unit under bench/, perfbench/, examples/ or tools/.
       Reaching x.hpp also follows the includes of its x.cpp. A header
       only tests include is dead code: delete it with its .cpp.
-  global-counter
-      MetricsRegistry::global().counter( may appear only under src/obs/.
-      A server counts its events in its own atomics and exports them
-      through a metrics collector; a process-wide registry counter for
-      the same events is a second set of books that drifts and cannot
-      tell servers apart.
 
 Usage:
   python3 tools/lint/check_contracts.py            # gate (CI mode)
@@ -97,9 +91,6 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 # Directories whose translation units are the program's callers: a
 # src/ header none of them reaches is dead code.
 CALLER_DIRS = ("bench", "perfbench", "examples", "tools")
-
-GLOBAL_COUNTER_RE = re.compile(
-    r"MetricsRegistry\s*::\s*global\s*\(\s*\)\s*\.\s*counter\s*\(")
 
 
 class Finding:
@@ -246,27 +237,6 @@ def check_dead_header() -> list[Finding]:
             if path.resolve() not in seen]
 
 
-def check_global_counter() -> list[Finding]:
-    findings = []
-    obs = REPO / "src" / "obs"
-    for d in ("src", "tests") + CALLER_DIRS:
-        for path in sorted((REPO / d).glob("**/*.?pp")):
-            if obs in path.parents:
-                continue
-            # Join comment-stripped lines so a call split across lines
-            # still matches; map each match back to its line.
-            lines = [line for _, line in stripped_code_lines(path)]
-            text = "\n".join(lines)
-            for match in GLOBAL_COUNTER_RE.finditer(text):
-                number = text.count("\n", 0, match.start()) + 1
-                findings.append(Finding(
-                    "global-counter", path, number,
-                    "process-wide registry counter outside src/obs/ — "
-                    "count in the object and export it through "
-                    "MetricsRegistry::add_collector"))
-    return findings
-
-
 CHECKS = (
     check_kernel_heap_alloc,
     check_backend_call_outside_batch,
@@ -274,7 +244,6 @@ CHECKS = (
     check_mutex_lock_order,
     check_hot_loop_clock,
     check_dead_header,
-    check_global_counter,
 )
 
 

@@ -17,6 +17,7 @@
 // chrome://tracing) on exit; `--metrics-out <file>` streams metrics
 // snapshots to a .metrics.jsonl time series while scenarios run. Both
 // compose with every run mode.
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -33,6 +34,10 @@ namespace {
 using oselm::scenario::ScenarioRunner;
 using oselm::scenario::ScenarioSpec;
 using oselm::scenario::ScenarioVerdict;
+
+/// Metrics sampling period: a builtin scenario runs for milliseconds,
+/// so a coarser period would leave no mid-run samples in the file.
+constexpr std::uint64_t kMetricsPeriodMs = 2;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -73,7 +78,7 @@ class ObsSinks {
     if (!trace_out_.empty()) oselm::obs::Tracer::set_enabled(true);
     if (!metrics_out.empty()) {
       if (!oselm::obs::MetricsRegistry::global().start_sampler(
-              metrics_out, /*period_ms=*/50)) {
+              metrics_out, kMetricsPeriodMs)) {
         std::fprintf(stderr,
                      "scenario_runner: cannot open metrics sink %s\n",
                      metrics_out.c_str());
