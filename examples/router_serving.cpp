@@ -10,8 +10,8 @@
 // it in Perfetto / chrome://tracing); --metrics-out streams metrics
 // snapshots to a .metrics.jsonl time series while the fleet serves.
 //
-// Two phases: train the fleet under TrainSyncPolicy::kPeriodicAverage
-// (every replica ends up with the averaged Q-network), then serve a
+// Two phases: train the fleet with periodic averaging (every replica
+// ends up with the averaged Q-network), then serve a
 // burst of evaluation sessions whose affinity keys spread them across
 // replicas. Defaults keep the run around a second so CI smoke-runs it.
 // Exits non-zero if any session fails or the telemetry looks broken.
@@ -82,14 +82,13 @@ int main(int argc, char** argv) {
   config.server.max_live_sessions = 16;
   config.server.max_batch = 16;
   config.server.max_wait_us = 200;
-  config.sync_policy = rl::TrainSyncPolicy::kPeriodicAverage;
   config.sync_every_updates = 128;
 
   rl::RouterQServer router(config, model);
 
   // --- Phase 1: one training session per replica; the averaging rounds
   // keep the fleet's Q-networks converging on shared state.
-  std::printf("training %zu replicas under kPeriodicAverage...\n", replicas);
+  std::printf("training %zu replicas with periodic averaging...\n", replicas);
   std::vector<std::size_t> trainers;
   for (std::size_t r = 0; r < replicas; ++r) {
     rl::AsyncSessionSpec train;

@@ -154,7 +154,7 @@ class OsElmQBackend {
   [[nodiscard]] virtual std::size_t hidden_units() const = 0;
 
   /// Whether this backend implements export_state/import_state. The base
-  /// returns false; callers (rl::RouterQServer's kPeriodicAverage sync)
+  /// returns false; callers (rl::RouterQServer's periodic averaging)
   /// must check before calling either — the defaults throw.
   [[nodiscard]] virtual bool supports_state_sync() const { return false; }
 

@@ -301,9 +301,6 @@ class AsyncQServer {
   [[nodiscard]] const std::string& name() const noexcept {
     return config_.name;
   }
-  [[nodiscard]] const SimplifiedOutputModel& model() const noexcept {
-    return model_;
-  }
   [[nodiscard]] const OsElmQBackend& backend() const noexcept {
     return *backend_;
   }

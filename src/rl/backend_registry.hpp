@@ -55,7 +55,7 @@ struct BackendCapabilities {
   /// Honors BackendConfig::forgetting_factor < 1 (FOS-ELM extension).
   bool forgetting = false;
   /// Implements export_state/import_state (QNetState snapshots), required
-  /// by RouterQServer's kPeriodicAverage replica synchronization.
+  /// by RouterQServer's periodic averaging (sync_every_updates > 0).
   bool state_sync = false;
 
   /// True when every capability set in `required` is present here.

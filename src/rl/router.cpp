@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "linalg/ops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contract.hpp"
@@ -17,10 +18,7 @@ namespace {
 
 constexpr std::size_t kNoReplica = static_cast<std::size_t>(-1);
 
-/// kPeriodicAverage: how often the sync thread polls the update counters
-/// between rounds.
-constexpr std::uint64_t kSyncPollUs = 500;
-/// Maintenance-thread poll cadence for the health state machine.
+/// Maintenance-thread poll cadence: health, rescue and averaging.
 constexpr std::uint64_t kHealthPollUs = 200;
 /// Consecutive failed batch-thread passes (AsyncQServer::
 /// consecutive_backend_failures) at which the maintenance thread marks a
@@ -50,21 +48,6 @@ void trace_health_transition(ReplicaHealth state) {
   }
 }
 
-/// result += other, element-wise; adopts other's shape on first use.
-void accumulate(linalg::MatD& result, const linalg::MatD& other) {
-  if (result.empty()) {
-    result = other;
-    return;
-  }
-  std::vector<double>& out = result.storage();
-  const std::vector<double>& in = other.storage();
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] += in[i];
-}
-
-void scale(linalg::MatD& m, double factor) noexcept {
-  for (double& v : m.storage()) v *= factor;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -76,28 +59,21 @@ RouterQServer::RouterQServer(RouterConfig config, SimplifiedOutputModel model)
   if (config_.replicas == 0) {
     throw std::invalid_argument("RouterQServer: replicas == 0");
   }
-  if (config_.sync_policy == TrainSyncPolicy::kPeriodicAverage &&
-      config_.sync_every_updates == 0) {
-    throw std::invalid_argument("RouterQServer: sync_every_updates == 0");
+  // R batch threads cannot charge one ledger (OpBreakdown::add is a
+  // plain +=); each replica exports its own instead.
+  if (config_.backend.ledger) {
+    throw std::invalid_argument(
+        "RouterQServer: BackendConfig::ledger must be null (each replica "
+        "exports its own ledger series)");
   }
-  replica_slots_ = config_.replicas;
   start_ = std::chrono::steady_clock::now();
-  replicas_.reserve(replica_slots_);
-  retired_stats_.resize(replica_slots_);
-  sync_states_.resize(replica_slots_);
-  health_.resize(replica_slots_);
-  // A user-shared ledger must not be charged by R batch threads at once
-  // (OpBreakdown::add is a plain +=): swap in private per-replica
-  // accounts and settle them into the user's ledger at stop().
-  user_ledger_ = config_.backend.ledger;
-  if (user_ledger_) replica_ledgers_.reserve(replica_slots_);
-  for (std::size_t i = 0; i < replica_slots_; ++i) {
+  replicas_.reserve(config_.replicas);
+  retired_stats_.resize(config_.replicas);
+  health_.resize(config_.replicas);
+  for (std::size_t i = 0; i < config_.replicas; ++i) {
     replicas_.push_back(build_replica(i, /*incarnation=*/0, nullptr));
     health_[i].timeline.push_back(
         ReplicaHealthEvent{0, ReplicaHealth::kHealthy, now_ms()});
-  }
-  if (config_.sync_policy == TrainSyncPolicy::kPeriodicAverage) {
-    sync_thread_ = std::thread([this] { sync_loop(); });
   }
   maintenance_thread_ = std::thread([this] { maintenance_loop(); });
   metrics_ = obs::MetricsRegistry::global().add_collector(
@@ -116,16 +92,7 @@ std::unique_ptr<AsyncQServer> RouterQServer::build_replica(
     std::size_t index, std::uint64_t incarnation,
     const QNetState* seed_state) {
   BackendCapabilities required;
-  required.state_sync =
-      config_.sync_policy == TrainSyncPolicy::kPeriodicAverage;
-  // Every replica gets the SAME BackendConfig — seed included — so all
-  // R networks start with identical weights (the evaluation determinism
-  // contract; see the header comment).
-  BackendConfig replica_config = config_.backend;
-  if (user_ledger_) {
-    replica_ledgers_.push_back(std::make_shared<util::TimeLedger>());
-    replica_config.ledger = replica_ledgers_.back();
-  }
+  required.state_sync = config_.sync_every_updates > 0;
   // Per-replica backend-id overrides apply to the ORIGINAL incarnation
   // only: a replacement never re-inherits a "fault:" modifier — the
   // faulty backend instance is exactly what is being replaced.
@@ -134,8 +101,11 @@ std::unique_ptr<AsyncQServer> RouterQServer::build_replica(
       !config_.replica_backend_ids[index].empty()) {
     backend_id = config_.replica_backend_ids[index];
   }
+  // Every replica gets the SAME BackendConfig — seed included — so all
+  // R networks start with identical weights (the evaluation determinism
+  // contract; see the header comment).
   OsElmQBackendPtr backend =
-      make_backend(backend_id, replica_config, required);
+      make_backend(backend_id, config_.backend, required);
   // Seed BEFORE the server exists: no batch thread has been spawned, so
   // the import is single-threaded by construction, and the server's
   // constructor observes an already-initialized backend (its sessions
@@ -158,8 +128,9 @@ void RouterQServer::stop() {
   const std::scoped_lock stop_lock(stop_mutex_);
   stopping_.store(true, std::memory_order_release);
   capacity_cv_.notify_all();  // release bounded-wait admissions
-  // Maintenance first: it drives replica stop()/swap and rescue
-  // re-admission, both of which must not race the fleet teardown below.
+  // Maintenance first: it drives replica stop()/swap, rescue
+  // re-admission and averaging (run_exclusive into the batch threads),
+  // none of which may race the fleet teardown below.
   if (maintenance_thread_.joinable()) {
     {
       const std::scoped_lock lk(maintenance_mutex_);
@@ -172,37 +143,9 @@ void RouterQServer::stop() {
   // rescue after the maintenance thread's final sweep; abandon it here
   // so every admitted session still ends exactly once.
   process_rescues(/*abandon_all=*/true);
-  // Sync next: it drives run_exclusive calls into the replicas' batch
-  // threads, so it must be gone BEFORE any replica shuts its batch
-  // thread down (a sync round against stopping replicas would fall back
-  // to inline execution racing replica teardown).
-  if (sync_thread_.joinable()) {
-    {
-      const std::scoped_lock lk(sync_mutex_);
-      sync_stop_ = true;
-    }
-    sync_cv_.notify_all();
-    sync_thread_.join();
-  }
-  {
-    const std::shared_lock fleet(fleet_mutex_);
-    for (const std::unique_ptr<AsyncQServer>& replica : replicas_) {
-      replica->stop();
-    }
-  }
-  // Every batch thread is joined, so the per-replica accounts are
-  // quiescent: settle them into the user's shared ledger. Once —
-  // stop() is idempotent and the fold must not double-count. Retired
-  // incarnations' accounts are in the same list (appended on
-  // replacement), so their time is not lost.
-  if (user_ledger_ && !ledger_folded_) {
-    ledger_folded_ = true;
-    for (const util::TimeLedgerPtr& account : replica_ledgers_) {
-      user_ledger_->merge(account->breakdown());
-    }
-    // Whoever reads-then-reuses the ledger next may do so from any
-    // thread; this fold was its last write from ours.
-    user_ledger_->release_writer();
+  const std::shared_lock fleet(fleet_mutex_);
+  for (const std::unique_ptr<AsyncQServer>& replica : replicas_) {
+    replica->stop();
   }
 }
 
@@ -222,7 +165,7 @@ std::size_t RouterQServer::preferred_replica(
   // replica on every build, which the placement tests (and any operator
   // reasoning about session co-location) rely on.
   return static_cast<std::size_t>(util::fnv1a(affinity_key) %
-                                  replica_slots_);
+                                  config_.replicas);
 }
 
 std::size_t RouterQServer::pick_replica_locked(const std::string& key,
@@ -247,7 +190,7 @@ std::size_t RouterQServer::pick_replica_locked(const std::string& key,
   // Spillover: least-loaded usable replica with room, lowest index on
   // ties.
   std::size_t best = kNoReplica;
-  for (std::size_t r = 0; r < replica_slots_; ++r) {
+  for (std::size_t r = 0; r < config_.replicas; ++r) {
     if (r == preferred || !usable(r)) continue;
     const std::size_t l = load(r);
     if (l >= cap) continue;
@@ -344,7 +287,7 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
           AdmissionRejectReason::kCapacity, "RouterQServer::add_session",
           key,
           "every replica is at its live-session cap (" +
-              std::to_string(replica_slots_) + " x " +
+              std::to_string(config_.replicas) + " x " +
               std::to_string(config_.server.max_live_sessions) +
               (waited ? ") and none retired within " +
                             std::to_string(config_.admission_wait_us) + "us"
@@ -391,7 +334,7 @@ void RouterQServer::on_replica_retire(std::size_t replica_index,
          result.cause == SessionEndCause::kBackendError) &&
         !stopping_.load(std::memory_order_acquire)) {
       const std::scoped_lock hl(health_mutex_);
-      const HealthSlot& slot = health_[replica_index];
+      const ReplicaHealthInfo& slot = health_[replica_index];
       rescue = slot.state == ReplicaHealth::kFailed &&
                slot.incarnation == incarnation;
     }
@@ -481,11 +424,11 @@ std::size_t RouterQServer::live_sessions() const {
 // ---------------------------------------------------------------------------
 
 void RouterQServer::kill_replica(std::size_t replica_index) {
-  if (replica_index >= replica_slots_) {
+  if (replica_index >= config_.replicas) {
     throw std::invalid_argument(
         "RouterQServer::kill_replica: replica index " +
         std::to_string(replica_index) + " out of range (fleet has " +
-        std::to_string(replica_slots_) + ")");
+        std::to_string(config_.replicas) + ")");
   }
   {
     const std::scoped_lock lk(maintenance_mutex_);
@@ -497,7 +440,7 @@ void RouterQServer::kill_replica(std::size_t replica_index) {
 
 void RouterQServer::record_health_event_locked(std::size_t index,
                                                ReplicaHealth state) {
-  HealthSlot& slot = health_[index];
+  ReplicaHealthInfo& slot = health_[index];
   slot.state = state;
   slot.timeline.push_back(
       ReplicaHealthEvent{slot.incarnation, state, now_ms()});
@@ -510,12 +453,12 @@ std::vector<std::size_t> RouterQServer::observe_health(
   std::vector<std::size_t> newly_failed;
   const std::shared_lock fleet(fleet_mutex_);
   const std::scoped_lock hl(health_mutex_);
-  for (std::size_t i = 0; i < replica_slots_; ++i) {
-    HealthSlot& slot = health_[i];
+  for (std::size_t i = 0; i < config_.replicas; ++i) {
+    ReplicaHealthInfo& slot = health_[i];
     if (slot.state == ReplicaHealth::kFailed) continue;  // awaiting swap
     const std::uint64_t events = replicas_[i]->backend_failure_events();
-    if (events > slot.observed_failures) {
-      slot.observed_failures = events;
+    if (events > slot.failure_events) {
+      slot.failure_events = events;
       // kDegraded is sticky for the rest of the incarnation — the
       // timeline stays monotone even when the backend recovers.
       if (slot.state == ReplicaHealth::kHealthy) {
@@ -541,18 +484,11 @@ void RouterQServer::replace_replica(std::size_t index) {
   // 1. Choose the replacement's seed state: the last fleet average when
   //    periodic averaging has produced one, else a live export off the
   //    first initialized survivor, else fresh weights.
-  QNetState seed;
-  bool seeded = false;
-  {
-    const std::scoped_lock lk(seed_mutex_);
-    if (has_last_average_) {
-      seed = last_average_;
-      seeded = true;
-    }
-  }
+  QNetState seed = last_average_;
+  bool seeded = seed.initialized;
   if (!seeded) {
     const std::shared_lock fleet(fleet_mutex_);
-    for (std::size_t r = 0; r < replica_slots_ && !seeded; ++r) {
+    for (std::size_t r = 0; r < config_.replicas && !seeded; ++r) {
       if (r == index) continue;
       try {
         replicas_[r]->run_exclusive([&](OsElmQBackend& backend) {
@@ -592,7 +528,7 @@ void RouterQServer::replace_replica(std::size_t index) {
     const std::scoped_lock hl(health_mutex_);
     record_health_event_locked(index, ReplicaHealth::kReplaced);
     ++health_[index].incarnation;
-    health_[index].observed_failures = 0;
+    health_[index].failure_events = 0;
     record_health_event_locked(index, ReplicaHealth::kHealthy);
   }
   fresh.reset();  // destroy the old incarnation outside the fleet lock
@@ -705,6 +641,7 @@ void RouterQServer::maintenance_loop() {
     // (the replacement is already serving). On shutdown they abandon —
     // stop() repeats the sweep after the join for stragglers.
     process_rescues(/*abandon_all=*/stopping);
+    if (config_.sync_every_updates > 0) maybe_average(stopping);
     lk.lock();
     if (stopping) return;
   }
@@ -743,81 +680,66 @@ bool RouterQServer::average_replicas() {
   // standard parameter-averaging trade, and training order is already
   // documented as scheduling-dependent. No replica ever blocks on
   // another, so no rendezvous deadlock is possible.
+  std::vector<QNetState> states(replicas_.size());
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    QNetState& slot = sync_states_[i];
+    QNetState& slot = states[i];
     replicas_[i]->run_exclusive(
         [&slot](OsElmQBackend& backend) { slot = backend.export_state(); });
   }
-  linalg::MatD beta;
-  linalg::MatD beta_target;
-  linalg::MatD p;
+  QNetState average;
   std::size_t initialized = 0;
-  for (const QNetState& state : sync_states_) {
+  for (QNetState& state : states) {
     if (!state.initialized) continue;
-    ++initialized;
-    accumulate(beta, state.beta);
-    accumulate(beta_target, state.beta_target);
-    accumulate(p, state.p);
+    if (initialized++ == 0) {
+      average = std::move(state);
+      continue;
+    }
+    linalg::axpy_inplace(average.beta, 1.0, state.beta);
+    linalg::axpy_inplace(average.beta_target, 1.0, state.beta_target);
+    linalg::axpy_inplace(average.p, 1.0, state.p);
   }
   // Nobody has trained yet — nothing to move this round.
   if (initialized == 0) return false;
   const double inv = 1.0 / static_cast<double>(initialized);
-  scale(beta, inv);
-  scale(beta_target, inv);
-  scale(p, inv);
-  const QNetState average{std::move(beta), std::move(beta_target),
-                          std::move(p), true};
-  // Keep a copy as the replacement seed: a replica failing later starts
+  average.beta = linalg::scale(average.beta, inv);
+  average.beta_target = linalg::scale(average.beta_target, inv);
+  average.p = linalg::scale(average.p, inv);
+  // Keep it as the replacement seed: a replica failing later starts
   // from the fleet's consensus instead of fresh weights.
-  {
-    const std::scoped_lock lk(seed_mutex_);
-    last_average_ = average;
-    has_last_average_ = true;
-  }
+  last_average_ = std::move(average);
   // Import into EVERY replica — an uninitialized one adopts the fleet's
   // state (its buffering sessions switch to sequential training, exactly
   // as if a local init_train had run).
   for (const std::unique_ptr<AsyncQServer>& replica : replicas_) {
-    replica->run_exclusive([&average](OsElmQBackend& backend) {
-      backend.import_state(average);
+    replica->run_exclusive([this](OsElmQBackend& backend) {
+      backend.import_state(last_average_);
     });
   }
   counters_.add<&RouterStats::syncs>();
   return true;
 }
 
-void RouterQServer::sync_loop() {
-  obs::Tracer::set_thread_name((config_.name + "/sync").c_str());
-  std::unique_lock lk(sync_mutex_);
-  for (;;) {
-    sync_cv_.wait_for(lk, std::chrono::microseconds(kSyncPollUs),
-                      [this] { return sync_stop_; });
-    const bool stopping = sync_stop_;
-    std::uint64_t total = 0;
-    {
-      const std::shared_lock fleet(fleet_mutex_);
-      for (const std::unique_ptr<AsyncQServer>& replica : replicas_) {
-        total += replica->train_update_count();
-      }
+void RouterQServer::maybe_average(bool stopping) {
+  // Per-slot totals include retired incarnations, so the count never
+  // drops when a replacement starts from zero updates.
+  std::uint64_t total = 0;
+  {
+    const std::shared_lock fleet(fleet_mutex_);
+    for (std::size_t r = 0; r < config_.replicas; ++r) {
+      total += retired_stats_[r].train_updates +
+               replicas_[r]->train_update_count();
     }
-    const bool due = total - last_synced_updates_ >= config_.sync_every_updates;
-    // On shutdown, flush a final partial round so short-lived fleets
-    // still converge once — then leave before the replicas stop.
-    if (due || (stopping && total > last_synced_updates_)) {
-      lk.unlock();
-      try {
-        if (average_replicas()) {
-          const std::scoped_lock relock(sync_mutex_);
-          last_synced_updates_ = total;
-        }
-      } catch (...) {
-        // A faulted backend already retired its sessions (run_exclusive
-        // surfaces the exception here); skip the round and let the next
-        // poll retry against the survivors.
-      }
-      lk.lock();
-    }
-    if (stopping) return;
+  }
+  const bool due = total - last_synced_updates_ >= config_.sync_every_updates;
+  // On shutdown, flush a final partial round so short-lived fleets still
+  // converge once — before the replicas stop.
+  if (!due && !(stopping && total > last_synced_updates_)) return;
+  try {
+    if (average_replicas()) last_synced_updates_ = total;
+  } catch (...) {
+    // A faulted backend already retired its sessions (run_exclusive
+    // surfaces the exception here); skip the round and let the next
+    // pass retry against the survivors.
   }
 }
 
@@ -827,14 +749,14 @@ void RouterQServer::sync_loop() {
 
 RouterStats RouterQServer::stats() const {
   RouterStats out;
-  out.replicas = replica_slots_;
+  out.replicas = config_.replicas;
   counters_.read_into(out);
   out.captured_at_us = obs::wall_clock_us();
   out.uptime_us = static_cast<std::uint64_t>(now_ms() * 1000.0);
-  out.per_replica.reserve(replica_slots_);
+  out.per_replica.reserve(config_.replicas);
   {
     const std::shared_lock fleet(fleet_mutex_);
-    for (std::size_t r = 0; r < replica_slots_; ++r) {
+    for (std::size_t r = 0; r < config_.replicas; ++r) {
       // Per-SLOT view: retired incarnations' counters plus the live one.
       AsyncServerStats slot = retired_stats_[r];
       slot.merge(replicas_[r]->stats());
@@ -842,18 +764,8 @@ RouterStats RouterQServer::stats() const {
       out.per_replica.push_back(std::move(slot));
     }
   }
-  {
-    const std::scoped_lock hl(health_mutex_);
-    out.health.reserve(replica_slots_);
-    for (const HealthSlot& slot : health_) {
-      ReplicaHealthInfo info;
-      info.state = slot.state;
-      info.incarnation = slot.incarnation;
-      info.failure_events = slot.observed_failures;
-      info.timeline = slot.timeline;
-      out.health.push_back(std::move(info));
-    }
-  }
+  const std::scoped_lock hl(health_mutex_);
+  out.health = health_;
   return out;
 }
 

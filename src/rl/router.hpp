@@ -39,9 +39,10 @@
 //     `server="<name>/rI"`.
 //
 // Replica lifecycle (the self-healing tier). Each replica slot carries a
-// health state machine, advanced by a dedicated maintenance thread that
-// polls the replicas' failure counters every kHealthPollUs (the lifecycle
-// constants live in router.cpp):
+// health state machine, advanced by the router's maintenance thread —
+// its only background thread — which polls the replicas' failure
+// counters every kHealthPollUs (the lifecycle constants live in
+// router.cpp):
 //
 //   kHealthy --(any backend-failure event)--> kDegraded
 //   kDegraded/kHealthy --(consecutive failed batch passes >=
@@ -55,7 +56,7 @@
 // excluded from placement, stopped (its live sessions retire), and
 // replaced by a fresh AsyncQServer under the same replica name. The
 // replacement's backend is seeded from the last fleet average when
-// kPeriodicAverage has produced one, else from a state export off the
+// averaging has produced one, else from a state export off the
 // first initialized survivor, else starts fresh — and is always built
 // from the CLEAN RouterConfig::backend_id, never from a per-replica
 // "fault:" override (the faulty instance is what is being replaced).
@@ -78,17 +79,18 @@
 // callback mode and never hold results themselves, so wait()/drain()
 // work unchanged across rescues and replacements.
 //
-// Training across replicas is policy-driven (TrainSyncPolicy):
+// Training across replicas is set by RouterConfig::sync_every_updates:
 //
-//   * kIndependent — replicas never exchange state; each converges on
-//     its own traffic. Evaluation-only and embarrassingly-parallel
-//     training fleets use this.
-//   * kPeriodicAverage — a background thread watches the fleet-wide
-//     train-update count and, every sync_every_updates new updates,
-//     averages the replicas' learned state (beta, beta_target, P — see
-//     rl::QNetState) over the initialized replicas and imports the
-//     average into every replica, parameter-averaging style. Export and
-//     import run through AsyncQServer::run_exclusive, i.e. on each
+//   * 0 — replicas never exchange state; each converges on its own
+//     traffic. Evaluation-only and embarrassingly-parallel training
+//     fleets use this.
+//   * N > 0 — each maintenance pass, after health, replacement and
+//     rescue, checks the fleet-wide train-update count (retired
+//     incarnations included, so it never drops) and, every N new
+//     updates, averages the replicas' learned state (beta, beta_target,
+//     P — see rl::QNetState) over the initialized replicas and imports
+//     the average into every replica, parameter-averaging style. Export
+//     and import run through AsyncQServer::run_exclusive, i.e. on each
 //     replica's batching thread, so the no-backend-locking invariant
 //     holds. Requires the backend's state_sync capability (checked at
 //     construction against the registry).
@@ -123,12 +125,6 @@
 #include "rl/backend_registry.hpp"
 
 namespace oselm::rl {
-
-/// How replicas' Q-networks relate over time.
-enum class TrainSyncPolicy {
-  kIndependent,     ///< no state exchange between replicas
-  kPeriodicAverage, ///< average beta/beta_target/P every K train updates
-};
 
 /// Per-replica health state (see the header comment for the machine).
 enum class ReplicaHealth {
@@ -188,21 +184,18 @@ struct RouterConfig {
   std::vector<std::string> replica_backend_ids;
   /// Per-replica backend configuration. The SAME config (seed included)
   /// goes to every replica — identical initial weights are what the
-  /// evaluation determinism contract rests on. A shared
-  /// BackendConfig::ledger is honored by FOLDING, not by sharing: each
-  /// replica charges a private account (R batch threads writing one
-  /// non-atomic OpBreakdown would be a data race), and the accounts are
-  /// merged into this ledger once, when the fleet stops. Replacement
-  /// replicas charge fresh private accounts, folded the same way.
+  /// evaluation determinism contract rests on. BackendConfig::ledger
+  /// must be null: R batch threads cannot charge one non-atomic
+  /// OpBreakdown, and each replica already exports its own ledger as
+  /// `oselm_ledger_<category>_seconds{server="<name>/rI"}`.
   BackendConfig backend;
   /// Per-replica serving configuration; `name` is overwritten with the
   /// replica identity. max_live_sessions is the PER-REPLICA admission
   /// cap, so the router admits up to replicas * max_live_sessions.
   AsyncQServerConfig server;
-  TrainSyncPolicy sync_policy = TrainSyncPolicy::kIndependent;
-  /// kPeriodicAverage: run a sync round whenever the fleet accumulated
-  /// this many train updates since the last round.
-  std::uint64_t sync_every_updates = 256;
+  /// 0 = replicas never exchange state; N > 0 = run an averaging round
+  /// whenever the fleet accumulated N train updates since the last one.
+  std::uint64_t sync_every_updates = 0;
   /// Bounded-wait admission: when every usable replica is at cap,
   /// add_session blocks up to this long for a retirement to free a slot
   /// before throwing AdmissionError(kCapacity). 0 = reject immediately.
@@ -270,8 +263,9 @@ class RouterQServer {
  public:
   /// Builds `config.replicas` AsyncQServer replicas, each with its own
   /// backend from the registry. Throws std::invalid_argument for zero
-  /// replicas, unknown backend ids, and — under kPeriodicAverage — for
-  /// backends without the state_sync capability.
+  /// replicas, a non-null BackendConfig::ledger, unknown backend ids,
+  /// and — with sync_every_updates > 0 — for backends without the
+  /// state_sync capability.
   RouterQServer(RouterConfig config, SimplifiedOutputModel model);
   RouterQServer(const RouterQServer&) = delete;
   RouterQServer& operator=(const RouterQServer&) = delete;
@@ -296,9 +290,9 @@ class RouterQServer {
   /// admission order.
   std::vector<AsyncSessionResult> drain();
 
-  /// Stops the maintenance thread (abandoning any still-queued rescues),
-  /// then the sync thread (final partial round included), then every
-  /// replica. Idempotent.
+  /// Stops the maintenance thread (it abandons any still-queued rescues,
+  /// then runs a final partial averaging round), then every replica.
+  /// Idempotent.
   void stop();
 
   /// Marks replica `replica_index` kFailed as if its backend had crossed
@@ -327,7 +321,7 @@ class RouterQServer {
   [[nodiscard]] RouterStats stats() const;
   [[nodiscard]] std::size_t live_sessions() const;
   [[nodiscard]] std::size_t replica_count() const noexcept {
-    return replica_slots_;
+    return config_.replicas;
   }
   /// The replica an affinity key hashes to (exposed so placement tests
   /// assert against the same mapping the router uses).
@@ -339,9 +333,6 @@ class RouterQServer {
   [[nodiscard]] const AsyncQServer& replica(std::size_t index) const {
     const std::shared_lock fleet(fleet_mutex_);
     return *replicas_.at(index);
-  }
-  [[nodiscard]] const SimplifiedOutputModel& model() const noexcept {
-    return model_;
   }
 
  private:
@@ -356,13 +347,6 @@ class RouterQServer {
   /// (replica slot, incarnation, replica-local id) — the identity a
   /// retirement callback reports.
   using ReverseKey = std::tuple<std::size_t, std::uint64_t, std::size_t>;
-  struct HealthSlot {
-    ReplicaHealth state = ReplicaHealth::kHealthy;
-    std::uint64_t incarnation = 0;
-    /// backend_failure_events() reading already attributed to health.
-    std::uint64_t observed_failures = 0;
-    std::vector<ReplicaHealthEvent> timeline;
-  };
   struct RescueJob {
     std::size_t router_id = 0;
     AsyncSessionResult partial;  ///< the failed-replica retirement
@@ -393,35 +377,28 @@ class RouterQServer {
   void record_health_event_locked(std::size_t index, ReplicaHealth state);
   [[nodiscard]] double now_ms() const;
 
-  void sync_loop();
+  /// Runs an averaging round when sync_every_updates new train updates
+  /// accumulated since the last one — or, on shutdown, when any did.
+  void maybe_average(bool stopping);
   /// One averaging round over the initialized replicas; returns true if
   /// state actually moved (at least one replica was initialized).
   bool average_replicas();
 
   RouterConfig config_;
   SimplifiedOutputModel model_;
-  std::size_t replica_slots_ = 0;  ///< == config_.replicas, immutable
   std::chrono::steady_clock::time_point start_{};
-  /// Set when the user passed a shared BackendConfig::ledger: replicas
-  /// charge the private per-replica accounts below, folded into
-  /// user_ledger_ by stop() (once — guarded by stop_mutex_). Appended by
-  /// the maintenance thread on replacement; read by stop() after that
-  /// thread is joined.
-  util::TimeLedgerPtr user_ledger_;
-  std::vector<util::TimeLedgerPtr> replica_ledgers_;
-  bool ledger_folded_ = false;  ///< guarded by stop_mutex_
 
-  // Lock order: stop_mutex_ > maintenance_mutex_ > sync_mutex_ >
-  // fleet_mutex_ > placement_mutex_ > health_mutex_ > results_mutex_.
-  // seed_mutex_ is a leaf. Replica-internal locks rank below every
-  // router mutex. capacity_cv_ pairs with placement_mutex_. Metrics
-  // collectors (the router's and each replica's) take no router mutex,
-  // and replicas are built and destroyed — attaching and detaching
-  // their collectors — with none held.
+  // Lock order: stop_mutex_ > maintenance_mutex_ > fleet_mutex_ >
+  // placement_mutex_ > health_mutex_ > results_mutex_. Replica-internal
+  // locks rank below every router mutex. capacity_cv_ pairs with
+  // placement_mutex_. Metrics collectors (the router's and each
+  // replica's) take no router mutex, and replicas are built and
+  // destroyed — attaching and detaching their collectors — with none
+  // held.
 
   /// Guards the replica pointer array against replacement swaps: every
-  /// reader (admission, sync, stats, run_exclusive_*) holds it shared;
-  /// the maintenance thread holds it unique only for the pointer swap.
+  /// reader (admission, averaging, stats, run_exclusive_*) holds it
+  /// shared; the maintenance thread holds it unique only for the swap.
   mutable std::shared_mutex fleet_mutex_;
   std::vector<std::unique_ptr<AsyncQServer>> replicas_;
   /// Counters of incarnations retired by replacement, merged into
@@ -436,9 +413,10 @@ class RouterQServer {
   std::size_t next_router_id_ = 0;
 
   // Health state machine (maintenance thread writes; admission and
-  // retirement callbacks read).
+  // retirement callbacks read). failure_events is the replica's
+  // backend_failure_events() reading already attributed to health.
   mutable std::mutex health_mutex_;
-  std::vector<HealthSlot> health_;
+  std::vector<ReplicaHealthInfo> health_;
 
   // Router-level result delivery (replicas run in on_retire mode).
   mutable std::mutex results_mutex_;
@@ -456,26 +434,19 @@ class RouterQServer {
   obs::Histogram admission_wait_us_;
   std::atomic<bool> stopping_{false};
 
-  // Maintenance thread (health polling, kills, replacement, rescue).
+  // Maintenance thread (health polling, kills, replacement, rescue,
+  // averaging).
   std::mutex maintenance_mutex_;
   std::condition_variable maintenance_cv_;
   bool maintenance_stop_ = false;
   std::vector<std::size_t> kill_requests_;
   std::vector<RescueJob> rescue_queue_;
-  std::thread maintenance_thread_;
-
-  // Sync thread (kPeriodicAverage only).
-  std::mutex sync_mutex_;
-  std::condition_variable sync_cv_;
-  bool sync_stop_ = false;
+  // Averaging state, owned by the maintenance thread (batch threads
+  // read last_average_ only inside its blocking run_exclusive imports).
   std::uint64_t last_synced_updates_ = 0;
-  std::vector<QNetState> sync_states_;  ///< per-replica export scratch
-  /// Last fleet average (replacement seeding); guarded by seed_mutex_.
-  std::mutex seed_mutex_;
-  QNetState last_average_;
-  bool has_last_average_ = false;
-  std::mutex stop_mutex_;               ///< serializes stop() callers
-  std::thread sync_thread_;
+  QNetState last_average_;  ///< replacement seed once initialized
+  std::thread maintenance_thread_;
+  std::mutex stop_mutex_;  ///< serializes stop() callers
   /// Declared last, so destroyed first: the collector detaches before
   /// any member it reads goes away.
   obs::MetricsRegistry::CollectorHandle metrics_;

@@ -395,10 +395,7 @@ ScenarioVerdict run_router(const ScenarioSpec& spec,
   config.server.worker_threads = spec.worker_threads;
   config.server.max_live_sessions = spec.max_live_sessions;
   config.admission_wait_us = spec.admission_wait_us;
-  if (spec.sync_every_updates > 0) {
-    config.sync_policy = rl::TrainSyncPolicy::kPeriodicAverage;
-    config.sync_every_updates = spec.sync_every_updates;
-  }
+  config.sync_every_updates = spec.sync_every_updates;
   if (schedule.backend_fault_planned) {
     // Fault exactly ONE replica's backend (original incarnation only);
     // its co-replicas — and any replacement the health machine builds —

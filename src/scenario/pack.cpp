@@ -187,12 +187,12 @@ ScenarioSpec averaging_kill_rescue() {
   spec.prime = true;
   spec.episodes_per_session = 6;
   // Periodic parameter averaging every 16 fleet-wide train updates,
-  // with a hard kill mid-run: the sync thread's averaging rounds and
-  // the maintenance thread's rescue/replacement run concurrently —
-  // the one builtin whose trace shows every serving-stack actor
-  // (batch drains, train applies, averaging rounds, a rescue) at
-  // once, which is exactly what the observability acceptance run
-  // captures with --trace-out.
+  // with a hard kill mid-run: the maintenance thread's passes run the
+  // replacement, the rescue and the averaging rounds in turn while the
+  // replicas' batch threads keep serving — the one builtin whose trace
+  // shows every serving-stack actor (batch drains, train applies,
+  // averaging rounds, a rescue), which is exactly what the
+  // observability acceptance run captures with --trace-out.
   spec.sync_every_updates = 16;
   spec.kill_planned = true;
   spec.kill_replica = 1;

@@ -74,10 +74,10 @@ struct ScenarioSpec {
   std::size_t max_live_sessions = 8;    ///< per-server admission cap
   std::size_t worker_threads = 2;
   std::size_t replicas = 2;             ///< router only
-  /// Router training sync (router only): 0 runs replicas independent
-  /// (rl::TrainSyncPolicy::kIndependent); N > 0 turns on periodic
-  /// parameter averaging (kPeriodicAverage) every N fleet-wide train
-  /// updates — the backend must have the state_sync capability.
+  /// Router training sync (router only), passed through as
+  /// rl::RouterConfig::sync_every_updates: 0 runs replicas independent;
+  /// N > 0 turns on periodic parameter averaging every N fleet-wide
+  /// train updates — the backend must have the state_sync capability.
   std::uint64_t sync_every_updates = 0;
 
   // Chaos injections.

@@ -40,7 +40,6 @@ RouterConfig traced_router_config() {
   config.server.max_batch = 8;
   config.server.max_wait_us = 50;
   config.server.max_live_sessions = 8;
-  config.sync_policy = rl::TrainSyncPolicy::kPeriodicAverage;
   config.sync_every_updates = 32;
   return config;
 }
@@ -126,7 +125,7 @@ TEST(ServingTrace, AsyncStatsCarryCaptureStamps) {
   // The stats satellite alone (no tracing): captured_at_us/uptime_us are
   // stamped, merged keep-newest/keep-largest, and emitted in the JSON.
   RouterConfig config = traced_router_config();
-  config.sync_policy = rl::TrainSyncPolicy::kIndependent;
+  config.sync_every_updates = 0;
   RouterQServer router(config, SimplifiedOutputModel(4, 2));
   const std::size_t id = router.add_session(
       {session_spec(AsyncSessionMode::kEvaluate, 5, 7, 2), "probe"});

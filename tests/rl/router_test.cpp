@@ -10,9 +10,10 @@
 //     loaded one, and only a fully-saturated fleet rejects admission;
 //   * failure isolation: a session failing on one replica never disturbs
 //     sessions on another;
-//   * training sync policies: kIndependent never exchanges state,
-//     kPeriodicAverage averages the replicas' learned state and leaves
-//     every replica with the identical imported average.
+//   * training sync: sync_every_updates = 0 never exchanges state,
+//     N > 0 averages the replicas' learned state and leaves every
+//     replica with the identical imported average; a replacement never
+//     makes a round fire early.
 #include "rl/router.hpp"
 
 #include <gtest/gtest.h>
@@ -302,7 +303,6 @@ TEST(RouterQServer, SessionFailureOnOneReplicaLeavesTheOthersServing) {
 TEST_P(PerBackend, PeriodicAverageLeavesEveryReplicaWithTheSameState) {
   const std::string backend_id = GetParam();
   RouterConfig config = router_config(backend_id, 2);
-  config.sync_policy = TrainSyncPolicy::kPeriodicAverage;
   config.sync_every_updates = 64;
   RouterQServer router(config, SimplifiedOutputModel(4, 2));
 
@@ -333,7 +333,7 @@ TEST_P(PerBackend, PeriodicAverageLeavesEveryReplicaWithTheSameState) {
 
 TEST(RouterQServer, IndependentPolicyNeverExchangesState) {
   RouterConfig config = router_config("software", 2);
-  config.sync_policy = TrainSyncPolicy::kIndependent;
+  config.sync_every_updates = 0;
   RouterQServer router(config, SimplifiedOutputModel(4, 2));
   router.add_session({train_spec(913, 37), key_for_replica(router, 0)});
   router.add_session({train_spec(555, 66), key_for_replica(router, 1)});
@@ -373,47 +373,6 @@ TEST(RouterQServer, StatsAggregateAcrossReplicasAndEmitJson) {
   EXPECT_NE(json.find("\"spillovers\": 0"), std::string::npos);
 }
 
-TEST(RouterQServer, SharedLedgerIsFoldedNotChargedConcurrently) {
-  // Regression: RouterConfig documents that a shared BackendConfig::ledger
-  // is honored, but honoring it by handing the SAME TimeLedger to every
-  // replica made R batch threads charge one non-atomic OpBreakdown
-  // concurrently — a data race (and a tripped single-writer contract in
-  // Debug, which is how this test failed before the fix). The router now
-  // gives each replica a private ledger and folds them into the user's
-  // ledger once the fleet is quiescent.
-  const auto shared = std::make_shared<util::TimeLedger>();
-  RouterConfig config = router_config("software", 2);
-  config.backend.ledger = shared;
-  RouterQServer router(config, SimplifiedOutputModel(4, 2));
-  router.add_session({train_spec(913, 37), key_for_replica(router, 0)});
-  router.add_session({train_spec(555, 66), key_for_replica(router, 1)});
-  router.drain();
-
-  // Both replicas trained, so both per-replica accounts are non-empty —
-  // a fold that dropped (or double-counted) one would show here.
-  std::uint64_t fleet_updates = 0;
-  for (std::size_t r = 0; r < router.replica_count(); ++r) {
-    EXPECT_GT(router.replica(r).train_update_count(), 0u);
-    fleet_updates += router.replica(r).train_update_count();
-  }
-  router.stop();
-
-  // Every train update charges kSeqTrain at least once (TD-target
-  // predictions are scoped there too, so >= not ==); a fold that dropped
-  // a replica's account could not reach the fleet-wide update count.
-  const util::OpBreakdown& folded = shared->breakdown();
-  const std::uint64_t folded_seq =
-      folded.invocations(util::OpCategory::kSeqTrain);
-  EXPECT_GE(folded_seq, fleet_updates);
-  EXPECT_GT(folded.get(util::OpCategory::kSeqTrain), 0.0);
-  EXPECT_GT(folded.total_excluding_env(), 0.0);
-
-  // stop() is idempotent; the fold must be too (no double counting).
-  router.stop();
-  EXPECT_EQ(shared->breakdown().invocations(util::OpCategory::kSeqTrain),
-            folded_seq);
-}
-
 TEST(RouterQServer, ConstructorValidatesConfiguration) {
   EXPECT_THROW(RouterQServer(router_config("software", 0),
                              SimplifiedOutputModel(4, 2)),
@@ -421,10 +380,10 @@ TEST(RouterQServer, ConstructorValidatesConfiguration) {
   EXPECT_THROW(RouterQServer(router_config("no-such-backend", 2),
                              SimplifiedOutputModel(4, 2)),
                std::invalid_argument);
-  RouterConfig bad_sync = router_config("software", 2);
-  bad_sync.sync_policy = TrainSyncPolicy::kPeriodicAverage;
-  bad_sync.sync_every_updates = 0;
-  EXPECT_THROW(RouterQServer(bad_sync, SimplifiedOutputModel(4, 2)),
+  // R batch threads cannot share one ledger; each replica exports its own.
+  RouterConfig shared_ledger = router_config("software", 2);
+  shared_ledger.backend.ledger = std::make_shared<util::TimeLedger>();
+  EXPECT_THROW(RouterQServer(shared_ledger, SimplifiedOutputModel(4, 2)),
                std::invalid_argument);
 }
 
@@ -608,6 +567,28 @@ TEST(RouterQServer, KillReplicaRescuesItsSessionsAndSeedsTheReplacement) {
   EXPECT_EQ(state_at(slot.timeline.size() - 2), ReplicaHealth::kReplaced);
   EXPECT_EQ(state_at(slot.timeline.size() - 1), ReplicaHealth::kHealthy);
   EXPECT_NE(stats.health_json().find("\"replaced\""), std::string::npos);
+}
+
+TEST(RouterQServer, ReplacementDoesNotMakeAnAveragingRoundFire) {
+  // Regression: the averaging pace counted only live incarnations, so the
+  // fleet total dropped when a replacement started from zero updates, the
+  // unsigned "updates since the last round" wrapped, and a round fired
+  // with no new training at all.
+  RouterConfig config = router_config("software", 2);
+  config.sync_every_updates = 32;
+  RouterQServer router(config, SimplifiedOutputModel(4, 2));
+  (void)router.wait(
+      router.add_session({train_spec(913, 37), key_for_replica(router, 0)}));
+  // Let a round that was already due run before taking the baseline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const std::uint64_t before = router.stats().syncs;
+  ASSERT_GE(before, 1u) << "training never reached an averaging round";
+
+  router.kill_replica(0);  // the replica that did all the training
+  wait_for_replacements(router, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(router.stats().syncs, before)
+      << "a replacement made an averaging round fire without training";
 }
 
 /// Every counter series labeled server="<server>" in `snapshot`, by name.

@@ -21,8 +21,8 @@ Rules:
   naked-thread
       No std::thread construction outside util/thread_pool.*. The
       long-lived service threads (AsyncQServer's batch thread,
-      RouterQServer's sync and maintenance threads) are baselined;
-      ad-hoc thread spawns must go through util::ThreadPool.
+      RouterQServer's maintenance thread) are baselined; ad-hoc thread
+      spawns must go through util::ThreadPool.
   mutex-lock-order
       A header declaring two or more std::mutex members must document
       their lock order (a comment containing "Lock order").
