@@ -4,7 +4,6 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/ops.hpp"
 #include "util/contract.hpp"
 
@@ -160,6 +159,9 @@ void OsElm::seq_train(const linalg::MatD& x, const linalg::MatD& t) {
   if (x.rows() != t.rows()) {
     throw std::invalid_argument("OsElm::seq_train: sample count mismatch");
   }
+  if (t.cols() != config().output_dim) {
+    throw std::invalid_argument("OsElm::seq_train: target width");
+  }
   if (x.rows() == 1) {
     seq_train_one(x.row(0), t.row(0));
     return;
@@ -169,7 +171,7 @@ void OsElm::seq_train(const linalg::MatD& x, const linalg::MatD& t) {
   // path's structure instead of five dense GEMMs:
   //   U  = P H^T                       (n x k, as U^T rows for locality)
   //   S  = I + H U                     (k x k, exactly symmetric)
-  //   K  = S^-1 (symmetrized)          (the k x k solve)
+  //   K  = S^-1 (symmetrized)          (the k x k SPD solve, Cholesky)
   //   G  = U K                         (gain; P_new H^T == G, the same
   //                                     identity the scalar path uses)
   //   P -= G U^T                       (symmetric rank-k downdate)
@@ -201,10 +203,11 @@ void OsElm::seq_train(const linalg::MatD& x, const linalg::MatD& t) {
       inner(c, r) = inner(r, c);
     }
   }
-  linalg::MatD kmat = linalg::inverse(inner);
-  // The LU inverse of a symmetric matrix is only approximately symmetric;
-  // re-symmetrize so G U^T = U K U^T is symmetric by construction and the
-  // upper-triangle downdate loses nothing.
+  // S = I + H P H^T is SPD (P is), so Cholesky inverts it. Its column-
+  // by-column solve is only approximately symmetric; re-symmetrize so
+  // G U^T = U K U^T is symmetric by construction and the upper-triangle
+  // downdate loses nothing.
+  linalg::MatD kmat = linalg::inverse_spd(inner);
   linalg::symmetrize_inplace(kmat);
 
   // G^T = K U^T, accumulated row-wise with kernel axpys.

@@ -42,7 +42,9 @@ class OsElm {
   /// and reported through initial_ridge_used().
   void init_train(const linalg::MatD& x0, const linalg::MatD& t0);
 
-  /// Sequential chunk update per Eq. 5 (general k, uses a k x k solve).
+  /// Sequential chunk update per Eq. 5 (general k, uses a k x k Cholesky
+  /// solve). Throws std::invalid_argument unless x and t have the same
+  /// row count and t is output_dim wide.
   void seq_train(const linalg::MatD& x, const linalg::MatD& t);
 
   /// k = 1 fast path: scalar reciprocal instead of the k x k inverse.

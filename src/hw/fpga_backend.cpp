@@ -19,9 +19,8 @@ namespace kernels = linalg::kernels;
 }  // namespace
 
 FpgaOsElmBackend::FpgaOsElmBackend(FpgaBackendConfig config,
-                                   std::uint64_t seed,
-                                   util::TimeLedgerPtr ledger)
-    : rl::OsElmQBackend(std::move(ledger)),
+                                   std::uint64_t seed)
+    : rl::OsElmQBackend(nullptr),
       config_(config),
       rng_(seed),
       cycles_(config.hidden_units, config.input_dim, config.cycle_params,
@@ -88,9 +87,10 @@ Q FpgaOsElmBackend::output_fixed(const FixedMat& beta) const {
   return Q::from_raw(acc);
 }
 
-double FpgaOsElmBackend::predict_main(const linalg::VecD& sa) {
+double FpgaOsElmBackend::predict_one(const linalg::VecD& sa,
+                                     const FixedMat& beta) {
   if (sa.size() != config_.input_dim) {
-    throw std::invalid_argument("FpgaOsElmBackend::predict_main: width");
+    throw std::invalid_argument("FpgaOsElmBackend::predict: width");
   }
   {
     kernels::Q20SatCounts sat;
@@ -98,28 +98,19 @@ double FpgaOsElmBackend::predict_main(const linalg::VecD& sa) {
     commit(sat);
   }
   hidden_fixed(x_scratch_);
-  const double q = output_fixed(beta_).to_double();
+  const double q = output_fixed(beta).to_double();
   ++predict_calls_;
   total_pl_cycles_ += cycles_.predict_cycles();
   ledger_->charge_predict(initialized_, cycles_.predict_seconds());
   return q;
 }
 
+double FpgaOsElmBackend::predict_main(const linalg::VecD& sa) {
+  return predict_one(sa, beta_);
+}
+
 double FpgaOsElmBackend::predict_target(const linalg::VecD& sa) {
-  if (sa.size() != config_.input_dim) {
-    throw std::invalid_argument("FpgaOsElmBackend::predict_target: width");
-  }
-  {
-    kernels::Q20SatCounts sat;
-    kernels::q20_quantize(sa.data(), raw(x_scratch_), sa.size(), sat);
-    commit(sat);
-  }
-  hidden_fixed(x_scratch_);
-  const double q = output_fixed(beta_target_).to_double();
-  ++predict_calls_;
-  total_pl_cycles_ += cycles_.predict_cycles();
-  ledger_->charge_predict(initialized_, cycles_.predict_seconds());
-  return q;
+  return predict_one(sa, beta_target_);
 }
 
 void FpgaOsElmBackend::predict_actions_loaded(

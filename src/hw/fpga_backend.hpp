@@ -4,7 +4,7 @@
 // Reproduces the hardware/software split of Fig. 3:
 //   * predict and seq_train run "in programmable logic": bit-faithful
 //     Q20 fixed-point arithmetic (saturating, single-unit dataflow order)
-//     with their cost charged to the injected util::TimeLedger as modeled
+//     with their cost charged to the backend's util::TimeLedger as modeled
 //     PL seconds from hw::CycleModel;
 //   * init_train runs "on the CPU": double-precision host math (Eq. 8),
 //     wall-clock timed, with the results quantized into the on-chip
@@ -37,8 +37,7 @@ struct FpgaBackendConfig {
 
 class FpgaOsElmBackend final : public rl::OsElmQBackend {
  public:
-  FpgaOsElmBackend(FpgaBackendConfig config, std::uint64_t seed,
-                   util::TimeLedgerPtr ledger = nullptr);
+  FpgaOsElmBackend(FpgaBackendConfig config, std::uint64_t seed);
 
   void initialize() override;
   [[nodiscard]] double predict_main(const linalg::VecD& sa) override;
@@ -102,6 +101,10 @@ class FpgaOsElmBackend final : public rl::OsElmQBackend {
   void hidden_fixed(const FixedVec& x);
   /// Fixed-point dot h·beta_column.
   [[nodiscard]] Q output_fixed(const FixedMat& beta) const;
+  /// Q(sa) under output weights `beta` (theta_1 or theta_2), charged as
+  /// one modeled PL predict; the body of predict_main and predict_target.
+  [[nodiscard]] double predict_one(const linalg::VecD& sa,
+                                   const FixedMat& beta);
   /// Per-action Q values for the state already loaded in x_scratch_
   /// (first input_dim-1 slots); shared by the single- and multi-state
   /// batched entry points so both produce bit-identical results.

@@ -75,18 +75,17 @@ struct QNetState {
 /// FPGA functional model.
 ///
 /// Time accounting (PR 3 redesign): every predicting/training call charges
-/// the util::TimeLedger injected at construction instead of returning
-/// "seconds to charge" doubles. Software backends charge measured
-/// wall-clock; the FPGA backend charges modeled programmable-logic time.
-/// Prediction charges route through TimeLedger::charge_predict, so agents
-/// retarget them with a TimeLedger::PredictScope (e.g. TD-target
-/// evaluations inside init/seq training). Construct with a shared ledger
-/// to account several backends — or several sessions on one backend —
-/// into a single OpBreakdown.
+/// the backend's own util::TimeLedger instead of returning "seconds to
+/// charge" doubles. Software backends charge measured wall-clock; the FPGA
+/// backend charges modeled programmable-logic time. Prediction charges
+/// route through TimeLedger::charge_predict, so agents retarget them with
+/// a TimeLedger::PredictScope (e.g. TD-target evaluations inside init/seq
+/// training). Several sessions on one backend share its one account.
 class OsElmQBackend {
  public:
-  /// `ledger` is the time account this backend charges; pass nullptr for
-  /// a private ledger.
+  /// `ledger` is the time account this backend charges: a decorator
+  /// passes the ledger of the backend it wraps; nullptr (every concrete
+  /// backend) creates a private one.
   explicit OsElmQBackend(util::TimeLedgerPtr ledger)
       : ledger_(ledger ? std::move(ledger)
                        : std::make_shared<util::TimeLedger>()) {}

@@ -117,7 +117,7 @@ struct AsyncSessionResult {
   AsyncSessionMode mode = AsyncSessionMode::kEvaluate;
   /// Episode trajectory in the shared TrainResult shape (evaluation
   /// sessions fill it too); breakdown carries this session's environment
-  /// time only — backend time lives on the shared ledger.
+  /// time only — backend time lives on the backend's ledger.
   TrainResult train;
   /// Why service ended. `completed`/`failed` are derived views of it:
   /// completed == (cause == kCompleted), failed == !error.empty().

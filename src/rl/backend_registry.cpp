@@ -25,8 +25,6 @@ std::string missing_capabilities(const BackendCapabilities& have,
     missing += name;
   };
   note(required.fixed_point && !have.fixed_point, "fixed-point");
-  note(required.batched_predict && !have.batched_predict, "batched-predict");
-  note(required.chunked_train && !have.chunked_train, "chunked-train");
   note(required.forgetting && !have.forgetting, "forgetting");
   note(required.state_sync && !have.state_sync, "state-sync");
   return missing;
@@ -43,8 +41,7 @@ OsElmQBackendPtr make_software(const BackendConfig& config) {
   native.elm.init_high = config.init_high;
   native.spectral_normalize = config.spectral_normalize;
   native.forgetting_factor = config.forgetting_factor;
-  return std::make_shared<SoftwareOsElmBackend>(native, config.seed,
-                                                config.ledger);
+  return std::make_shared<SoftwareOsElmBackend>(native, config.seed);
 }
 
 OsElmQBackendPtr make_fpga_q20(const BackendConfig& config) {
@@ -55,8 +52,7 @@ OsElmQBackendPtr make_fpga_q20(const BackendConfig& config) {
   native.spectral_normalize = config.spectral_normalize;
   native.init_low = config.init_low;
   native.init_high = config.init_high;
-  return std::make_shared<hw::FpgaOsElmBackend>(native, config.seed,
-                                                config.ledger);
+  return std::make_shared<hw::FpgaOsElmBackend>(native, config.seed);
 }
 
 }  // namespace
@@ -173,23 +169,20 @@ std::vector<std::string> BackendRegistry::ids() const {
 BackendRegistry& BackendRegistry::global() {
   static BackendRegistry* registry = [] {
     auto* r = new BackendRegistry();
-    // Double-precision software implementation (designs 2-5). The OS-ELM
-    // core also takes k > 1 Eq. 5 chunks and the FOS-ELM forgetting
-    // extension.
+    // Double-precision software implementation (designs 2-5), with the
+    // FOS-ELM forgetting extension.
     r->register_backend(
         "software",
-        BackendCapabilities{/*fixed_point=*/false, /*batched_predict=*/true,
-                            /*chunked_train=*/true, /*forgetting=*/true,
+        BackendCapabilities{/*fixed_point=*/false, /*forgetting=*/true,
                             /*state_sync=*/true},
         make_software);
-    // Q11.20 fixed-point functional + timing model (design 7): k = 1
-    // rank-1 updates only, exact paper semantics (no forgetting). State
-    // sync crosses the quantization boundary (faithful to the Q-format
-    // resolution, not bit-exact).
+    // Q11.20 fixed-point functional + timing model (design 7): exact
+    // paper semantics (no forgetting). State sync crosses the
+    // quantization boundary (faithful to the Q-format resolution, not
+    // bit-exact).
     r->register_backend(
         "fpga-q20",
-        BackendCapabilities{/*fixed_point=*/true, /*batched_predict=*/true,
-                            /*chunked_train=*/false, /*forgetting=*/false,
+        BackendCapabilities{/*fixed_point=*/true, /*forgetting=*/false,
                             /*state_sync=*/true},
         make_fpga_q20);
     return r;

@@ -3,19 +3,20 @@
 // Backends are no longer hand-constructed at every call site: callers name
 // one by id ("software", "fpga-q20", ...) and hand over one neutral
 // BackendConfig; the registry maps it onto the implementation's native
-// configuration. Each registration carries capability flags so callers can
-// state requirements up front (make_backend throws a clear error listing
-// any capability the chosen backend lacks) and so generic code — the
-// contract suite, the serving bench — can enumerate every registered
-// backend instead of hard-coding the pair.
+// configuration. Each registration carries capability flags (fixed_point,
+// forgetting, state_sync) so callers can state requirements up front
+// (make_backend throws a clear error listing any capability the chosen
+// backend lacks), and generic code — the contract suite, the serving
+// bench — can enumerate every registered backend instead of hard-coding
+// the pair. Every backend built here owns its time ledger.
 //
 // Modifier ids, mirroring env::make_environment's "delay:"/"fault:"
 // families: "fault:<kind>:<rate>:<seed>:<inner-id>" wraps any registered
 // backend in an rl::FaultBackend (seeded injection, kind one of
 // rl::backend_fault_kinds(); see fault_backend.hpp), nests with itself,
-// reports nested construction
-// errors with the FULL outer id, and inherits the inner backend's
-// capability flags — the decorator is failure-transparent to callers.
+// reports nested construction errors with the FULL outer id, and inherits
+// the inner backend's capability flags and ledger — the decorator is
+// failure-transparent to callers.
 #pragma once
 
 #include <functional>
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "rl/agent.hpp"
-#include "util/time_ledger.hpp"
 
 namespace oselm::rl {
 
@@ -40,18 +40,12 @@ struct BackendConfig {
   /// forgetting capability (the software backend). 1.0 = the paper.
   double forgetting_factor = 1.0;
   std::uint64_t seed = 42;
-  /// Shared time account; nullptr gives the backend a private ledger.
-  util::TimeLedgerPtr ledger;
 };
 
 /// What a backend implementation can do, declared at registration.
 struct BackendCapabilities {
   /// Arithmetic is quantized (results carry a fixed-point tolerance).
   bool fixed_point = false;
-  /// predict_actions amortizes the shared state projection per batch.
-  bool batched_predict = false;
-  /// Sequential training accepts k > 1 chunks (Eq. 5 general form).
-  bool chunked_train = false;
   /// Honors BackendConfig::forgetting_factor < 1 (FOS-ELM extension).
   bool forgetting = false;
   /// Implements export_state/import_state (QNetState snapshots), required
@@ -62,8 +56,6 @@ struct BackendCapabilities {
   [[nodiscard]] bool covers(const BackendCapabilities& required)
       const noexcept {
     return (fixed_point || !required.fixed_point) &&
-           (batched_predict || !required.batched_predict) &&
-           (chunked_train || !required.chunked_train) &&
            (forgetting || !required.forgetting) &&
            (state_sync || !required.state_sync);
   }

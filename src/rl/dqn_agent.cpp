@@ -31,17 +31,14 @@ nn::MlpConfig make_mlp_config(const DqnAgentConfig& config) {
 
 }  // namespace
 
-DqnAgent::DqnAgent(DqnAgentConfig config, std::uint64_t seed,
-                   util::TimeLedgerPtr ledger)
+DqnAgent::DqnAgent(DqnAgentConfig config, std::uint64_t seed)
     : config_(config),
       policy_(config.epsilon_greedy, config.action_count),
       rng_(seed),
       online_(make_mlp_config(config), rng_),
       target_(make_mlp_config(config), rng_),
       optimizer_(config.adam, make_mlp_config(config)),
-      replay_(config.replay_capacity),
-      ledger_(ledger ? std::move(ledger)
-                     : std::make_shared<util::TimeLedger>()) {
+      replay_(config.replay_capacity) {
   config_.validate();
   target_.copy_parameters_from(online_);
 }
@@ -49,7 +46,7 @@ DqnAgent::DqnAgent(DqnAgentConfig config, std::uint64_t seed,
 std::size_t DqnAgent::greedy_action(const linalg::VecD& state) {
   util::WallTimer timer;
   online_.forward_into(state, hidden_ws_, q_ws_);
-  ledger_->charge(util::OpCategory::kPredict1, timer.seconds());
+  ledger_.charge(util::OpCategory::kPredict1, timer.seconds());
   return argmax_action(q_ws_);
 }
 
@@ -73,7 +70,7 @@ void DqnAgent::train_step() {
   util::WallTimer predict32_timer;
   const linalg::MatD& next_q =
       target_.forward_cached(next_states_, target_cache_);
-  ledger_->charge(util::OpCategory::kPredict32, predict32_timer.seconds());
+  ledger_.charge(util::OpCategory::kPredict32, predict32_timer.seconds());
 
   util::WallTimer train_timer;
   const linalg::MatD& q = online_.forward_cached(states_, online_cache_);
@@ -96,7 +93,7 @@ void DqnAgent::train_step() {
   last_loss_ = nn::huber_loss_mean_into(q, targets_, dloss_);
   online_.backward_into(online_cache_, dloss_, grads_, dhidden_);
   optimizer_.step(online_, grads_);
-  ledger_->charge(util::OpCategory::kTrainDqn, train_timer.seconds());
+  ledger_.charge(util::OpCategory::kTrainDqn, train_timer.seconds());
   ++training_steps_;
 }
 

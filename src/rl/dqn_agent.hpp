@@ -34,9 +34,7 @@ struct DqnAgentConfig {
 
 class DqnAgent final : public Agent {
  public:
-  /// `ledger` is the time account to charge (nullptr = private ledger).
-  DqnAgent(DqnAgentConfig config, std::uint64_t seed,
-           util::TimeLedgerPtr ledger = nullptr);
+  DqnAgent(DqnAgentConfig config, std::uint64_t seed);
 
   std::size_t act(const linalg::VecD& state) override;
   void observe(const nn::Transition& transition) override;
@@ -46,7 +44,7 @@ class DqnAgent final : public Agent {
   [[nodiscard]] bool supports_weight_reset() const override { return false; }
   [[nodiscard]] std::string_view name() const override { return "DQN"; }
   [[nodiscard]] const util::OpBreakdown& breakdown() const override {
-    return ledger_->breakdown();
+    return ledger_.breakdown();
   }
 
   std::size_t greedy_action(const linalg::VecD& state);
@@ -74,7 +72,7 @@ class DqnAgent final : public Agent {
   nn::Mlp target_;
   nn::AdamOptimizer optimizer_;
   nn::ReplayBuffer replay_;
-  util::TimeLedgerPtr ledger_;
+  util::TimeLedger ledger_;
   std::size_t training_steps_ = 0;
   double last_loss_ = 0.0;
 

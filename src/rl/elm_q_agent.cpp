@@ -24,14 +24,12 @@ elm::ElmConfig make_elm_config(const SimplifiedOutputModel& model,
 }  // namespace
 
 ElmQAgent::ElmQAgent(SimplifiedOutputModel model, ElmQAgentConfig config,
-                     std::uint64_t seed, util::TimeLedgerPtr ledger)
+                     std::uint64_t seed)
     : model_(model),
       config_(config),
       policy_(config.epsilon_greedy, model.action_count()),
       rng_(seed),
       net_(make_elm_config(model, config), rng_),
-      ledger_(ledger ? std::move(ledger)
-                     : std::make_shared<util::TimeLedger>()),
       scratch_sa_(model.input_dim(), 0.0) {
   beta_target_ = net_.beta();
   buffer_.reserve(config_.hidden_units);
@@ -44,7 +42,7 @@ double ElmQAgent::q_main(const linalg::VecD& state, std::size_t action) {
   model_.encode_into(state, action, scratch_sa_);
   util::WallTimer timer;
   const double q = net_.predict_one(scratch_sa_)[0];
-  ledger_->charge(charge, timer.seconds());
+  ledger_.charge(charge, timer.seconds());
   return q;
 }
 
@@ -77,8 +75,8 @@ double ElmQAgent::td_target(const nn::Transition& transition) {
       for (std::size_t i = 0; i < h.size(); ++i) q += h[i] * beta_target_(i, 0);
       if (a == 0 || q > best_next) best_next = q;
     }
-    ledger_->charge(util::OpCategory::kInitTrain, timer.seconds(),
-                    model_.action_count());  // one Q eval per action
+    ledger_.charge(util::OpCategory::kInitTrain, timer.seconds(),
+                   model_.action_count());  // one Q eval per action
   }
   double target = transition.reward;
   if (!transition.done) target += config_.gamma * best_next;
@@ -99,7 +97,7 @@ void ElmQAgent::run_batch_train() {
   }
   util::WallTimer timer;
   net_.train_batch(x, t);
-  ledger_->charge(util::OpCategory::kInitTrain, timer.seconds());
+  ledger_.charge(util::OpCategory::kInitTrain, timer.seconds());
   beta_target_ = net_.beta();  // see reconstruction note in the header
   ++batch_trainings_;
 }

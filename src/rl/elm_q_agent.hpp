@@ -33,9 +33,8 @@ struct ElmQAgentConfig {
 
 class ElmQAgent final : public Agent {
  public:
-  /// `ledger` is the time account to charge (nullptr = private ledger).
   ElmQAgent(SimplifiedOutputModel model, ElmQAgentConfig config,
-            std::uint64_t seed, util::TimeLedgerPtr ledger = nullptr);
+            std::uint64_t seed);
 
   std::size_t act(const linalg::VecD& state) override;
   void observe(const nn::Transition& transition) override;
@@ -44,7 +43,7 @@ class ElmQAgent final : public Agent {
   [[nodiscard]] bool supports_weight_reset() const override { return true; }
   [[nodiscard]] std::string_view name() const override { return "ELM"; }
   [[nodiscard]] const util::OpBreakdown& breakdown() const override {
-    return ledger_->breakdown();
+    return ledger_.breakdown();
   }
 
   std::size_t greedy_action(const linalg::VecD& state);
@@ -67,7 +66,7 @@ class ElmQAgent final : public Agent {
 
   std::vector<nn::Transition> buffer_;  ///< ring buffer D of capacity N
   std::size_t pushes_ = 0;
-  util::TimeLedgerPtr ledger_;
+  util::TimeLedger ledger_;
   linalg::VecD scratch_sa_;
   std::size_t batch_trainings_ = 0;
 };

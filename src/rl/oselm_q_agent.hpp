@@ -92,8 +92,7 @@ class OsElmQAgent final : public Agent {
  public:
   /// `backend` provides the arithmetic; `model` the (s, a) encoding;
   /// `seed` drives exploration and the random-update coin flips. The
-  /// agent accounts time through the backend's TimeLedger (inject a
-  /// shared ledger at backend construction to aggregate across agents).
+  /// agent accounts time through the backend's TimeLedger.
   OsElmQAgent(OsElmQBackendPtr backend, SimplifiedOutputModel model,
               OsElmQAgentConfig config, std::uint64_t seed,
               std::string_view display_name = "OS-ELM");

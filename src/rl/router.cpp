@@ -59,13 +59,6 @@ RouterQServer::RouterQServer(RouterConfig config, SimplifiedOutputModel model)
   if (config_.replicas == 0) {
     throw std::invalid_argument("RouterQServer: replicas == 0");
   }
-  // R batch threads cannot charge one ledger (OpBreakdown::add is a
-  // plain +=); each replica exports its own instead.
-  if (config_.backend.ledger) {
-    throw std::invalid_argument(
-        "RouterQServer: BackendConfig::ledger must be null (each replica "
-        "exports its own ledger series)");
-  }
   start_ = std::chrono::steady_clock::now();
   replicas_.reserve(config_.replicas);
   retired_stats_.resize(config_.replicas);

@@ -184,9 +184,8 @@ struct RouterConfig {
   std::vector<std::string> replica_backend_ids;
   /// Per-replica backend configuration. The SAME config (seed included)
   /// goes to every replica — identical initial weights are what the
-  /// evaluation determinism contract rests on. BackendConfig::ledger
-  /// must be null: R batch threads cannot charge one non-atomic
-  /// OpBreakdown, and each replica already exports its own ledger as
+  /// evaluation determinism contract rests on. Each replica's backend
+  /// owns its ledger, exported as
   /// `oselm_ledger_<category>_seconds{server="<name>/rI"}`.
   BackendConfig backend;
   /// Per-replica serving configuration; `name` is overwritten with the
@@ -263,9 +262,8 @@ class RouterQServer {
  public:
   /// Builds `config.replicas` AsyncQServer replicas, each with its own
   /// backend from the registry. Throws std::invalid_argument for zero
-  /// replicas, a non-null BackendConfig::ledger, unknown backend ids,
-  /// and — with sync_every_updates > 0 — for backends without the
-  /// state_sync capability.
+  /// replicas, unknown backend ids, and — with sync_every_updates > 0 —
+  /// for backends without the state_sync capability.
   RouterQServer(RouterConfig config, SimplifiedOutputModel model);
   RouterQServer(const RouterQServer&) = delete;
   RouterQServer& operator=(const RouterQServer&) = delete;

@@ -10,9 +10,8 @@
 namespace oselm::rl {
 
 SoftwareOsElmBackend::SoftwareOsElmBackend(SoftwareBackendConfig config,
-                                           std::uint64_t seed,
-                                           util::TimeLedgerPtr ledger)
-    : OsElmQBackend(std::move(ledger)),
+                                           std::uint64_t seed)
+    : OsElmQBackend(nullptr),
       config_(config),
       rng_(seed),
       net_(config.elm, rng_),
@@ -32,30 +31,25 @@ void SoftwareOsElmBackend::initialize() {
   beta_target_ = net_.beta();  // theta_2 <- theta_1 (Algorithm 1 line 4)
 }
 
-double SoftwareOsElmBackend::output_dot(const linalg::VecD& h,
-                                        QNetwork which) const noexcept {
+double SoftwareOsElmBackend::predict_one(const linalg::VecD& sa,
+                                         const linalg::MatD& beta) {
+  util::WallTimer timer;
+  net_.hidden_into(sa, h_ws_);
   // beta is (units x 1), i.e. one contiguous column; the kernel dot uses
   // the same reduction structure as fused_act_dot, keeping predict_main
   // bit-identical to the batched predict_actions path.
-  const linalg::MatD& beta =
-      which == QNetwork::kMain ? net_.beta() : beta_target_;
-  return linalg::kernels::dot(h.data(), beta.data(), h.size());
+  const double q = linalg::kernels::dot(h_ws_.data(), beta.data(),
+                                        h_ws_.size());
+  ledger_->charge_predict(initialized(), timer.seconds());
+  return q;
 }
 
 double SoftwareOsElmBackend::predict_main(const linalg::VecD& sa) {
-  util::WallTimer timer;
-  net_.hidden_into(sa, h_ws_);
-  const double q = output_dot(h_ws_, QNetwork::kMain);
-  ledger_->charge_predict(initialized(), timer.seconds());
-  return q;
+  return predict_one(sa, net_.beta());
 }
 
 double SoftwareOsElmBackend::predict_target(const linalg::VecD& sa) {
-  util::WallTimer timer;
-  net_.hidden_into(sa, h_ws_);
-  const double q = output_dot(h_ws_, QNetwork::kTarget);
-  ledger_->charge_predict(initialized(), timer.seconds());
-  return q;
+  return predict_one(sa, beta_target_);
 }
 
 void SoftwareOsElmBackend::predict_actions_into(
@@ -89,8 +83,9 @@ void SoftwareOsElmBackend::predict_actions_into(
   }
 
   // Per-action rank-1 correction on alpha's last row, fused with the
-  // activation and the output dot (same reduction structure as the
-  // output_dot kernel — the bit-exactness contract of predict_actions).
+  // activation and the output dot (same reduction structure as
+  // predict_one's kernel dot — the bit-exactness contract of
+  // predict_actions).
   const double* last_row = alpha.row_ptr(n - 1);
   for (std::size_t a = 0; a < action_codes.size(); ++a) {
     q_out[a] = linalg::kernels::fused_act_dot(shared_ws_.data(), last_row,

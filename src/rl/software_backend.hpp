@@ -4,7 +4,7 @@
 // after initialization, so theta_2 only needs its own beta).
 //
 // Every predicting/training call charges measured wall-clock seconds to
-// the injected util::TimeLedger (see rl/agent.hpp).
+// the backend's util::TimeLedger (see rl/agent.hpp).
 #pragma once
 
 #include "elm/os_elm.hpp"
@@ -25,10 +25,8 @@ struct SoftwareBackendConfig {
 class SoftwareOsElmBackend final : public OsElmQBackend {
  public:
   /// The backend keeps its own Rng (split from `seed`) so reinitialization
-  /// draws fresh weights on every reset. `ledger` is the time account to
-  /// charge (nullptr = private ledger).
-  SoftwareOsElmBackend(SoftwareBackendConfig config, std::uint64_t seed,
-                       util::TimeLedgerPtr ledger = nullptr);
+  /// draws fresh weights on every reset.
+  SoftwareOsElmBackend(SoftwareBackendConfig config, std::uint64_t seed);
 
   void initialize() override;
   [[nodiscard]] double predict_main(const linalg::VecD& sa) override;
@@ -71,9 +69,10 @@ class SoftwareOsElmBackend final : public OsElmQBackend {
   }
 
  private:
-  /// h . beta(:, 0) for whichever output weights `which` selects.
-  [[nodiscard]] double output_dot(const linalg::VecD& h,
-                                  QNetwork which) const noexcept;
+  /// Q(sa) under output weights `beta` (theta_1 or theta_2); the body of
+  /// predict_main and predict_target.
+  [[nodiscard]] double predict_one(const linalg::VecD& sa,
+                                   const linalg::MatD& beta);
   /// Writes the per-action Q values for one state; shared by the single-
   /// and multi-state entry points, outside any timing scope.
   void predict_actions_into(const linalg::VecD& state,

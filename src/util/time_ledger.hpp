@@ -1,14 +1,15 @@
 // Per-category time ledger — the single place operation time is charged.
 //
 // PR 3 redesign: backends no longer *return* "seconds to charge" doubles
-// that every caller must remember to thread into an OpBreakdown. Instead a
-// TimeLedger is injected at backend construction and every predicting /
-// training call charges it directly; agents read the finished OpBreakdown
-// off the ledger. This mirrors the paper's Fig. 3 split between *what is
-// computed* (the backend's arithmetic) and *where the time goes* (the
-// ledger's categories), and lets several sessions share one backend — and
-// therefore one time account — in the serving front-end
-// (rl/async_server.hpp).
+// that every caller must remember to thread into an OpBreakdown. Instead
+// every backend owns a TimeLedger and every predicting / training call
+// charges it directly; agents read the finished OpBreakdown off the
+// ledger. This mirrors the paper's Fig. 3 split between *what is computed*
+// (the backend's arithmetic) and *where the time goes* (the ledger's
+// categories). Several sessions share one backend — and therefore one
+// time account — in the serving front-end (rl/async_server.hpp); the only
+// other sharers are decorators (rl::FaultBackend), which charge the
+// ledger of the backend they wrap.
 //
 // Prediction charges are routed by context: by default they land on
 // kPredictInit/kPredictSeq depending on whether the backend has run its
@@ -16,6 +17,7 @@
 // evaluations inside the agent's init_train/seq_train paths charge
 // kInitTrain/kSeqTrain, exactly like the historical explicit `charge_to`
 // arguments did.
+//
 // Thread contract: a TimeLedger is a SINGLE-WRITER structure — exactly one
 // thread charges it at a time (an agent's caller thread, an AsyncQServer's
 // batch thread). Ownership transfers only at quiescent points, marked by
@@ -56,16 +58,6 @@ class TimeLedger {
   /// when the previous writer provably issues no further charges (batch
   /// thread joined, agent destroyed). No-op in Release.
   void release_writer() noexcept { writer_.release(); }
-
-  /// Folds another account's accumulated time and counts into this one.
-  /// A write like any charge, so the single-writer contract applies; the
-  /// source breakdown must itself be quiescent (its writer stopped).
-  /// This is how RouterQServer settles per-replica accounts into a
-  /// user-shared ledger once the fleet stops.
-  void merge(const OpBreakdown& other) noexcept {
-    writer_.assert_or_bind("TimeLedger merged off its writer thread");
-    breakdown_ += other;
-  }
 
   /// Where a prediction would be charged right now.
   [[nodiscard]] OpCategory predict_category(bool initialized) const noexcept {
@@ -117,8 +109,8 @@ class TimeLedger {
   ThreadAffinity writer_;
 };
 
-/// Ledgers are shared between a backend and everything accounting against
-/// it (agents, servers, benches), hence the shared_ptr alias.
+/// A backend's ledger is shared with the decorators that wrap it, hence
+/// the shared_ptr alias.
 using TimeLedgerPtr = std::shared_ptr<TimeLedger>;
 
 }  // namespace oselm::util

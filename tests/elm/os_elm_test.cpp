@@ -149,6 +149,22 @@ TEST(OsElm, ShapeValidation) {
                std::invalid_argument);  // one target, output_dim == 2
 }
 
+TEST(OsElm, ChunkSeqTrainRejectsTargetWidth) {
+  // A k > 1 chunk validates the target width like the k = 1 path does,
+  // instead of reading width-1 targets out of bounds.
+  util::Rng rng(12);
+  OsElm net(config_for(3, 8, 2, 0.1), rng);
+  net.init_train(random_matrix(12, 3, rng), random_matrix(12, 2, rng));
+  const linalg::MatD beta = net.beta();
+  const linalg::MatD p = net.p();
+  EXPECT_THROW(net.seq_train(random_matrix(2, 3, rng), linalg::MatD(2, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(net.seq_train(random_matrix(1, 3, rng), linalg::MatD(1, 1)),
+               std::invalid_argument);
+  EXPECT_TRUE(net.beta() == beta);  // a rejected chunk trains nothing
+  EXPECT_TRUE(net.p() == p);
+}
+
 TEST(OsElm, ForgettingFactorOneMatchesPlainUpdate) {
   util::Rng rng_a(20);
   OsElm plain(config_for(3, 12, 1, 0.3), rng_a);

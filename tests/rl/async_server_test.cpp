@@ -164,7 +164,7 @@ AsyncSessionSpec train_spec(std::uint64_t env_seed, std::uint64_t agent_seed,
 }
 
 /// One lockstep cohort run on a fresh backend: results in spec order, the
-/// server's counters, the shared ledger and the trained weights.
+/// server's counters, the backend's ledger and the trained weights.
 struct LockstepRun {
   std::vector<AsyncSessionResult> sessions;
   AsyncServerStats stats;

@@ -53,15 +53,13 @@ std::vector<BackendCase> all_registered_cases() {
 
 class BackendContract : public ::testing::TestWithParam<BackendCase> {
  protected:
-  [[nodiscard]] OsElmQBackendPtr make(
-      std::uint64_t seed, util::TimeLedgerPtr ledger = nullptr) const {
+  [[nodiscard]] OsElmQBackendPtr make(std::uint64_t seed) const {
     BackendConfig config;
     config.input_dim = kInputDim;
     config.hidden_units = kHiddenUnits;
     config.l2_delta = kDelta;
     config.spectral_normalize = true;
     config.seed = seed;
-    config.ledger = std::move(ledger);
     return make_backend(GetParam().id, config);
   }
 
@@ -108,12 +106,6 @@ TEST_P(BackendContract, ReportsConfiguredDimensions) {
   const auto backend = make(2);
   EXPECT_EQ(backend->input_dim(), kInputDim);
   EXPECT_EQ(backend->hidden_units(), kHiddenUnits);
-}
-
-TEST_P(BackendContract, DeclaresTheBatchedPredictCapability) {
-  // Every current backend implements the amortized predict_actions
-  // schedule; a future one that does not must not claim the flag.
-  EXPECT_TRUE(GetParam().caps.batched_predict);
 }
 
 TEST_P(BackendContract, PredictWorksBeforeInitTrain) {
@@ -371,13 +363,12 @@ TEST_P(BackendContract, MultiStatePredictValidatesShapes) {
 // --- Ledger contract -------------------------------------------------
 
 TEST_P(BackendContract, ChargesTheInjectedLedger) {
-  auto ledger = std::make_shared<util::TimeLedger>();
-  const auto backend = make(30, ledger);
-  EXPECT_EQ(&backend->ledger(), ledger.get());
+  // Every backend owns its time account and charges it directly.
+  const auto backend = make(30);
   run_init_train(*backend, 300);
-  EXPECT_EQ(ledger->breakdown().invocations(util::OpCategory::kInitTrain),
-            1u);
-  EXPECT_GT(ledger->breakdown().get(util::OpCategory::kInitTrain), 0.0);
+  const util::OpBreakdown& b = backend->ledger().breakdown();
+  EXPECT_EQ(b.invocations(util::OpCategory::kInitTrain), 1u);
+  EXPECT_GT(b.get(util::OpCategory::kInitTrain), 0.0);
 }
 
 TEST_P(BackendContract, LedgerInvocationCountsMatchTheFixedScenario) {

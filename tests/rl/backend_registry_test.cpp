@@ -60,14 +60,10 @@ TEST(BackendRegistry, MakesTheConcreteTypes) {
 TEST(BackendRegistry, BuiltinCapabilityFlags) {
   const BackendCapabilities& software = backend_capabilities("software");
   EXPECT_FALSE(software.fixed_point);
-  EXPECT_TRUE(software.batched_predict);
-  EXPECT_TRUE(software.chunked_train);
   EXPECT_TRUE(software.forgetting);
   EXPECT_TRUE(software.state_sync);
   const BackendCapabilities& fpga = backend_capabilities("fpga-q20");
   EXPECT_TRUE(fpga.fixed_point);
-  EXPECT_TRUE(fpga.batched_predict);
-  EXPECT_FALSE(fpga.chunked_train);
   EXPECT_FALSE(fpga.forgetting);
   EXPECT_TRUE(fpga.state_sync);
 }
@@ -116,14 +112,25 @@ TEST(BackendRegistry, EmptyIdAndNullFactoryThrow) {
 
 TEST(BackendRegistry, CapabilityMismatchNamesTheMissingFlags) {
   BackendCapabilities required;
-  required.chunked_train = true;
+  required.fixed_point = true;
   required.forgetting = true;
-  // The fixed-point model supports neither; the error must name both and
-  // the backend.
+  required.state_sync = true;
+  // A backend that declares nothing lacks all three; the error must name
+  // each of them and the backend.
+  BackendRegistry registry;
+  registry.register_backend("bare", BackendCapabilities{},
+                            [](const BackendConfig& c) {
+                              return make_backend("software", c);
+                            });
+  expect_invalid_argument(
+      [&] { (void)registry.make("bare", small_config(), required); },
+      {"bare", "fixed-point", "forgetting", "state-sync"});
+  // The fixed-point model lacks only forgetting.
+  required.fixed_point = false;
   expect_invalid_argument(
       [&] { (void)make_backend("fpga-q20", small_config(), required); },
-      {"fpga-q20", "chunked-train", "forgetting"});
-  // The software backend covers them, so the same requirement succeeds.
+      {"fpga-q20", "forgetting"});
+  // The software backend covers the rest, so that requirement succeeds.
   EXPECT_NE(make_backend("software", small_config(), required), nullptr);
 }
 
@@ -143,26 +150,11 @@ TEST(BackendRegistry, ForgettingConfigImpliesTheCapability) {
 TEST(BackendRegistry, SatisfiedRequirementsConstructNormally) {
   BackendCapabilities required;
   required.fixed_point = true;
-  required.batched_predict = true;
+  required.state_sync = true;
   const OsElmQBackendPtr backend =
       make_backend("fpga-q20", small_config(), required);
   ASSERT_NE(backend, nullptr);
   EXPECT_FALSE(backend->initialized());
-}
-
-TEST(BackendRegistry, InjectsASharedLedgerAcrossBackends) {
-  auto ledger = std::make_shared<util::TimeLedger>();
-  BackendConfig config = small_config();
-  config.ledger = ledger;
-  const OsElmQBackendPtr a = make_backend("software", config);
-  const OsElmQBackendPtr b = make_backend("fpga-q20", config);
-  EXPECT_EQ(&a->ledger(), ledger.get());
-  EXPECT_EQ(&b->ledger(), ledger.get());
-  (void)a->predict_main(linalg::VecD(5, 0.1));
-  (void)b->predict_main(linalg::VecD(5, 0.1));
-  // Both backends accounted into the one ledger.
-  EXPECT_EQ(ledger->breakdown().invocations(util::OpCategory::kPredictInit),
-            2u);
 }
 
 TEST(BackendRegistry, ConfigSeedControlsDeterminism) {

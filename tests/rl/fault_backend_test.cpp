@@ -166,15 +166,12 @@ TEST(FaultBackend, StateManagementNeverFaultsAndConsumesNoDraw) {
 }
 
 TEST(FaultBackend, ChargesTheInnerLedger) {
-  auto ledger = std::make_shared<util::TimeLedger>();
-  BackendConfig config = small_config();
-  config.ledger = ledger;
-  FaultBackend backend(make_backend("software", config),
-                       BackendFaultKind::kStall, 0.0, 1);
-  EXPECT_EQ(&backend.ledger(), ledger.get());
+  const OsElmQBackendPtr inner = make_backend("software", small_config());
+  FaultBackend backend(inner, BackendFaultKind::kStall, 0.0, 1);
+  EXPECT_EQ(&backend.ledger(), &inner->ledger());
   (void)backend.predict_main(linalg::VecD(kInputDim, 0.1));
-  EXPECT_EQ(ledger->breakdown().invocations(util::OpCategory::kPredictInit),
-            1u);
+  const util::OpBreakdown& b = inner->ledger().breakdown();
+  EXPECT_EQ(b.invocations(util::OpCategory::kPredictInit), 1u);
 }
 
 TEST(FaultBackend, ConstructorRejectsBadArguments) {

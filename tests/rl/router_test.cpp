@@ -34,7 +34,6 @@
 #include "rl/backend_registry.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
-#include "util/time_ledger.hpp"
 
 namespace oselm::rl {
 namespace {
@@ -379,11 +378,6 @@ TEST(RouterQServer, ConstructorValidatesConfiguration) {
                std::invalid_argument);
   EXPECT_THROW(RouterQServer(router_config("no-such-backend", 2),
                              SimplifiedOutputModel(4, 2)),
-               std::invalid_argument);
-  // R batch threads cannot share one ledger; each replica exports its own.
-  RouterConfig shared_ledger = router_config("software", 2);
-  shared_ledger.backend.ledger = std::make_shared<util::TimeLedger>();
-  EXPECT_THROW(RouterQServer(shared_ledger, SimplifiedOutputModel(4, 2)),
                std::invalid_argument);
 }
 

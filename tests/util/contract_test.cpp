@@ -101,16 +101,6 @@ TEST(Contract, TimeLedgerResetHandsTheAccountOff) {
   EXPECT_DOUBLE_EQ(ledger.breakdown().get(util::OpCategory::kSeqTrain), 0.5);
 }
 
-TEST(Contract, TimeLedgerMergeFoldsCountsAndSeconds) {
-  util::TimeLedger source;
-  source.charge(util::OpCategory::kSeqTrain, 0.5, 2);
-  util::TimeLedger sink;
-  sink.charge(util::OpCategory::kSeqTrain, 0.25, 1);
-  sink.merge(source.breakdown());
-  EXPECT_DOUBLE_EQ(sink.breakdown().get(util::OpCategory::kSeqTrain), 0.75);
-  EXPECT_EQ(sink.breakdown().invocations(util::OpCategory::kSeqTrain), 3u);
-}
-
 #if OSELM_CONTRACTS_ENABLED
 
 using ContractDeathTest = ::testing::Test;
