@@ -21,6 +21,12 @@
 //
 // Gate: OSELM_ROUTER_MIN_SPEEDUP_PCT (shared bench_common parsing; CI
 // passes 250) applies to the R=4 vs R=1 speedup.
+//
+// Compute-bound regime (telemetry, no gate): the same fleets with zero
+// env latency, so steps/sec shows the tier's own cost — batch threads,
+// the shared worker pool, placement — rather than sleeping envs. Each
+// R runs kComputeRepeats windows; the row reports the median and
+// interquartile range over them.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -31,6 +37,7 @@
 
 #include "bench_common.hpp"
 #include "rl/router.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -39,6 +46,8 @@ using namespace oselm;
 
 constexpr std::size_t kStateDim = 4;  // CartPole observation (§4.2)
 constexpr std::size_t kActions = 2;
+/// Windows per compute-bound row; it reports their median and quartiles.
+constexpr std::size_t kComputeRepeats = 5;
 
 rl::BackendConfig backend_config(std::size_t hidden_units) {
   rl::BackendConfig config;
@@ -92,7 +101,9 @@ Row run_fleet(std::size_t replicas, std::size_t offered, std::size_t cap,
     rl::AsyncSessionSpec spec;
     spec.mode = rl::AsyncSessionMode::kEvaluate;
     spec.session.env_id =
-        "delay:" + std::to_string(delay_us) + ":ShapedCartPole-v0";
+        delay_us == 0
+            ? std::string("ShapedCartPole-v0")
+            : "delay:" + std::to_string(delay_us) + ":ShapedCartPole-v0";
     spec.session.env_seed = 1000 + 17 * i;
     spec.session.agent_seed = 7 + i;
     spec.session.trainer.max_episodes = 1u << 30;  // run until stop()
@@ -134,6 +145,41 @@ Row run_fleet(std::size_t replicas, std::size_t offered, std::size_t cap,
   row.p95_us = stats.aggregate.step_latency_us.quantile(0.95);
   row.p99_us = stats.aggregate.step_latency_us.quantile(0.99);
   return row;
+}
+
+/// The compute-bound row of one fleet size: spread over repeated windows.
+struct ComputeRow {
+  std::size_t replicas = 0;
+  std::size_t admitted = 0;
+  double steps_median = 0.0;
+  double steps_q1 = 0.0;
+  double steps_q3 = 0.0;
+  double p50_us_median = 0.0;
+  double p99_us_median = 0.0;
+};
+
+ComputeRow run_compute_bound(std::size_t replicas, std::size_t offered,
+                             std::size_t cap, std::size_t hidden_units,
+                             double window_seconds) {
+  std::vector<double> steps;
+  std::vector<double> p50;
+  std::vector<double> p99;
+  ComputeRow out;
+  out.replicas = replicas;
+  for (std::size_t i = 0; i < kComputeRepeats; ++i) {
+    const Row row = run_fleet(replicas, offered, cap, /*delay_us=*/0,
+                              hidden_units, window_seconds);
+    out.admitted = row.admitted;
+    steps.push_back(row.steps_per_sec);
+    p50.push_back(row.p50_us);
+    p99.push_back(row.p99_us);
+  }
+  out.steps_median = util::percentile(steps, 0.50);
+  out.steps_q1 = util::percentile(steps, 0.25);
+  out.steps_q3 = util::percentile(std::move(steps), 0.75);
+  out.p50_us_median = util::percentile(std::move(p50), 0.50);
+  out.p99_us_median = util::percentile(std::move(p99), 0.50);
+  return out;
 }
 
 }  // namespace
@@ -196,6 +242,21 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(kill_row.abandoned),
       static_cast<unsigned long long>(kill_row.replacements));
 
+  std::printf("\nCompute-bound (zero env latency), median [IQR] over %zu "
+              "windows:\n",
+              kComputeRepeats);
+  std::vector<ComputeRow> compute;
+  for (const std::size_t replicas : {1u, 2u, 4u}) {
+    ComputeRow row = run_compute_bound(replicas, offered, cap, hidden_units,
+                                       window_seconds);
+    std::printf(
+        "  R=%zu admitted %3zu  %8.0f steps/s [%.0f, %.0f]  "
+        "p50/p99 %0.0f/%0.0f us\n",
+        row.replicas, row.admitted, row.steps_median, row.steps_q1,
+        row.steps_q3, row.p50_us_median, row.p99_us_median);
+    compute.push_back(row);
+  }
+
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -222,6 +283,22 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.spillovers), r.steps_per_sec,
         r.speedup_vs_r1, r.mean_batch_rows, r.p50_us, r.p95_us, r.p99_us,
         i + 1 == rows.size() ? "" : ",");
+  }
+  std::fprintf(
+      f,
+      "  ],\n"
+      "  \"compute_bound\": [\n");
+  for (std::size_t i = 0; i < compute.size(); ++i) {
+    const ComputeRow& r = compute[i];
+    std::fprintf(
+        f,
+        "    {\"replicas\": %zu, \"admitted\": %zu, \"repeats\": %zu, "
+        "\"steps_per_sec_median\": %.1f, \"steps_per_sec_q1\": %.1f, "
+        "\"steps_per_sec_q3\": %.1f, \"p50_us_median\": %.1f, "
+        "\"p99_us_median\": %.1f}%s\n",
+        r.replicas, r.admitted, kComputeRepeats, r.steps_median, r.steps_q1,
+        r.steps_q3, r.p50_us_median, r.p99_us_median,
+        i + 1 == compute.size() ? "" : ",");
   }
   std::fprintf(
       f,

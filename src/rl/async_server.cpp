@@ -159,12 +159,14 @@ struct AsyncQServer::Session final : EpisodeDriver {
 
 AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
                            SimplifiedOutputModel model,
-                           AsyncQServerConfig config)
+                           AsyncQServerConfig config,
+                           std::shared_ptr<util::ThreadPool> pool)
     : backend_(std::move(backend)),
       model_(model),
       config_(config),
       action_codes_(model.action_count(), 0.0),
-      q_ws_(model.action_count(), 0.0) {
+      q_ws_(model.action_count(), 0.0),
+      pool_(std::move(pool)) {
   if (!backend_) throw std::invalid_argument("AsyncQServer: null backend");
   if (backend_->input_dim() != model_.input_dim()) {
     throw std::invalid_argument(
@@ -174,10 +176,6 @@ AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
     throw std::invalid_argument("AsyncQServer: max_live_sessions == 0");
   }
   if (config_.max_batch == 0) config_.max_batch = 1;
-  if (config_.worker_threads == 0) {
-    config_.worker_threads =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
   for (std::size_t a = 0; a < model_.action_count(); ++a) {
     action_codes_[a] = model_.action_code(a);
   }
@@ -190,7 +188,9 @@ AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
   // bench's setup phase) is quiescent once it hands the backend over.
   backend_->ledger().release_writer();
   started_at_us_ = obs::Tracer::now_us();
-  pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
+  if (!pool_) {
+    pool_ = std::make_shared<util::ThreadPool>(config_.worker_threads);
+  }
   batch_thread_ = std::thread([this] { batch_loop(); });
   metrics_ = obs::MetricsRegistry::global().add_collector(
       [this](obs::MetricsSnapshot& snapshot) {
@@ -214,6 +214,9 @@ AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
 AsyncQServer::~AsyncQServer() { stop(); }
 
 void AsyncQServer::stop() {
+  // A worker waiting here for live sessions to retire holds a lane those
+  // sessions may need; on a shared pool every lane can end up waiting.
+  OSELM_DCHECK(!pool_->on_worker_thread());
   const std::scoped_lock stop_lock(stop_mutex_);
   stopping_.store(true, std::memory_order_release);
   {
@@ -400,19 +403,28 @@ void AsyncQServer::resume(Session& s) {
 
 void AsyncQServer::enqueue(Session& s) {
   OSELM_TRACE_INSTANT("session", "suspend");
-  std::unique_lock lk(queue_mutex_);
-  if (ready_.empty() &&
-      (obs::Tracer::enabled() || obs::timing_enabled())) {
+  const std::scoped_lock lk(queue_mutex_);
+  const bool was_empty = ready_.empty();
+  if (was_empty && (obs::Tracer::enabled() || obs::timing_enabled())) {
     // Queue goes empty -> non-empty: the coalescing linger for the next
     // batch starts now. Clock read gated so default-off serving stays
     // clock-free on this seam.
     pending_since_us_ = obs::Tracer::now_us();
   }
   ready_.push_back(&s);
-  lk.unlock();
-  queue_cv_.notify_one();
-  // NOTE: the session may already be running on another worker by the
-  // time push returns — no member of `s` may be touched past this point.
+  // Wake the batch thread only when a drain can start: its idle wait
+  // ends on empty -> non-empty, its linger on a full batch (retire() and
+  // stop() wake it for their own events). The wake happens under the
+  // lock: once it is released the request can be served, the session
+  // retired and the server destroyed, while this worker — on a pool
+  // that may outlive the server — is still returning through here.
+  if (was_empty || ready_.size() >= config_.max_batch ||
+      ready_.size() >= live_count_.load(std::memory_order_relaxed)) {
+    queue_cv_.notify_one();
+  }
+  // NOTE: the session may already be running on another worker once the
+  // lock is released — no member of `s` or of the server may be touched
+  // past this point.
 }
 
 void AsyncQServer::retire(Session* s, SessionEndCause cause,

@@ -6,7 +6,9 @@
 //   * each session is the run_episodes() coroutine of rl::run_training
 //     (trainer.hpp) over the same OsElmQRules as rl::OsElmQAgent. Its
 //     environment steps, rng draws and encoding run on a util::ThreadPool
-//     worker, never waiting for co-tenants;
+//     worker, never waiting for co-tenants. The pool is the server's own
+//     (`worker_threads` lanes) or one the caller shares across servers —
+//     RouterQServer runs its whole fleet on one;
 //   * whenever the loop needs the shared Q-network it parks on the ready
 //     queue, which holds at most one request per live session, so it is
 //     bounded by max_live_sessions and a worker never blocks on it;
@@ -145,6 +147,8 @@ struct AsyncQServerConfig {
   /// Environment/encode worker pool size (0 = hardware concurrency).
   /// Sessions sleeping in slow environments only occupy a worker while
   /// stepping, so oversubscribing (more sessions than workers) is normal.
+  /// Unused when the server runs on a shared pool; under RouterQServer it
+  /// is each replica's share of the one fleet pool.
   std::size_t worker_threads = 0;
   /// Admission cap: add_session() beyond this many live sessions throws.
   std::size_t max_live_sessions = 64;
@@ -232,8 +236,12 @@ class AsyncQServer {
  public:
   /// `backend` is shared by every session and only ever touched by the
   /// internal batch thread; `model` fixes the (state, action) encoding.
+  /// Sessions run on `pool` when one is given — it may be shared with
+  /// other servers and must outlive this one — else on a pool of
+  /// config.worker_threads lanes the server owns.
   AsyncQServer(OsElmQBackendPtr backend, SimplifiedOutputModel model,
-               AsyncQServerConfig config = {});
+               AsyncQServerConfig config = {},
+               std::shared_ptr<util::ThreadPool> pool = nullptr);
   AsyncQServer(const AsyncQServer&) = delete;
   AsyncQServer& operator=(const AsyncQServer&) = delete;
   /// Stops (gracefully: in-flight requests complete, sessions retire at
@@ -262,6 +270,10 @@ class AsyncQServer {
   /// Graceful shutdown: live sessions retire at their next step boundary
   /// (completed = false), in-flight batch requests are processed, and
   /// the batch thread joins. Idempotent; add_session() afterwards throws.
+  /// Once it returns no task of this server is left on the pool, so a
+  /// shared pool may outlive the server. Never call it from one of the
+  /// pool's own workers (Debug-checked): it waits for sessions that need
+  /// a worker to retire.
   void stop();
 
   /// Runs `fn(backend)` on the batching thread — the backend's single
@@ -427,8 +439,11 @@ class AsyncQServer {
 
   // Threads last: destroyed FIRST, so no worker or batch task can touch a
   // member (queues, condition variables, histograms) mid-destruction.
-  // stop() joins batch_thread_ before any member teardown regardless.
-  std::unique_ptr<util::ThreadPool> pool_;
+  // stop() joins batch_thread_ before any member teardown regardless. A
+  // shared pool outlives the server: stop() returns only once every
+  // session retired, and no worker touches the server after that (see
+  // enqueue() and retire()).
+  std::shared_ptr<util::ThreadPool> pool_;
   std::thread batch_thread_;
   /// Declared last, so destroyed first: the collector detaches before
   /// any member it reads goes away.

@@ -60,6 +60,15 @@ RouterQServer::RouterQServer(RouterConfig config, SimplifiedOutputModel model)
     throw std::invalid_argument("RouterQServer: replicas == 0");
   }
   start_ = std::chrono::steady_clock::now();
+  // One worker pool for the whole fleet, replacements included: a session
+  // resumed on a replica whose share of lanes is asleep in env steps runs
+  // on any idle lane instead of waiting. worker_threads is each replica's
+  // share, so the fleet keeps the lane count R private pools would have.
+  const std::size_t share =
+      config_.server.worker_threads != 0
+          ? config_.server.worker_threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  pool_ = std::make_shared<util::ThreadPool>(config_.replicas * share);
   replicas_.reserve(config_.replicas);
   retired_stats_.resize(config_.replicas);
   health_.resize(config_.replicas);
@@ -112,7 +121,7 @@ std::unique_ptr<AsyncQServer> RouterQServer::build_replica(
     on_replica_retire(index, incarnation, std::move(r));
   };
   return std::make_unique<AsyncQServer>(std::move(backend), model_,
-                                        std::move(server));
+                                        std::move(server), pool_);
 }
 
 RouterQServer::~RouterQServer() { stop(); }

@@ -7,7 +7,9 @@
 // it owns R replicas, each a full AsyncQServer with its OWN backend built
 // from rl::BackendRegistry (same backend id, same BackendConfig — and
 // therefore, same seed, identical initial weights), and routes sessions
-// across them:
+// across them. Every replica runs its sessions on the router's ONE
+// util::ThreadPool, so a session never waits for its own replica's
+// lanes while another replica's sit idle:
 //
 //   * session-affinity placement: every session carries an affinity key
 //     (explicit, or derived from its seeds) that hashes — FNV-1a, so the
@@ -191,6 +193,9 @@ struct RouterConfig {
   /// Per-replica serving configuration; `name` is overwritten with the
   /// replica identity. max_live_sessions is the PER-REPLICA admission
   /// cap, so the router admits up to replicas * max_live_sessions.
+  /// worker_threads is each replica's share of the ONE worker pool the
+  /// whole fleet (replacements included) runs on: the router builds
+  /// replicas * worker_threads lanes (0 = hardware concurrency per share).
   AsyncQServerConfig server;
   /// 0 = replicas never exchange state; N > 0 = run an averaging round
   /// whenever the fleet accumulated N train updates since the last one.
@@ -398,6 +403,9 @@ class RouterQServer {
   /// reader (admission, averaging, stats, run_exclusive_*) holds it
   /// shared; the maintenance thread holds it unique only for the swap.
   mutable std::shared_mutex fleet_mutex_;
+  /// The fleet's worker pool, shared by every replica incarnation.
+  /// Declared before replicas_, so it outlives them.
+  std::shared_ptr<util::ThreadPool> pool_;
   std::vector<std::unique_ptr<AsyncQServer>> replicas_;
   /// Counters of incarnations retired by replacement, merged into
   /// stats().per_replica. Written under unique fleet_mutex_.

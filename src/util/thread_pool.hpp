@@ -1,8 +1,10 @@
 // Fixed-size thread pool with a blocking parallel_for — the project's one
 // thread runtime. It runs independent RL trials concurrently when
 // averaging Fig. 5 results (per-trial determinism, one Rng per trial,
-// regardless of scheduling order) and AsyncQServer's session workers.
-// The linalg kernels are single-threaded.
+// regardless of scheduling order) and AsyncQServer's session workers: a
+// standalone server's own pool, or the one pool RouterQServer shares
+// across every replica of a fleet. The linalg kernels are
+// single-threaded.
 #pragma once
 
 #include <condition_variable>
@@ -38,15 +40,14 @@ class ThreadPool {
   /// worker lanes. The caller blocks on futures its own lane would have
   /// to execute — a size-1 pool deadlocks outright and larger pools
   /// deadlock whenever every other lane is busy. Nested parallelism must
-  /// use a different pool (the kernel layer's internal P-update pool is
-  /// exactly that).
+  /// use a different pool.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
   /// True when the calling thread is one of THIS pool's worker lanes
   /// (always false in Release builds, where the tracking is compiled
-  /// out). The re-entrancy contract and AsyncQServer's seam checks read
-  /// it; not meant for scheduling decisions.
+  /// out). The re-entrancy contract and AsyncQServer::stop()'s check
+  /// read it; not meant for scheduling decisions.
   [[nodiscard]] bool on_worker_thread() const noexcept;
 
  private:

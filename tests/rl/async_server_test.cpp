@@ -12,7 +12,8 @@
 //   * lifecycle robustness: admission control rejects past the cap with a
 //     clear error, a session whose environment throws mid-step retires
 //     without poisoning the batch thread, and shutdown with in-flight
-//     requests joins cleanly (exercised under ASan/UBSan and TSan in CI).
+//     requests joins cleanly (exercised under ASan/UBSan and TSan in CI),
+//     also when the server is destroyed on a pool that outlives it.
 #include "rl/async_server.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <tuple>
 
@@ -852,6 +854,57 @@ TEST(AsyncQServer, DestructionWithoutStopIsAGracefulStop) {
   }
   SUCCEED();
 }
+
+TEST(AsyncQServer, DestroyedMidStepOnASharedPoolEndsEverySessionOnce) {
+  // A shared pool outlives the servers on it. Each round destroys a
+  // server while its sessions sleep inside env steps: every session must
+  // retire exactly once, and no worker may touch the dead server after
+  // stop() returned (ASan/UBSan and TSan run this in CI).
+  const auto pool = std::make_shared<util::ThreadPool>(4);
+  for (std::size_t round = 0; round < 50; ++round) {
+    std::mutex ends_mutex;
+    std::map<std::size_t, int> ends;
+    std::vector<std::size_t> admitted;
+    {
+      AsyncQServerConfig config;
+      config.max_batch = 4;
+      config.on_retire = [&](AsyncSessionResult&& result) {
+        const std::scoped_lock lk(ends_mutex);
+        ++ends[result.id];
+      };
+      AsyncQServer server(make_backend("software", backend_config(12)),
+                          SimplifiedOutputModel(4, 2), config, pool);
+      for (std::size_t i = 0; i < 6; ++i) {
+        AsyncSessionSpec spec = eval_spec(100 * round + i, 7 + i, 100000);
+        spec.session.env_id = "delay:300:ShapedCartPole-v0";
+        admitted.push_back(server.add_session(spec));
+      }
+      // Land the teardown at varying points of the sessions' steps.
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(150 * (round % 4)));
+    }
+    ASSERT_EQ(ends.size(), admitted.size()) << "round " << round;
+    for (const std::size_t id : admitted) {
+      EXPECT_EQ(ends[id], 1) << "round " << round << " session " << id;
+    }
+  }
+}
+
+#if OSELM_CONTRACTS_ENABLED
+TEST(AsyncQServerDeathTest, StopFromAWorkerOfItsOwnPoolAborts) {
+  // stop() waits for sessions that need a pool lane to retire; run on one
+  // of the pool's own lanes it could wait forever, so it aborts instead.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const auto pool = std::make_shared<util::ThreadPool>(2);
+        AsyncQServer server(make_backend("software", backend_config(14)),
+                            SimplifiedOutputModel(4, 2), {}, pool);
+        pool->submit([&server] { server.stop(); }).get();
+      },
+      "contract failed: !pool_->on_worker_thread\\(\\)");
+}
+#endif  // OSELM_CONTRACTS_ENABLED
 
 TEST(AsyncQServer, EvaluationNeverMutatesTheBackend) {
   OsElmQBackendPtr backend = make_backend("software", backend_config(13));

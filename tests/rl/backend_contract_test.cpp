@@ -362,15 +362,6 @@ TEST_P(BackendContract, MultiStatePredictValidatesShapes) {
 
 // --- Ledger contract -------------------------------------------------
 
-TEST_P(BackendContract, ChargesTheInjectedLedger) {
-  // Every backend owns its time account and charges it directly.
-  const auto backend = make(30);
-  run_init_train(*backend, 300);
-  const util::OpBreakdown& b = backend->ledger().breakdown();
-  EXPECT_EQ(b.invocations(util::OpCategory::kInitTrain), 1u);
-  EXPECT_GT(b.get(util::OpCategory::kInitTrain), 0.0);
-}
-
 TEST_P(BackendContract, LedgerInvocationCountsMatchTheFixedScenario) {
   // The fixed scenario's op counts are deterministic for every backend:
   // 3 pre-init evaluations (1 single + one 2-action batch), an init

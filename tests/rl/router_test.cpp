@@ -13,7 +13,10 @@
 //   * training sync: sync_every_updates = 0 never exchanges state,
 //     N > 0 averages the replicas' learned state and leaves every
 //     replica with the identical imported average; a replacement never
-//     makes a round fire early.
+//     makes a round fire early;
+//   * one worker pool per fleet: a replacement starts no worker threads,
+//     and an incarnation destroyed while its sessions sleep mid-step ends
+//     each of them exactly once.
 #include "rl/router.hpp"
 
 #include <gtest/gtest.h>
@@ -21,9 +24,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -561,6 +567,89 @@ TEST(RouterQServer, KillReplicaRescuesItsSessionsAndSeedsTheReplacement) {
   EXPECT_EQ(state_at(slot.timeline.size() - 2), ReplicaHealth::kReplaced);
   EXPECT_EQ(state_at(slot.timeline.size() - 1), ReplicaHealth::kHealthy);
   EXPECT_NE(stats.health_json().find("\"replaced\""), std::string::npos);
+}
+
+TEST(RouterQServer, ReplacingAReplicaMidStepEndsEverySessionExactlyOnce) {
+  // Every incarnation runs on the fleet's one pool, which outlives them.
+  // Each round kills replica 0 while its sessions sleep inside env steps:
+  // they retire there and are rescued, and the old incarnation is
+  // destroyed while the lanes it used keep serving the rest of the fleet
+  // (ASan/UBSan and TSan run this in CI).
+  RouterConfig config = router_config("software", 2);
+  config.server.max_live_sessions = 150;  // every session fits: no rejects
+  RouterQServer router(config, SimplifiedOutputModel(4, 2));
+  const std::string on_victim = key_for_replica(router, 0);
+  std::vector<std::size_t> admitted;
+  for (std::uint64_t round = 0; round < 50; ++round) {
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      AsyncSessionSpec spec = eval_spec(100 * round + i, 5 + i, 1);
+      spec.session.env_id = "delay:300:ShapedCartPole-v0";
+      spec.session.trainer.episode_step_cap = 20;
+      admitted.push_back(router.add_session({spec, on_victim}));
+    }
+    // Land the kill at varying points of the sessions' steps.
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(150 * (round % 4)));
+    router.kill_replica(0);
+    wait_for_replacements(router, round + 1);
+  }
+  const std::vector<AsyncSessionResult> results = router.drain();
+  ASSERT_EQ(results.size(), admitted.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].id, admitted[i]);
+    EXPECT_TRUE(results[i].completed) << results[i].error;
+  }
+  router.stop();
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.replacements, 50u);
+  EXPECT_EQ(stats.abandoned, 0u);
+  EXPECT_EQ(stats.aggregate.sessions_retired,
+            admitted.size() + stats.rescued);
+}
+
+#ifdef __linux__
+/// The calling process's thread ids, read from /proc/self/task.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(task.path().filename().string());
+  }
+  return ids;
+}
+#endif
+
+TEST(RouterQServer, KillReplicaAddsNoWorkerThreads) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#else
+  // A replacement runs on the fleet pool: its batch thread is the only
+  // thread it starts, and the killed incarnation's batch thread is gone.
+  RouterConfig config = router_config("software", 2);
+  config.server.worker_threads = 3;
+  RouterQServer router(config, SimplifiedOutputModel(4, 2));
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    AsyncSessionSpec spec = eval_spec(40 + i, 50 + i, 100000);
+    spec.session.env_id = "delay:300:ShapedCartPole-v0";
+    router.add_session({spec, key_for_replica(router, i % 2)});
+  }
+  const std::set<std::string> before = thread_ids();
+  router.kill_replica(0);
+  wait_for_replacements(router, 1);
+  // A joined thread can linger in /proc for a moment after its join.
+  std::set<std::string> after = thread_ids();
+  for (std::size_t i = 0; i < 1'000 && after.size() > before.size(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = thread_ids();
+  }
+  EXPECT_EQ(after.size(), before.size());
+  std::vector<std::string> born;
+  std::set_difference(after.begin(), after.end(), before.begin(),
+                      before.end(), std::back_inserter(born));
+  EXPECT_EQ(born.size(), 1u) << "the replacement started threads besides "
+                                "its batch thread";
+  router.stop();
+#endif
 }
 
 TEST(RouterQServer, ReplacementDoesNotMakeAnAveragingRoundFire) {
