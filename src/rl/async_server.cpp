@@ -1,10 +1,13 @@
 #include "rl/async_server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <coroutine>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -32,6 +35,33 @@ void require_finite(std::span<const double> q, const char* where) {
           std::string("AsyncQServer: backend returned non-finite Q in ") +
           where + " (entry " + std::to_string(k) + ")");
     }
+  }
+}
+
+/// One drain's resumed session loops, in session-id order, and the index
+/// of the next unclaimed one; the lane tasks that claim from it own it.
+struct ClaimList {
+  std::vector<std::coroutine_handle<>> loops;
+  std::atomic<std::size_t> next{0};
+};
+
+/// One pool lane: resumes the list's next unclaimed loop, back to back,
+/// until none is left. A loop runs until it parks again or retires.
+void run_lane(ClaimList& list) {
+  if (obs::Tracer::enabled()) {
+    // Label each worker lane once, lazily — names show up as Perfetto
+    // track titles next to the batch thread's.
+    thread_local bool lane_named = false;
+    if (!lane_named) {
+      obs::Tracer::set_thread_name("worker");
+      lane_named = true;
+    }
+  }
+  for (;;) {
+    const std::size_t i = list.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= list.loops.size()) return;
+    OSELM_TRACE_SPAN("worker", "session_slice");
+    list.loops[i].resume();
   }
 }
 
@@ -298,7 +328,7 @@ std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
   }
   counters_.add<&AsyncServerStats::sessions_admitted>();
   OSELM_TRACE_INSTANT("session", "admit");
-  resume(*raw);
+  resume(std::span<Session* const>(&raw, 1));
   return id;
 }
 
@@ -383,22 +413,21 @@ std::string AsyncServerStats::to_json() const {
 // Worker side — session loops between parks
 // ---------------------------------------------------------------------------
 
-void AsyncQServer::resume(Session& s) {
-  // The task holds only the handle: once the loop parks again it may be
-  // resumed (or retired) elsewhere before resume() returns here.
-  pool_->submit([loop = s.loop.handle()] {
-    if (obs::Tracer::enabled()) {
-      // Label each worker lane once, lazily — names show up as Perfetto
-      // track titles next to the batch thread's.
-      thread_local bool lane_named = false;
-      if (!lane_named) {
-        obs::Tracer::set_thread_name("worker");
-        lane_named = true;
-      }
-    }
-    OSELM_TRACE_SPAN("worker", "session_slice");
-    loop.resume();
-  });
+void AsyncQServer::resume(std::span<Session* const> sessions) {
+  // The lanes hold the list, never the server: every loop not claimed yet
+  // belongs to a parked, live session, so stop() cannot return while one
+  // is left, but once the last is claimed the server may be gone before
+  // its lanes see the list empty.
+  const auto list = std::make_shared<ClaimList>();
+  list->loops.reserve(sessions.size());
+  for (Session* s : sessions) {
+    if (s != nullptr) list->loops.push_back(s->loop.handle());
+  }
+  util::ThreadPool& pool = *pool_;
+  const std::size_t lanes = std::min(list->loops.size(), pool.size());
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    pool.submit([list] { run_lane(*list); });
+  }
 }
 
 void AsyncQServer::enqueue(Session& s) {
@@ -747,9 +776,7 @@ void AsyncQServer::process_requests(std::vector<Session*>& requests) {
       fail({s});
     }
   }
-  for (Session* s : requests) {
-    if (s != nullptr) resume(*s);
-  }
+  resume(requests);
   if (had_backend_error) {
     consecutive_backend_failures_.fetch_add(1, std::memory_order_relaxed);
   } else {

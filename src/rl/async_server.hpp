@@ -16,9 +16,18 @@
 //     `max_wait_us` after the first arrival to coalesce up to `max_batch`
 //     of them — into predict_actions_multi batches against ONE shared
 //     backend from rl::BackendRegistry, applies the training updates in
-//     session-id order, and only then resumes the drain's sessions on the
-//     pool. Every backend call (and so every util::TimeLedger charge)
-//     happens on this one thread, so the backend needs no locking.
+//     session-id order, and only then resumes the drain's sessions. Every
+//     backend call (and so every util::TimeLedger charge) happens on this
+//     one thread, so the backend needs no locking;
+//   * a drain goes back to the pool as one claim list: its sessions'
+//     loops in session-id order and an atomic next index. min(sessions,
+//     pool size) lane tasks each resume the next unclaimed loop until
+//     none is left, so co-drained sessions run back to back on a lane
+//     rather than as one pool task each, and a session waits only while
+//     every lane is busy. add_session() starts a session through a
+//     one-loop list. A lane touches its list and nothing else of the
+//     server: every loop not yet claimed belongs to a parked live
+//     session, so stop() cannot return before the last one is claimed.
 //
 // Sessions join and leave dynamically: add_session() admits up to
 // `max_live_sessions` concurrent sessions (beyond the cap it throws a
@@ -71,6 +80,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -341,8 +351,11 @@ class AsyncQServer {
   void run_exclusive_task(ExclusiveTask& task);
 
   // Worker side (thread pool tasks).
-  void resume(Session& s);   ///< runs the session's loop on a worker
-  void enqueue(Session& s);  ///< parks it on the ready queue
+  /// Hands the non-null sessions' loops to the pool as one claim list,
+  /// in the given order: min(count, pool size) lane tasks resume them
+  /// back to back (async_server.cpp, run_lane).
+  void resume(std::span<Session* const> sessions);
+  void enqueue(Session& s);  ///< parks a session on the ready queue
   void retire(Session* s, SessionEndCause cause, std::string error);
 
   // Batch-thread side (the only code that touches backend_ after start).

@@ -139,7 +139,11 @@ ScenarioSpec replica_kill_rescue() {
   spec.max_live_sessions = 8;  // survivors have headroom for rescues
   spec.train_fraction = 0.0;   // evaluate-only: rescued reruns are exact
   spec.prime = true;           // trained fleet; replacements seed-import
-  spec.episodes_per_session = 8;  // sessions live across the kill
+  // Sessions live across the kill: a step sleeps 1 ms, so even 8 shortest
+  // CartPole episodes outlast the ~4 ms until the kill by tens of ms,
+  // however fast the serving path or however loaded the host.
+  spec.env_ids = {"delay:1000:ShapedCartPole-v0", "delay:1000:CartPole-v0"};
+  spec.episodes_per_session = 8;
   // Hard-kill replica 1 just before burst 2, with bursts 0/1 already
   // serving: its live sessions rescue onto the three survivors and the
   // slot is replaced with a state-seeded fresh server — rescued-complete

@@ -3,8 +3,11 @@
 // averaging Fig. 5 results (per-trial determinism, one Rng per trial,
 // regardless of scheduling order) and AsyncQServer's session workers: a
 // standalone server's own pool, or the one pool RouterQServer shares
-// across every replica of a fleet. The linalg kernels are
-// single-threaded.
+// across every replica of a fleet. A server hands each drain back as at
+// most size() submitted lane tasks that claim sessions from one shared
+// list with an atomic index — parallel_for's claiming, without the
+// caller waiting — so the queue carries one task per lane, not one per
+// session. The linalg kernels are single-threaded.
 #pragma once
 
 #include <condition_variable>

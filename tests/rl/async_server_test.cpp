@@ -890,6 +890,78 @@ TEST(AsyncQServer, DestroyedMidStepOnASharedPoolEndsEverySessionOnce) {
   }
 }
 
+TEST(AsyncQServer, CoDrainedSessionsDoNotQueueBehindASleepingOne) {
+  // Every lockstep drain carries all four sessions, and each resumed
+  // session then sleeps 20 ms in its env step. A drain's sessions take
+  // one lane each, so the sleeps overlap; resumed one after another (a
+  // whole drain inside one pool task) they would add up to 20 ms times
+  // the steps of all four sessions.
+  constexpr double kStepSleepMs = 20.0;
+  AsyncQServer server(make_backend("software", backend_config(16)),
+                      SimplifiedOutputModel(4, 2), lockstep_config(4));
+  std::vector<AsyncSessionSpec> specs;
+  for (std::size_t i = 0; i < 4; ++i) {
+    AsyncSessionSpec spec = eval_spec(120 + i, 130 + i, 1);
+    spec.session.env_id = "delay:20000:ShapedCartPole-v0";
+    spec.session.agent.epsilon_greedy = 1.0;  // every step is served
+    spec.session.trainer.episode_step_cap = 8;
+    specs.push_back(spec);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  add_cohort(server, specs);
+  std::size_t steps = 0;
+  for (const AsyncSessionResult& r : server.drain()) {
+    EXPECT_TRUE(r.completed) << r.id;
+    for (const double s : r.train.episode_steps) {
+      steps += static_cast<std::size_t>(s);
+    }
+  }
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  ASSERT_GE(steps, 4u);
+  const double serial_ms = kStepSleepMs * static_cast<double>(steps);
+  EXPECT_LT(elapsed_ms, 0.5 * serial_ms)
+      << steps << " steps; co-drained sessions slept one after another";
+}
+
+TEST(AsyncQServer,
+     DestroyedMidDrainWithMoreSessionsThanLanesEndsEverySessionOnce) {
+  // Drains of up to eight sessions go back to a shared 2-lane pool, so a
+  // lane claims several sessions from one list in turn. Each round
+  // destroys the server while lanes are still claiming: every session
+  // must retire exactly once, and no lane may touch the dead server
+  // (ASan/UBSan and TSan run this in CI).
+  const auto pool = std::make_shared<util::ThreadPool>(2);
+  for (std::size_t round = 0; round < 50; ++round) {
+    std::mutex ends_mutex;
+    std::map<std::size_t, int> ends;
+    std::vector<std::size_t> admitted;
+    {
+      AsyncQServerConfig config;
+      config.max_batch = 8;
+      config.on_retire = [&](AsyncSessionResult&& result) {
+        const std::scoped_lock lk(ends_mutex);
+        ++ends[result.id];
+      };
+      AsyncQServer server(make_backend("software", backend_config(17)),
+                          SimplifiedOutputModel(4, 2), config, pool);
+      for (std::size_t i = 0; i < 8; ++i) {
+        AsyncSessionSpec spec = eval_spec(100 * round + i, 9 + i, 100000);
+        spec.session.env_id = "delay:300:ShapedCartPole-v0";
+        admitted.push_back(server.add_session(spec));
+      }
+      // Land the teardown at varying points of the lanes' lists.
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(150 * (round % 8)));
+    }
+    ASSERT_EQ(ends.size(), admitted.size()) << "round " << round;
+    for (const std::size_t id : admitted) {
+      EXPECT_EQ(ends[id], 1) << "round " << round << " session " << id;
+    }
+  }
+}
+
 #if OSELM_CONTRACTS_ENABLED
 TEST(AsyncQServerDeathTest, StopFromAWorkerOfItsOwnPoolAborts) {
   // stop() waits for sessions that need a pool lane to retire; run on one
