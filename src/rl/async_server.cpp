@@ -87,17 +87,17 @@ std::string failure_text(const std::exception_ptr& error,
 /// One session is one run_episodes() loop, parked on the ready queue
 /// whenever an operation needs the shared network.
 struct AsyncQServer::Session final : EpisodeDriver {
-  Session(AsyncQServer& owner, AsyncSessionSpec session_spec,
+  Session(AsyncQServer& owner, const AsyncSessionSpec& spec,
           env::EnvironmentPtr environment)
       : server(owner),
-        spec(std::move(session_spec)),
+        knobs(spec.session),
         training(spec.mode == AsyncSessionMode::kTrain),
         env(std::move(environment)),
-        rules(spec.session.agent, owner.model_.action_count(),
-              owner.backend_->hidden_units(), spec.session.agent_seed),
+        rules(knobs.agent, owner.model_.action_count(),
+              owner.backend_->hidden_units(), knobs.agent_seed),
         sa(owner.model_.input_dim(), 0.0),
         admitted_at(Clock::now()),
-        loop(run_episodes(*this, *env, spec.session.trainer, result.train)) {}
+        loop(run_episodes(*this, *env, knobs.trainer, result.train)) {}
 
   [[nodiscard]] bool supports_weight_reset() const override {
     return training;
@@ -162,7 +162,9 @@ struct AsyncQServer::Session final : EpisodeDriver {
   void park(std::coroutine_handle<>) override { server.enqueue(*this); }
 
   AsyncQServer& server;
-  AsyncSessionSpec spec;
+  /// The spec's knobs; its env_factory, used once to build `env`, is not
+  /// kept, so nothing it captures outlives the caller's copies.
+  ServingSessionSpec knobs;
   const bool training;  ///< kTrain: observes, resets and syncs
   env::EnvironmentPtr env;
   OsElmQRules rules;
@@ -338,18 +340,20 @@ AsyncSessionResult AsyncQServer::wait(std::size_t session_id) {
     throw std::invalid_argument("AsyncQServer::wait: unknown session id " +
                                 std::to_string(session_id));
   }
-  if (claimed_.contains(session_id)) {
+  retire_cv_.wait(lk, [&] { return !live_.contains(session_id); });
+  // retire() files the result and ends the session in one critical
+  // section, so a retired session with no result was claimed — by an
+  // earlier wait(), a drain(), or the on_retire callback.
+  const auto it = results_.find(session_id);
+  if (it == results_.end()) {
     throw std::logic_error("AsyncQServer::wait: result of session " +
                            std::to_string(session_id) +
                            " was already claimed");
   }
-  retire_cv_.wait(lk, [&] { return results_.contains(session_id); });
   // Deliver-once: the result moves out so a server that admits and
   // retires sessions indefinitely does not accumulate them forever.
-  const auto it = results_.find(session_id);
   AsyncSessionResult out = std::move(it->second);
   results_.erase(it);
-  claimed_.insert(session_id);
   return out;
 }
 
@@ -358,10 +362,7 @@ std::vector<AsyncSessionResult> AsyncQServer::drain() {
   retire_cv_.wait(lk, [this] { return live_.empty(); });
   std::vector<AsyncSessionResult> out;
   out.reserve(results_.size());
-  for (auto& [id, result] : results_) {
-    claimed_.insert(id);
-    out.push_back(std::move(result));
-  }
+  for (auto& [id, result] : results_) out.push_back(std::move(result));
   results_.clear();
   return out;
 }
@@ -536,22 +537,14 @@ void AsyncQServer::batch_loop() {
         };
         if (config_.max_wait_us > 0 && !batch_full() && exclusive.empty()) {
           // Continuous-batching linger: give co-tenants max_wait_us to
-          // join this batch, then serve whatever is pending. A linger
-          // whose deadline the clock cannot represent (UINT64_MAX, the
-          // lockstep configuration) has no deadline at all.
+          // join this batch, then serve whatever is pending. UINT64_MAX
+          // (the lockstep configuration) has no deadline at all.
           const auto ready = [&] { return batch_stop_ || batch_full(); };
-          const auto now = Clock::now();
-          const auto headroom = std::chrono::duration_cast<
-              std::chrono::microseconds>(Clock::time_point::max() - now);
-          if (config_.max_wait_us >=
-              static_cast<std::uint64_t>(headroom.count())) {
-            queue_cv_.wait(lk, ready);
+          if (const auto deadline =
+                  wait_deadline(Clock::now(), config_.max_wait_us)) {
+            queue_cv_.wait_until(lk, *deadline, ready);
           } else {
-            queue_cv_.wait_until(
-                lk,
-                now + std::chrono::microseconds(
-                          static_cast<std::int64_t>(config_.max_wait_us)),
-                ready);
+            queue_cv_.wait(lk, ready);
           }
         }
         // Each live session has at most one request in flight, so the

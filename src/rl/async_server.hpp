@@ -79,7 +79,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -172,13 +171,13 @@ struct AsyncQServerConfig {
   std::uint64_t max_wait_us = 100;
   /// Retirement callback mode (RouterQServer's replica seam). When set,
   /// every retiring session's result is handed to this callback INSTEAD
-  /// of the internal results map: wait()/drain() must not be used (they
-  /// would block forever on ids the callback consumed). Invoked with no
-  /// server locks held, from a worker or the batch thread; the session
-  /// stays counted as live until the callback returns, so stop() cannot
-  /// complete mid-callback. The callback must not call back into this
-  /// server (it may — and the router's rescue path does — call into
-  /// OTHER servers).
+  /// of the internal results map: the callback is the claim, so wait()
+  /// throws std::logic_error once the session retires and drain() returns
+  /// nothing. Invoked with no server locks held, from a worker or the
+  /// batch thread; the session stays counted as live until the callback
+  /// returns, so stop() cannot complete mid-callback. The callback must
+  /// not call back into this server (it may — and the router's rescue
+  /// path does — call into OTHER servers).
   std::function<void(AsyncSessionResult&&)> on_retire;
 };
 
@@ -266,9 +265,11 @@ class AsyncQServer {
 
   /// Blocks until the given session retires and returns its result.
   /// Results are delivered exactly once (a long-lived server admitting
-  /// sessions indefinitely does not accumulate them): a second wait()
-  /// on the same id throws std::logic_error. Throws
-  /// std::invalid_argument for ids never admitted.
+  /// sessions indefinitely does not accumulate them). A retired session
+  /// whose result is gone was claimed — by an earlier wait(), a drain(),
+  /// or, in on_retire mode, the callback — and wait() on it throws
+  /// std::logic_error, also when it was already blocked when the claim
+  /// happened. Throws std::invalid_argument for ids never admitted.
   AsyncSessionResult wait(std::size_t session_id);
 
   /// Blocks until every live session retires on its own criterion, then
@@ -407,8 +408,9 @@ class AsyncQServer {
   mutable std::mutex sessions_mutex_;
   std::condition_variable retire_cv_;
   std::map<std::size_t, std::unique_ptr<Session>> live_;
-  std::map<std::size_t, AsyncSessionResult> results_;  ///< unclaimed only
-  std::set<std::size_t> claimed_;  ///< ids whose result was delivered
+  /// Unclaimed results only: an id below next_id_ that is neither live nor
+  /// here was claimed.
+  std::map<std::size_t, AsyncSessionResult> results_;
   std::size_t next_id_ = 0;
   /// Lock-free mirror of live_.size() for the batch thread's linger
   /// short-circuit (once every live session has a request pending, no

@@ -129,7 +129,7 @@ RouterQServer::~RouterQServer() { stop(); }
 void RouterQServer::stop() {
   const std::scoped_lock stop_lock(stop_mutex_);
   stopping_.store(true, std::memory_order_release);
-  capacity_cv_.notify_all();  // release bounded-wait admissions
+  bookkeeping_cv_.notify_all();  // release bounded-wait admissions
   // Maintenance first: it drives replica stop()/swap, rescue
   // re-admission and averaging (run_exclusive into the batch threads),
   // none of which may race the fleet teardown below.
@@ -175,12 +175,11 @@ std::size_t RouterQServer::pick_replica_locked(const std::string& key,
   // kFailed replicas are mid-replacement: excluded from placement.
   // Everything else (kDegraded included) serves.
   const auto usable = [this](std::size_t r) {
-    const std::scoped_lock hl(health_mutex_);
     return health_[r].state != ReplicaHealth::kFailed;
   };
   // Capacity pre-check. Race-free despite being a separate step from
   // the replica's own admission: this router is the replica's ONLY
-  // admitter (placement_mutex_ serializes admission and rescue), and
+  // admitter (bookkeeping_mutex_ serializes admission and rescue), and
   // concurrent retirements only DECREASE load — a replica observed
   // under cap cannot be over cap by the time add_session lands.
   const auto load = [this](std::size_t r) {
@@ -205,15 +204,26 @@ std::size_t RouterQServer::pick_replica_locked(const std::string& key,
   return best;
 }
 
+void RouterQServer::place_locked(std::size_t router_id, std::size_t replica,
+                                 std::size_t local_id) {
+  const bool unique =
+      reverse_
+          .emplace(ReverseKey{replica, health_[replica].incarnation, local_id},
+                   router_id)
+          .second;
+  // Two router ids on one (replica, incarnation, local id) would make
+  // retirement attribution ambiguous.
+  OSELM_DCHECK(unique);
+}
+
 std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
   const std::string key = spec.affinity_key.empty()
                               ? session_key(spec.session)
                               : spec.affinity_key;
   const std::shared_lock fleet(fleet_mutex_);
-  std::unique_lock lk(placement_mutex_);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::microseconds(config_.admission_wait_us);
+  std::unique_lock lk(bookkeeping_mutex_);
+  const auto deadline = wait_deadline(std::chrono::steady_clock::now(),
+                                      config_.admission_wait_us);
   bool waited = false;
   std::uint64_t wait_start_us = 0;  // 0 = never blocked / timing off
   for (;;) {
@@ -236,33 +246,12 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
       } catch (const AdmissionError&) {
         continue;
       }
+      // bookkeeping_mutex_ is held across the replica admission AND the
+      // recording, so the retirement callback's lookup cannot miss.
       const std::size_t router_id = next_router_id_++;
-      std::uint64_t incarnation = 0;
-      {
-        const std::scoped_lock hl(health_mutex_);
-        incarnation = health_[target].incarnation;
-      }
-      Placement placement;
-      placement.replica = target;
-      placement.incarnation = incarnation;
-      placement.local_id = local_id;
-      placement.key = key;
-      placement.spec = spec.session;
-      const bool inserted =
-          placements_.emplace(router_id, std::move(placement)).second;
-      OSELM_DCHECK(inserted);  // router ids are never reused
-      const bool unique =
-          reverse_
-              .emplace(ReverseKey{target, incarnation, local_id}, router_id)
-              .second;
-      // Two router ids on one (replica, incarnation, local id) would
-      // make retirement attribution ambiguous.
-      OSELM_DCHECK(unique);
-      // Every id ever handed out has a recorded placement (ids are
-      // dense). The callback's reverse lookup can only run after this
-      // insert: placement_mutex_ is held across the replica admission
-      // AND the recording.
-      OSELM_DCHECK_EQ(placements_.size(), next_router_id_);
+      sessions_.emplace(router_id, Session{0, key, spec.session, {}});
+      ++unfinalized_;
+      place_locked(router_id, target, local_id);
       counters_.add<&RouterStats::sessions_admitted>();
       OSELM_TRACE_INSTANT("router", "place");
       if (wait_start_us != 0) {
@@ -272,10 +261,11 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
       return router_id;
     }
     // Every usable replica is at cap: bounded wait for a retirement to
-    // free a slot (capacity_cv_ fires on every finalization and on
-    // stop()), then re-pick; reject on deadline.
+    // free a slot (bookkeeping_cv_ fires on every finalization and on
+    // stop()), then re-pick; reject on deadline. A deadline the clock
+    // cannot represent means no deadline.
     if (config_.admission_wait_us == 0 ||
-        std::chrono::steady_clock::now() >= deadline) {
+        (deadline && std::chrono::steady_clock::now() >= *deadline)) {
       counters_.add<&RouterStats::placement_rejections>();
       OSELM_TRACE_INSTANT("router", "placement_rejected");
       if (waited) {
@@ -302,7 +292,11 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
         wait_start_us = obs::Tracer::now_us();
       }
     }
-    capacity_cv_.wait_until(lk, deadline);
+    if (deadline) {
+      bookkeeping_cv_.wait_until(lk, *deadline);
+    } else {
+      bookkeeping_cv_.wait(lk);
+    }
   }
 }
 
@@ -313,102 +307,89 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
 void RouterQServer::on_replica_retire(std::size_t replica_index,
                                       std::uint64_t incarnation,
                                       AsyncSessionResult&& result) {
-  std::size_t router_id = 0;
-  std::size_t rescues = 0;
-  bool rescue = false;
-  {
-    const std::scoped_lock lk(placement_mutex_);
-    const auto it = reverse_.find(
-        ReverseKey{replica_index, incarnation, result.id});
-    // add_session/attempt_rescue record the placement under
-    // placement_mutex_ BEFORE the replica can retire the session, so
-    // the lookup cannot miss.
-    OSELM_DCHECK(it != reverse_.end());
-    router_id = it->second;
-    rescues = placements_.at(router_id).rescues;
-    // Rescue-eligible: the session ended because its replica failed —
-    // it retired kStopped by the replacement's stop() or kBackendError
-    // off the faulted backend, on an incarnation health marked kFailed.
-    // (The mark happens-before the stop, so kStopped retirements on a
-    // failed replica always observe it.) Router shutdown finalizes
-    // instead: there is nowhere left to re-place.
-    if ((result.cause == SessionEndCause::kStopped ||
-         result.cause == SessionEndCause::kBackendError) &&
-        !stopping_.load(std::memory_order_acquire)) {
-      const std::scoped_lock hl(health_mutex_);
-      const ReplicaHealthInfo& slot = health_[replica_index];
-      rescue = slot.state == ReplicaHealth::kFailed &&
-               slot.incarnation == incarnation;
-    }
-  }
-  if (rescue) {
-    {
-      const std::scoped_lock lk(maintenance_mutex_);
-      rescue_queue_.push_back(RescueJob{router_id, std::move(result)});
-    }
-    maintenance_cv_.notify_all();
+  std::unique_lock lk(bookkeeping_mutex_);
+  // add_session/attempt_rescue record the placement under
+  // bookkeeping_mutex_ BEFORE the replica can retire the session, so the
+  // lookup cannot miss; the placement ends here.
+  const auto node =
+      reverse_.extract(ReverseKey{replica_index, incarnation, result.id});
+  OSELM_DCHECK(!node.empty());
+  const std::size_t router_id = node.mapped();
+  // Rescue-eligible: the session ended because its replica failed — it
+  // retired kStopped by the replacement's stop() or kBackendError off the
+  // faulted backend, on an incarnation health marked kFailed. (The mark
+  // happens-before the stop, so kStopped retirements on a failed replica
+  // always observe it.) Router shutdown finalizes instead: there is
+  // nowhere left to re-place.
+  const ReplicaHealthInfo& slot = health_[replica_index];
+  const bool rescue = (result.cause == SessionEndCause::kStopped ||
+                       result.cause == SessionEndCause::kBackendError) &&
+                      !stopping_.load(std::memory_order_acquire) &&
+                      slot.state == ReplicaHealth::kFailed &&
+                      slot.incarnation == incarnation;
+  if (!rescue) {
+    finalize_locked(router_id, std::move(result));
+    lk.unlock();
+    bookkeeping_cv_.notify_all();
     return;
   }
-  result.rescues = rescues;
-  finalize_result(router_id, std::move(result));
+  lk.unlock();
+  {
+    const std::scoped_lock ml(maintenance_mutex_);
+    rescue_queue_.push_back(RescueJob{router_id, std::move(result)});
+  }
+  maintenance_cv_.notify_all();
 }
 
-void RouterQServer::finalize_result(std::size_t router_id,
+void RouterQServer::finalize_locked(std::size_t router_id,
                                     AsyncSessionResult&& result) {
-  {
-    const std::scoped_lock lk(results_mutex_);
-    result.id = router_id;
-    const bool inserted =
-        results_.emplace(router_id, std::move(result)).second;
-    // Exactly-once: a session finalizes through precisely one of the
-    // completion, failure, stop, or abandonment paths.
-    OSELM_DCHECK(inserted);
-    ++finalized_;
-  }
-  results_cv_.notify_all();
-  // Every finalization freed a replica slot somewhere: wake bounded-wait
-  // admissions (paired with placement_mutex_; notifying unlocked is
-  // fine).
-  capacity_cv_.notify_all();
+  Session& session = sessions_.at(router_id);
+  // Exactly-once: a session finalizes through precisely one of the
+  // completion, failure, stop, or abandonment paths.
+  OSELM_DCHECK(!session.result.has_value());
+  result.id = router_id;
+  result.rescues = session.rescues;
+  session.result = std::move(result);
+  --unfinalized_;
 }
 
 AsyncSessionResult RouterQServer::wait(std::size_t router_session_id) {
-  {
-    const std::scoped_lock lk(placement_mutex_);
-    if (router_session_id >= next_router_id_) {
-      throw std::invalid_argument(
-          "RouterQServer::wait: unknown router session id " +
-          std::to_string(router_session_id));
-    }
+  std::unique_lock lk(bookkeeping_mutex_);
+  if (router_session_id >= next_router_id_) {
+    throw std::invalid_argument(
+        "RouterQServer::wait: unknown router session id " +
+        std::to_string(router_session_id));
   }
-  std::unique_lock lk(results_mutex_);
-  if (claimed_.contains(router_session_id)) {
+  auto it = sessions_.end();
+  bookkeeping_cv_.wait(lk, [&] {
+    it = sessions_.find(router_session_id);
+    return it == sessions_.end() || it->second.result.has_value();
+  });
+  // An admitted id with no record was claimed, maybe by a drain() that
+  // ran while this call waited.
+  if (it == sessions_.end()) {
     throw std::logic_error("RouterQServer::wait: result of session " +
                            std::to_string(router_session_id) +
                            " was already claimed");
   }
-  results_cv_.wait(lk,
-                   [&] { return results_.contains(router_session_id); });
-  // Deliver-once: the result moves out so a server that admits and
-  // retires millions of sessions does not accumulate their trajectories.
-  auto node = results_.extract(router_session_id);
-  claimed_.insert(router_session_id);
-  return std::move(node.mapped());
+  // Deliver-once: the record goes with its result, so a router that
+  // admits and retires millions of sessions does not accumulate them.
+  AsyncSessionResult out = std::move(*it->second.result);
+  sessions_.erase(it);
+  return out;
 }
 
 std::vector<AsyncSessionResult> RouterQServer::drain() {
-  std::unique_lock lk(results_mutex_);
-  results_cv_.wait(lk, [&] {
-    return finalized_ == counters_.get<&RouterStats::sessions_admitted>();
-  });
+  std::unique_lock lk(bookkeeping_mutex_);
+  bookkeeping_cv_.wait(lk, [this] { return unfinalized_ == 0; });
   std::vector<AsyncSessionResult> out;
-  out.reserve(results_.size());
+  out.reserve(sessions_.size());
   // std::map iterates in key order == router admission order.
-  for (auto& [id, result] : results_) {
-    claimed_.insert(id);
-    out.push_back(std::move(result));
+  for (auto& [id, session] : sessions_) {
+    OSELM_DCHECK(session.result.has_value());
+    out.push_back(std::move(*session.result));
   }
-  results_.clear();
+  sessions_.clear();
   return out;
 }
 
@@ -454,7 +435,7 @@ std::vector<std::size_t> RouterQServer::observe_health(
     const std::vector<std::size_t>& kill_requests) {
   std::vector<std::size_t> newly_failed;
   const std::shared_lock fleet(fleet_mutex_);
-  const std::scoped_lock hl(health_mutex_);
+  const std::scoped_lock lk(bookkeeping_mutex_);
   for (std::size_t i = 0; i < config_.replicas; ++i) {
     ReplicaHealthInfo& slot = health_[i];
     if (slot.state == ReplicaHealth::kFailed) continue;  // awaiting swap
@@ -508,7 +489,7 @@ void RouterQServer::replace_replica(std::size_t index) {
   //    before this call — and queue themselves for rescue.
   std::uint64_t old_incarnation = 0;
   {
-    const std::scoped_lock hl(health_mutex_);
+    const std::scoped_lock lk(bookkeeping_mutex_);
     old_incarnation = health_[index].incarnation;
   }
   {
@@ -527,7 +508,7 @@ void RouterQServer::replace_replica(std::size_t index) {
     const std::unique_lock fleet(fleet_mutex_);
     retired_stats_[index].merge(replicas_[index]->stats());
     replicas_[index].swap(fresh);
-    const std::scoped_lock hl(health_mutex_);
+    const std::scoped_lock lk(bookkeeping_mutex_);
     record_health_event_locked(index, ReplicaHealth::kReplaced);
     ++health_[index].incarnation;
     health_[index].failure_events = 0;
@@ -536,7 +517,7 @@ void RouterQServer::replace_replica(std::size_t index) {
   fresh.reset();  // destroy the old incarnation outside the fleet lock
   counters_.add<&RouterStats::replacements>();
   if (seeded) counters_.add<&RouterStats::replacements_seeded>();
-  capacity_cv_.notify_all();  // a whole replica's capacity came back
+  bookkeeping_cv_.notify_all();  // a whole replica's capacity came back
 }
 
 void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
@@ -546,31 +527,17 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
     if (stopping_.load(std::memory_order_acquire)) break;
     {
       const std::shared_lock fleet(fleet_mutex_);
-      const std::scoped_lock lk(placement_mutex_);
-      Placement& placement = placements_.at(job.router_id);
+      const std::scoped_lock lk(bookkeeping_mutex_);
+      Session& session = sessions_.at(job.router_id);
       // Re-placement honors the same affinity-then-spillover policy as
       // admission but never counts spillovers — the preferred replica
       // is the one that just died.
-      const std::size_t target = pick_replica_locked(placement.key, false);
+      const std::size_t target = pick_replica_locked(session.key, false);
       if (target != kNoReplica) {
         try {
-          const std::size_t local_id =
-              replicas_[target]->add_session(placement.spec);
-          std::uint64_t incarnation = 0;
-          {
-            const std::scoped_lock hl(health_mutex_);
-            incarnation = health_[target].incarnation;
-          }
-          placement.replica = target;
-          placement.incarnation = incarnation;
-          placement.local_id = local_id;
-          ++placement.rescues;
-          const bool unique =
-              reverse_
-                  .emplace(ReverseKey{target, incarnation, local_id},
-                           job.router_id)
-                  .second;
-          OSELM_DCHECK(unique);
+          place_locked(job.router_id, target,
+                       replicas_[target]->add_session(session.spec));
+          ++session.rescues;
           counters_.add<&RouterStats::rescued>();
           OSELM_TRACE_INSTANT("rescue", "rescued");
           return;  // the re-placed run delivers the final result
@@ -586,11 +553,6 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
   }
   // Abandoned: deliver the partial result as a backend failure so the
   // session still ends exactly once, with an error naming why.
-  std::size_t rescues = 0;
-  {
-    const std::scoped_lock lk(placement_mutex_);
-    rescues = placements_.at(job.router_id).rescues;
-  }
   counters_.add<&RouterStats::abandoned>();
   OSELM_TRACE_INSTANT("rescue", "abandoned");
   const bool shutdown =
@@ -603,10 +565,13 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
   result.cause = SessionEndCause::kBackendError;
   result.completed = false;
   result.failed = true;
-  result.rescues = rescues;
   result.error = "rescue abandoned (" + note + ")" +
                  (result.error.empty() ? "" : ": " + result.error);
-  finalize_result(job.router_id, std::move(result));
+  {
+    const std::scoped_lock lk(bookkeeping_mutex_);
+    finalize_locked(job.router_id, std::move(result));
+  }
+  bookkeeping_cv_.notify_all();
 }
 
 void RouterQServer::process_rescues(bool abandon_all) {
@@ -766,7 +731,7 @@ RouterStats RouterQServer::stats() const {
       out.per_replica.push_back(std::move(slot));
     }
   }
-  const std::scoped_lock hl(health_mutex_);
+  const std::scoped_lock lk(bookkeeping_mutex_);
   out.health = health_;
   return out;
 }

@@ -79,7 +79,12 @@
 //
 // Results are delivered at the ROUTER level: replicas run in on_retire
 // callback mode and never hold results themselves, so wait()/drain()
-// work unchanged across rescues and replacements.
+// work unchanged across rescues and replacements. The router keeps one
+// record per session, from admission until its result is claimed: the
+// affinity key and spec a rescue re-places it from, its rescue count, and
+// its result once it ends. Claiming the result (wait() or drain())
+// erases the record, spec and env_factory included, so a router that
+// admits sessions indefinitely holds only the unclaimed ones.
 //
 // Training across replicas is set by RouterConfig::sync_every_updates:
 //
@@ -115,7 +120,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -202,7 +207,8 @@ struct RouterConfig {
   std::uint64_t sync_every_updates = 0;
   /// Bounded-wait admission: when every usable replica is at cap,
   /// add_session blocks up to this long for a retirement to free a slot
-  /// before throwing AdmissionError(kCapacity). 0 = reject immediately.
+  /// before throwing AdmissionError(kCapacity). 0 = reject immediately; a
+  /// wait the clock cannot represent (UINT64_MAX) has no deadline.
   std::uint64_t admission_wait_us = 0;
 };
 
@@ -285,12 +291,15 @@ class RouterQServer {
   /// Blocks until the session's FINAL result is delivered — across any
   /// rescues and replica replacements — and returns it; the result
   /// carries the router id and the serving replica's name in served_by.
-  /// Same deliver-exactly-once contract as AsyncQServer::wait.
+  /// Claims the result: the router forgets the session, and a later
+  /// wait() on the id — or one still blocked when drain() claims it —
+  /// throws std::logic_error. Throws std::invalid_argument for ids never
+  /// admitted.
   AsyncSessionResult wait(std::size_t router_session_id);
 
   /// Blocks until every admitted session has ended (completed, failed,
   /// stopped, or abandoned) and returns all unclaimed results in router
-  /// admission order.
+  /// admission order, claiming them as wait() does.
   std::vector<AsyncSessionResult> drain();
 
   /// Stops the maintenance thread (it abandons any still-queued rescues,
@@ -339,13 +348,12 @@ class RouterQServer {
   }
 
  private:
-  struct Placement {
-    std::size_t replica = 0;
-    std::uint64_t incarnation = 0;
-    std::size_t local_id = 0;
+  /// One admitted session, from admission until its result is claimed.
+  struct Session {
     std::size_t rescues = 0;
-    std::string key;          ///< affinity key (rescue re-placement)
-    AsyncSessionSpec spec;    ///< full spec (rescue re-admission)
+    std::string key;        ///< affinity key (rescue re-placement)
+    AsyncSessionSpec spec;  ///< full spec (rescue re-admission)
+    std::optional<AsyncSessionResult> result;  ///< set once it ends
   };
   /// (replica slot, incarnation, replica-local id) — the identity a
   /// retirement callback reports.
@@ -361,10 +369,16 @@ class RouterQServer {
   void on_replica_retire(std::size_t replica_index,
                          std::uint64_t incarnation,
                          AsyncSessionResult&& result);
-  void finalize_result(std::size_t router_id, AsyncSessionResult&& result);
+  /// Stores a session's final result in its record. Caller holds
+  /// bookkeeping_mutex_ and notifies bookkeeping_cv_ once it releases it.
+  void finalize_locked(std::size_t router_id, AsyncSessionResult&& result);
+  /// Records that replica `replica` runs `router_id` as `local_id`.
+  /// Caller holds bookkeeping_mutex_.
+  void place_locked(std::size_t router_id, std::size_t replica,
+                    std::size_t local_id);
   /// Healthy/degraded replica with room for one more session, honoring
   /// affinity then least-loaded spillover; `npos` when none. Caller
-  /// holds fleet (shared) + placement_mutex_.
+  /// holds fleet (shared) + bookkeeping_mutex_.
   [[nodiscard]] std::size_t pick_replica_locked(const std::string& key,
                                                 bool count_spillover);
   void maintenance_loop();
@@ -392,12 +406,10 @@ class RouterQServer {
   std::chrono::steady_clock::time_point start_{};
 
   // Lock order: stop_mutex_ > maintenance_mutex_ > fleet_mutex_ >
-  // placement_mutex_ > health_mutex_ > results_mutex_. Replica-internal
-  // locks rank below every router mutex. capacity_cv_ pairs with
-  // placement_mutex_. Metrics collectors (the router's and each
-  // replica's) take no router mutex, and replicas are built and
-  // destroyed — attaching and detaching their collectors — with none
-  // held.
+  // bookkeeping_mutex_. Replica-internal locks rank below every router
+  // mutex. Metrics collectors (the router's and each replica's) take no
+  // router mutex, and replicas are built and destroyed — attaching and
+  // detaching their collectors — with none held.
 
   /// Guards the replica pointer array against replacement swaps: every
   /// reader (admission, averaging, stats, run_exclusive_*) holds it
@@ -411,25 +423,25 @@ class RouterQServer {
   /// stats().per_replica. Written under unique fleet_mutex_.
   std::vector<AsyncServerStats> retired_stats_;
 
-  // Placement bookkeeping (the router is the only admitter).
-  mutable std::mutex placement_mutex_;
-  std::condition_variable capacity_cv_;  ///< bounded-wait admission
-  std::map<std::size_t, Placement> placements_;  ///< router id -> where
-  std::map<ReverseKey, std::size_t> reverse_;    ///< where -> router id
+  // Bookkeeping: the session table, live placements and replica health.
+  // The router is the only admitter; the maintenance thread writes
+  // health, admissions and retirement callbacks read it.
+  mutable std::mutex bookkeeping_mutex_;
+  /// Fires on every finalized result, on every replacement (a replica's
+  /// capacity came back) and on stop(): wait(), drain() and bounded-wait
+  /// admissions block on it.
+  std::condition_variable bookkeeping_cv_;
+  /// Unclaimed sessions by router id: an id below next_router_id_ with no
+  /// entry was claimed.
+  std::map<std::size_t, Session> sessions_;
+  /// Live placement -> router id; each entry goes when its retirement
+  /// arrives, since each (slot, incarnation, local id) retires once.
+  std::map<ReverseKey, std::size_t> reverse_;
   std::size_t next_router_id_ = 0;
-
-  // Health state machine (maintenance thread writes; admission and
-  // retirement callbacks read). failure_events is the replica's
-  // backend_failure_events() reading already attributed to health.
-  mutable std::mutex health_mutex_;
+  std::size_t unfinalized_ = 0;  ///< admitted sessions with no result yet
+  /// failure_events is the replica's backend_failure_events() reading
+  /// already attributed to health.
   std::vector<ReplicaHealthInfo> health_;
-
-  // Router-level result delivery (replicas run in on_retire mode).
-  mutable std::mutex results_mutex_;
-  std::condition_variable results_cv_;
-  std::map<std::size_t, AsyncSessionResult> results_;
-  std::set<std::size_t> claimed_;
-  std::size_t finalized_ = 0;  ///< results ever deposited (claimed incl.)
 
   CounterSet<kRouterCounters> counters_;
   /// Health-timeline entries recorded after construction; exported as

@@ -1,14 +1,17 @@
 // Shared serving-session types: the vocabulary rl::AsyncQServer
 // (async_server.hpp), rl::RouterQServer (router.hpp) and the scenario
 // driver use to describe sessions, admission refusals and session
-// endings, plus the counter-field tables their stats structs export.
+// endings, plus the counter-field tables their stats structs export and
+// the deadline rule their bounded waits share.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -176,6 +179,21 @@ void append_counters_json(std::string& json, const Stats& stats,
     json += '"' + std::string(key) + "\": " + std::to_string(stats.*field) +
             ", ";
   }
+}
+
+/// The instant `wait_us` microseconds after `now`, or nullopt when the
+/// steady clock cannot represent it (UINT64_MAX, say): a wait that long has
+/// no deadline. AsyncQServer's batch linger and RouterQServer's bounded-wait
+/// admission both time out by this rule.
+[[nodiscard]] inline std::optional<std::chrono::steady_clock::time_point>
+wait_deadline(std::chrono::steady_clock::time_point now,
+              std::uint64_t wait_us) {
+  const auto headroom = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::time_point::max() - now);
+  if (wait_us >= static_cast<std::uint64_t>(headroom.count())) {
+    return std::nullopt;
+  }
+  return now + std::chrono::microseconds(static_cast<std::int64_t>(wait_us));
 }
 
 }  // namespace oselm::rl

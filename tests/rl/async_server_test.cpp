@@ -1053,6 +1053,38 @@ TEST(AsyncQServer, DrainReturnsResultsInAdmissionOrder) {
   EXPECT_THROW((void)server.wait(ids[0]), std::logic_error);
 }
 
+TEST(AsyncQServer, WaitThatLosesItsResultToAClaimThrows) {
+  // A wait() already blocked when drain() claims the result throws
+  // instead of blocking forever; whichever claims first, it is claimed
+  // exactly once.
+  {
+    AsyncQServer server(make_backend("software", backend_config(15)),
+                        SimplifiedOutputModel(4, 2));
+    AsyncSessionSpec spec = eval_spec(160, 170, 2);
+    spec.session.env_id = "delay:500:ShapedCartPole-v0";
+    const std::size_t id = server.add_session(spec);
+    auto waiter = std::async(std::launch::async, [&server, id] {
+      try {
+        return server.wait(id).id == id;
+      } catch (const std::logic_error&) {
+        return false;
+      }
+    });
+    const std::size_t drained = server.drain().size();
+    EXPECT_EQ(drained + (waiter.get() ? 1u : 0u), 1u);
+  }
+  // In on_retire mode the callback is the claim.
+  std::atomic<std::size_t> delivered{0};
+  AsyncQServerConfig config;
+  config.on_retire = [&delivered](AsyncSessionResult&&) { ++delivered; };
+  AsyncQServer server(make_backend("software", backend_config(15)),
+                      SimplifiedOutputModel(4, 2), config);
+  const std::size_t id = server.add_session(eval_spec(161, 171, 2));
+  EXPECT_THROW((void)server.wait(id), std::logic_error);
+  EXPECT_EQ(delivered.load(), 1u);
+  EXPECT_TRUE(server.drain().empty());
+}
+
 TEST(AsyncQServer, EmptyEpisodeBudgetRetiresImmediately) {
   AsyncQServer server(make_backend("software", backend_config(16)),
                       SimplifiedOutputModel(4, 2));

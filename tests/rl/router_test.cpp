@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -401,6 +402,40 @@ TEST(RouterQServer, WaitRejectsUnknownIdsAndAddAfterStopThrows) {
   EXPECT_EQ(router.stats().stopping_rejections, 1u);
 }
 
+TEST(RouterQServer, WaitOnAClaimedIdThrows) {
+  RouterQServer router(router_config("software", 2),
+                       SimplifiedOutputModel(4, 2));
+  // A second wait() on one id.
+  const std::size_t first = router.add_session({eval_spec(1, 2, 2), ""});
+  EXPECT_TRUE(router.wait(first).completed);
+  EXPECT_THROW((void)router.wait(first), std::logic_error);
+
+  // A wait() after drain() claimed the id.
+  const std::size_t second = router.add_session({eval_spec(3, 4, 2), ""});
+  const std::vector<AsyncSessionResult> drained = router.drain();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].id, second);
+  EXPECT_THROW((void)router.wait(second), std::logic_error);
+  EXPECT_TRUE(router.drain().empty());
+
+  // A wait() already blocked when drain() claims the result throws
+  // instead of blocking forever; whichever claims first, it is claimed
+  // exactly once.
+  AsyncSessionSpec slow = eval_spec(5, 6, 2);
+  slow.session.env_id = "delay:500:ShapedCartPole-v0";
+  const std::size_t raced = router.add_session({slow, ""});
+  auto waiter = std::async(std::launch::async, [&router, raced] {
+    try {
+      return router.wait(raced).id == raced;
+    } catch (const std::logic_error&) {
+      return false;
+    }
+  });
+  const std::size_t drained_count = router.drain().size();
+  EXPECT_EQ(drained_count + (waiter.get() ? 1u : 0u), 1u);
+  router.stop();
+}
+
 TEST(RouterQServer, RunExclusiveOnStallsOneReplicaWhileOthersServe) {
   // run_exclusive_on occupies ONE replica's batch thread — the scenario
   // harness's replica-stall injection. A session pinned to the other
@@ -619,6 +654,47 @@ std::set<std::string> thread_ids() {
 }
 #endif
 
+TEST(RouterQServer, ForgetsASessionOnceItsResultIsClaimed) {
+  // Each spec's env_factory captures a token; once the session's result
+  // is claimed, nothing in the router or its replicas may still hold it.
+  const auto tracked = [](std::weak_ptr<int>& watch, std::uint64_t seed,
+                          std::size_t episodes) {
+    auto token = std::make_shared<int>(0);
+    watch = token;
+    AsyncSessionSpec spec = eval_spec(seed, seed + 1, episodes);
+    spec.session.env_id = "delay:500:ShapedCartPole-v0";
+    spec.session.trainer.episode_step_cap = 20;
+    spec.env_factory = [token](std::uint64_t env_seed) {
+      return env::make_environment("delay:500:ShapedCartPole-v0", env_seed);
+    };
+    return spec;
+  };
+  RouterQServer router(router_config("software", 2),
+                       SimplifiedOutputModel(4, 2));
+  std::weak_ptr<int> watch;
+
+  const std::size_t waited = router.add_session({tracked(watch, 30, 2), ""});
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(router.wait(waited).completed);
+  EXPECT_TRUE(watch.expired()) << "wait() left the session's spec behind";
+
+  router.add_session({tracked(watch, 32, 2), ""});
+  ASSERT_EQ(router.drain().size(), 1u);
+  EXPECT_TRUE(watch.expired()) << "drain() left the session's spec behind";
+
+  // 40 episodes of 500 us steps: still live when its replica is killed.
+  const std::size_t victim = router.add_session(
+      {tracked(watch, 34, 40), key_for_replica(router, 1)});
+  router.kill_replica(1);
+  wait_for_replacements(router, 1);
+  const AsyncSessionResult rescued = router.wait(victim);
+  EXPECT_TRUE(rescued.completed) << rescued.error;
+  EXPECT_GE(rescued.rescues, 1u) << "the kill rescued nothing";
+  EXPECT_TRUE(watch.expired())
+      << "a rescued session's spec outlived its claim";
+  router.stop();
+}
+
 TEST(RouterQServer, KillReplicaAddsNoWorkerThreads) {
 #ifndef __linux__
   GTEST_SKIP() << "counts threads through /proc/self/task";
@@ -757,27 +833,33 @@ TEST(RouterQServer, RegistrySeriesFollowTheLiveIncarnationAndRouterStats) {
 }
 
 TEST(RouterQServer, BoundedWaitAdmissionBlocksUntilARetirementFreesASlot) {
-  RouterConfig config = router_config("software", 2);
-  config.server.max_live_sessions = 1;
-  config.admission_wait_us = 5'000'000;
-  RouterQServer router(config, SimplifiedOutputModel(4, 2));
+  // UINT64_MAX is past what the clock can represent: it waits with no
+  // deadline instead of wrapping into one already passed.
+  for (const std::uint64_t wait_us :
+       {std::uint64_t{5'000'000}, std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(wait_us);
+    RouterConfig config = router_config("software", 2);
+    config.server.max_live_sessions = 1;
+    config.admission_wait_us = wait_us;
+    RouterQServer router(config, SimplifiedOutputModel(4, 2));
 
-  // Two short sessions saturate the fleet (cap 2 x 1); the third join
-  // blocks at cap instead of rejecting and admits once one retires.
-  AsyncSessionSpec busy = eval_spec(10, 20, 2);
-  busy.session.env_id = "delay:500:ShapedCartPole-v0";
-  router.add_session({busy, key_for_replica(router, 0)});
-  busy.session.env_seed = 11;
-  router.add_session({busy, key_for_replica(router, 1)});
-  busy.session.env_seed = 12;
-  const std::size_t waited = router.add_session({busy, ""});
-  EXPECT_TRUE(router.wait(waited).completed);
+    // Two short sessions saturate the fleet (cap 2 x 1); the third join
+    // blocks at cap instead of rejecting and admits once one retires.
+    AsyncSessionSpec busy = eval_spec(10, 20, 2);
+    busy.session.env_id = "delay:500:ShapedCartPole-v0";
+    router.add_session({busy, key_for_replica(router, 0)});
+    busy.session.env_seed = 11;
+    router.add_session({busy, key_for_replica(router, 1)});
+    busy.session.env_seed = 12;
+    const std::size_t waited = router.add_session({busy, ""});
+    EXPECT_TRUE(router.wait(waited).completed);
 
-  const RouterStats stats = router.stats();
-  EXPECT_EQ(stats.sessions_admitted, 3u);
-  EXPECT_EQ(stats.admission_waits, 1u);
-  EXPECT_EQ(stats.admission_wait_timeouts, 0u);
-  EXPECT_EQ(stats.placement_rejections, 0u);
+    const RouterStats stats = router.stats();
+    EXPECT_EQ(stats.sessions_admitted, 3u);
+    EXPECT_EQ(stats.admission_waits, 1u);
+    EXPECT_EQ(stats.admission_wait_timeouts, 0u);
+    EXPECT_EQ(stats.placement_rejections, 0u);
+  }
 }
 
 TEST(RouterQServer, BoundedWaitAdmissionTimesOutWithTheWaitedError) {

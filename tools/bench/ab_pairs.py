@@ -16,14 +16,17 @@ side's median and quartiles, the median ratio head/base, the gap between
 the medians against the base side's quartile distance (IQR), and the
 sign count: in how many pairs head was better, by the metric's direction
 in BENCHMARK.json. Metrics BENCHMARK.json does not list get no sign
-count.
+count. An end-to-end metric whose head median is worse than the base
+median by more than its BENCHMARK.json `bound` (a fraction of the base
+median) is marked `over bound`, the benchmark's no-regression check.
 
 Usage (from the repository root):
 
     python3 tools/bench/ab_pairs.py --base <git rev> --workload W
         --pairs N --seconds S [--seed N] [--trace 0|1] [--work-dir DIR]
 
-Exits non-zero when any run is incorrect or cannot be built or run.
+Exits non-zero when any run is incorrect or cannot be built or run; an
+`over bound` metric does not change the exit code.
 """
 
 import argparse
@@ -39,12 +42,21 @@ from solo_trial_parity import ROOT, export_commit
 WORKLOADS = ("solo-train", "serve-train", "fleet-churn")
 
 
-def directions():
-    """Metric name -> "higher"/"lower", from BENCHMARK.json."""
+def metric_specs():
+    """Metric name -> its BENCHMARK.json entry (`better`, maybe `bound`)."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
-    return {m["name"]: m["better"]
+    return {m["name"]: m
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def over_bound(spec, base_median, head_median):
+    """True when head is worse than base by more than the metric's bound."""
+    if "bound" not in spec or not base_median:
+        return False
+    sign = 1 if spec["better"] == "higher" else -1
+    worse = sign * (base_median - head_median) / abs(base_median)
+    return worse > spec["bound"]
 
 
 def run_once(checkout, build_dir, workload, seed, seconds, trace):
@@ -74,13 +86,13 @@ def spread(values):
     return f"{median:.6g} [{q1:.5g}, {q3:.5g}]", (q1, median, q3)
 
 
-def report(runs, better):
+def report(runs, specs):
     """Prints one line per metric both sides reported."""
     names = sorted(set.intersection(
         *(set(r["metrics"]) for side in runs.values() for r in side)))
     print(f"{'metric':<28} {'base median [q1, q3]':<34} "
           f"{'head median [q1, q3]':<34} {'ratio':>7} {'gap/IQR':>8} "
-          f"{'better':>7}")
+          f"{'better':>7} {'bound':>10}")
     for name in names:
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         head = [r["metrics"][name]["value"] for r in runs["head"]]
@@ -91,12 +103,15 @@ def report(runs, better):
         gap = abs(h_med - b_med)
         gap_iqr = f"{gap / iqr:.2f}" if iqr > 0 else ("inf" if gap else "0")
         wins = "-"
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
+        bound = ""
+        if name in specs:
+            sign = 1 if specs[name]["better"] == "higher" else -1
             won = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
             wins = f"{won}/{len(base)}"
+            if over_bound(specs[name], b_med, h_med):
+                bound = "over bound"
         print(f"{name:<28} {base_text:<34} {head_text:<34} {ratio:>7.3f} "
-              f"{gap_iqr:>8} {wins:>7}")
+              f"{gap_iqr:>8} {wins:>7} {bound:>10}")
 
 
 def main():
@@ -138,7 +153,7 @@ def main():
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
           f"head = {ROOT}, base = {args.base}")
-    report(runs, directions())
+    report(runs, metric_specs())
     if incorrect:
         sys.exit(f"ab_pairs: {incorrect} run(s) reported incorrect outputs")
 
