@@ -24,6 +24,10 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+/// Weight of each drained session's last env step in the batch thread's
+/// smoothed co-tenant step time (AsyncQServer::env_step_us_).
+constexpr double kEnvStepSmoothing = 0.1;
+
 /// A corrupting backend (rl::FaultBackend kNan, a real numerical blow-up)
 /// must not leak silently into action selection or TD targets: surface it
 /// as a backend failure, so its sessions retire with kBackendError and a
@@ -124,6 +128,7 @@ struct AsyncQServer::Session final : EpisodeDriver {
 
   bool act(const linalg::VecD& state) override {
     step_start = Clock::now();
+    env_seconds_at_act = env_seconds;
     if (const std::optional<std::size_t> random = rules.explore()) {
       action = *random;
       return false;
@@ -132,6 +137,8 @@ struct AsyncQServer::Session final : EpisodeDriver {
     return wait_for(RequestKind::kGreedyEval);
   }
   bool observe(const nn::Transition& observed) override {
+    // The env step since act(), for the batch thread's linger estimate.
+    last_env_step_us = (env_seconds - env_seconds_at_act) * 1e6;
     if (!training) return false;
     switch (rules.observe(observed, server.backend_initialized_.load(
                                         std::memory_order_acquire))) {
@@ -181,6 +188,10 @@ struct AsyncQServer::Session final : EpisodeDriver {
   double max_next_q = 0.0;   ///< max_a Q_theta2(s', a) from the TD batch
   Clock::time_point admitted_at;
   Clock::time_point step_start{};
+  double env_seconds_at_act = 0.0;
+  /// Duration of the last env.step (µs; negative until one ends). Written
+  /// before the session parks, read when the batch thread drains it.
+  double last_env_step_us = -1.0;
 
   EpisodeLoop loop;  ///< last: the loop references the members above
 };
@@ -536,15 +547,21 @@ void AsyncQServer::batch_loop() {
                  ready_.size() >= live_count_.load(std::memory_order_relaxed);
         };
         if (config_.max_wait_us > 0 && !batch_full() && exclusive.empty()) {
-          // Continuous-batching linger: give co-tenants max_wait_us to
-          // join this batch, then serve whatever is pending. UINT64_MAX
-          // (the lockstep configuration) has no deadline at all.
-          const auto ready = [&] { return batch_stop_ || batch_full(); };
-          if (const auto deadline =
-                  wait_deadline(Clock::now(), config_.max_wait_us)) {
-            queue_cv_.wait_until(lk, *deadline, ready);
+          if (env_step_us_ >= static_cast<double>(config_.max_wait_us)) {
+            // Co-tenants spend at least the linger in env.step, so one
+            // stepping now cannot join before the deadline: serve now.
+            counters_.add<&AsyncServerStats::lingers_skipped>();
           } else {
-            queue_cv_.wait(lk, ready);
+            // Continuous-batching linger: give co-tenants max_wait_us to
+            // join this batch, then serve whatever is pending. UINT64_MAX
+            // (the lockstep configuration) has no deadline at all.
+            const auto ready = [&] { return batch_stop_ || batch_full(); };
+            if (const auto deadline =
+                    wait_deadline(Clock::now(), config_.max_wait_us)) {
+              queue_cv_.wait_until(lk, *deadline, ready);
+            } else {
+              queue_cv_.wait(lk, ready);
+            }
           }
         }
         // Each live session has at most one request in flight, so the
@@ -690,6 +707,17 @@ void AsyncQServer::process_requests(std::vector<Session*>& requests) {
             [](const Session* a, const Session* b) {
               return a->result.id < b->result.id;
             });
+  // Fold the drained sessions' last env steps into the linger estimate,
+  // skipping sessions whose first env step has not ended yet.
+  for (const Session* s : requests) {
+    const double sample = s->last_env_step_us;
+    if (sample < 0.0) continue;
+    if (env_step_us_ < 0.0) {
+      env_step_us_ = sample;
+    } else {
+      env_step_us_ += kEnvStepSmoothing * (sample - env_step_us_);
+    }
+  }
   // Failure containment: a backend fault in one coalesced batch (or one
   // request) retires the sessions it carried and counts as ONE event, so
   // a router's health tracking counts faults, not blast radius; the batch

@@ -12,13 +12,14 @@
 //   * whenever the loop needs the shared Q-network it parks on the ready
 //     queue, which holds at most one request per live session, so it is
 //     bounded by max_live_sessions and a worker never blocks on it;
-//   * a single batching thread drains pending requests — waiting up to
-//     `max_wait_us` after the first arrival to coalesce up to `max_batch`
-//     of them — into predict_actions_multi batches against ONE shared
-//     backend from rl::BackendRegistry, applies the training updates in
-//     session-id order, and only then resumes the drain's sessions. Every
-//     backend call (and so every util::TimeLedger charge) happens on this
-//     one thread, so the backend needs no locking;
+//   * a single batching thread drains pending requests — lingering up
+//     to `max_wait_us`, counted from when it finds one pending, to
+//     coalesce up to `max_batch` of them — into predict_actions_multi
+//     batches against ONE shared backend from rl::BackendRegistry,
+//     applies the training updates in session-id order, and only then
+//     resumes the drain's sessions. Every backend call (and so every
+//     util::TimeLedger charge) happens on this one thread, so the backend
+//     needs no locking;
 //   * a drain goes back to the pool as one claim list: its sessions'
 //     loops in session-id order and an atomic next index. min(sessions,
 //     pool size) lane tasks each resume the next unclaimed loop until
@@ -28,6 +29,14 @@
 //     one-loop list. A lane touches its list and nothing else of the
 //     server: every loop not yet claimed belongs to a parked live
 //     session, so stop() cannot return before the last one is claimed.
+//
+// The linger pays only for co-tenants that can arrive. Each session notes
+// how long its last env.step took (the loop's own env timing), and the
+// batch thread folds the drained sessions' values into one smoothed
+// estimate. While that estimate is at least `max_wait_us`, a co-tenant
+// stepping now cannot be back before the deadline, so a partial batch is
+// served at once (counted as `lingers_skipped`). Zero-latency sessions
+// keep lingering, and no estimate reaches lockstep's UINT64_MAX.
 //
 // Sessions join and leave dynamically: add_session() admits up to
 // `max_live_sessions` concurrent sessions (beyond the cap it throws a
@@ -164,10 +173,12 @@ struct AsyncQServerConfig {
   /// Coalescing policy: the batch thread drains at most `max_batch`
   /// requests per predict_actions_multi call...
   std::size_t max_batch = 32;
-  /// ...and after the first pending request waits at most this long for
+  /// ...and, once it finds a request pending, waits at most this long for
   /// more to arrive (0 = fire immediately with whatever is pending; a
   /// value whose deadline the clock cannot represent, e.g. UINT64_MAX,
-  /// waits until the batch is full — the lockstep configuration).
+  /// waits until the batch is full — the lockstep configuration). It
+  /// does not wait while the sessions' smoothed env-step time is at least
+  /// this long: a co-tenant mid-step would miss the deadline anyway.
   std::uint64_t max_wait_us = 100;
   /// Retirement callback mode (RouterQServer's replica seam). When set,
   /// every retiring session's result is handed to this callback INSTEAD
@@ -186,6 +197,9 @@ struct AsyncServerStats {
   std::uint64_t episodes = 0;         ///< episodes finished
   std::uint64_t batches = 0;          ///< predict_actions_multi calls
   std::uint64_t batch_rows = 0;       ///< states carried by those calls
+  /// Partial batches served without lingering because co-tenants' env
+  /// steps outlast max_wait_us.
+  std::uint64_t lingers_skipped = 0;
   std::uint64_t train_updates = 0;    ///< seq_train applications
   std::uint64_t init_trains = 0;      ///< Eq. 7/8 chunk solves
   std::uint64_t sessions_admitted = 0;
@@ -231,6 +245,7 @@ inline constexpr CounterField<AsyncServerStats> kAsyncServerCounters[] = {
     {"episodes", &AsyncServerStats::episodes},
     {"batches", &AsyncServerStats::batches},
     {"batch_rows", &AsyncServerStats::batch_rows},
+    {"lingers_skipped", &AsyncServerStats::lingers_skipped},
     {"train_updates", &AsyncServerStats::train_updates},
     {"init_trains", &AsyncServerStats::init_trains},
     {"sessions_admitted", &AsyncServerStats::sessions_admitted},
@@ -451,6 +466,10 @@ class AsyncQServer {
   std::vector<linalg::MatD> q_by_rows_;
   linalg::VecD q_ws_;
   std::vector<Session*> batch_sessions_;  ///< rows of the current batch
+  /// Smoothed env-step time of drained sessions (µs; negative before the
+  /// first sample): a partial batch lingers only while it is below
+  /// max_wait_us.
+  double env_step_us_ = -1.0;
 
   // Threads last: destroyed FIRST, so no worker or batch task can touch a
   // member (queues, condition variables, histograms) mid-destruction.

@@ -4,6 +4,8 @@
 // parameterized suites pin that equivalence across sizes and chunkings.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "elm/elm.hpp"
 #include "elm/os_elm.hpp"
 #include "linalg/ops.hpp"
@@ -21,6 +23,14 @@ struct EquivCase {
   std::size_t stream_samples;
   double delta;
 };
+
+// The test ID's parameter part (ctest prints it), e.g.
+// in3_hidden8_out1_init16_stream10_delta0.5.
+void PrintTo(const EquivCase& c, std::ostream* os) {
+  *os << "in" << c.input_dim << "_hidden" << c.hidden_units << "_out"
+      << c.output_dim << "_init" << c.init_samples << "_stream"
+      << c.stream_samples << "_delta" << c.delta;
+}
 
 using test_support::random_matrix;
 
@@ -159,6 +169,13 @@ struct ChunkCase {
   std::uint64_t seed;
   double delta;
 };
+
+// The test ID's parameter part, e.g. in4_hidden12_out1_k2_seed21_delta0.5.
+void PrintTo(const ChunkCase& c, std::ostream* os) {
+  *os << "in" << c.input_dim << "_hidden" << c.hidden_units << "_out"
+      << c.output_dim << "_k" << c.chunk << "_seed" << c.seed << "_delta"
+      << c.delta;
+}
 
 class OsElmChunkEquivalence : public ::testing::TestWithParam<ChunkCase> {};
 

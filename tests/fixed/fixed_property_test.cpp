@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "fixed/fixed_point.hpp"
 #include "util/rng.hpp"
@@ -13,10 +14,25 @@ namespace {
 
 constexpr double kUlp = 1.0 / (1 << 20);
 
+enum class RangeName : std::uint64_t { kUnit, kTiny, kModerate, kPositive };
+
+// ctest appends the parameter's raw bytes to each test ID, so the case
+// names its range by value: a `const char*` label put an address there,
+// and the ID changed from build to build.
 struct RangeCase {
   double lo;
   double hi;
-  const char* label;
+  RangeName name;
+
+  const char* label() const {
+    switch (name) {
+      case RangeName::kUnit: return "unit";
+      case RangeName::kTiny: return "tiny";
+      case RangeName::kModerate: return "moderate";
+      case RangeName::kPositive: return "positive";
+    }
+    return "?";
+  }
 };
 
 class FixedArithmeticProperty : public ::testing::TestWithParam<RangeCase> {
@@ -33,7 +49,7 @@ TEST_P(FixedArithmeticProperty, AdditionErrorWithinOneUlp) {
     const double got =
         (Q20::from_double(a) + Q20::from_double(b)).to_double();
     // Two conversions each contribute <= ulp/2; the add itself is exact.
-    EXPECT_NEAR(got, a + b, kUlp) << range.label;
+    EXPECT_NEAR(got, a + b, kUlp) << range.label();
   }
 }
 
@@ -45,7 +61,7 @@ TEST_P(FixedArithmeticProperty, SubtractionErrorWithinOneUlp) {
     const double b = rng.uniform(range.lo, range.hi);
     const double got =
         (Q20::from_double(a) - Q20::from_double(b)).to_double();
-    EXPECT_NEAR(got, a - b, kUlp) << range.label;
+    EXPECT_NEAR(got, a - b, kUlp) << range.label();
   }
 }
 
@@ -61,7 +77,7 @@ TEST_P(FixedArithmeticProperty, MultiplicationRelativeError) {
     // Input quantization of a*b is bounded by (|a|+|b|)*ulp/2 + rounding.
     const double bound = (std::abs(a) + std::abs(b) + 2.0) * kUlp +
                          span * span * 1e-9;
-    EXPECT_NEAR(got, a * b, bound) << range.label;
+    EXPECT_NEAR(got, a * b, bound) << range.label();
   }
 }
 
@@ -106,18 +122,18 @@ TEST_P(FixedArithmeticProperty, DivideThenMultiplyApproximatesIdentity) {
     const Q20 back = (numer / denom) * denom;
     const double tolerance = kUlp * (2.0 + std::abs(denom_raw) * 2.0);
     EXPECT_NEAR(back.to_double(), numer.to_double(), tolerance)
-        << range.label << " num=" << numer_raw << " den=" << denom_raw;
+        << range.label() << " num=" << numer_raw << " den=" << denom_raw;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Ranges, FixedArithmeticProperty,
-    ::testing::Values(RangeCase{-1.0, 1.0, "unit"},
-                      RangeCase{-0.01, 0.01, "tiny"},
-                      RangeCase{-30.0, 30.0, "moderate"},
-                      RangeCase{0.0, 2.0, "positive"}),
+    ::testing::Values(RangeCase{-1.0, 1.0, RangeName::kUnit},
+                      RangeCase{-0.01, 0.01, RangeName::kTiny},
+                      RangeCase{-30.0, 30.0, RangeName::kModerate},
+                      RangeCase{0.0, 2.0, RangeName::kPositive}),
     [](const ::testing::TestParamInfo<RangeCase>& info) {
-      return info.param.label;
+      return info.param.label();
     });
 
 TEST(FixedAccumulation, LongDotProductTracksDouble) {

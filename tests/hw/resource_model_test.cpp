@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace oselm::hw {
 namespace {
 
@@ -44,6 +46,11 @@ struct Table3Row {
   double ff_pct;
   double lut_pct;
 };
+
+// The test ID's parameter part: the paper row's hidden-unit count, N32.
+void PrintTo(const Table3Row& row, std::ostream* os) {
+  *os << "N" << row.units;
+}
 
 class Table3Test : public ::testing::TestWithParam<Table3Row> {};
 

@@ -549,6 +549,14 @@ TEST(AsyncQServer, RegistrySeriesAreTheServerStatsUnderItsName) {
     slow.session.env_seed = 162;
     server.add_session(slow);
     EXPECT_THROW(server.add_session(eval_spec(163, 173)), AdmissionError);
+    // Their 2 ms env steps outlast the default 100 us linger, so once
+    // they drift apart a lone request is served without lingering.
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(10);
+    while (server.stats().lingers_skipped == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     server.stop();
     EXPECT_THROW(server.add_session(eval_spec(163, 173)), AdmissionError);
     (void)failing.wait(failing.add_session(train_spec(165, 175, 5)));
@@ -1244,6 +1252,79 @@ TEST(AsyncQServer, RetirementWakesTheBatchThread) {
                              std::chrono::steady_clock::now() - start)
                              .count();
   EXPECT_LT(seconds, 3.0) << "a retirement left its co-tenant lingering";
+}
+
+/// The achieved batch linger of `server` from a fresh snapshot of the
+/// process-wide registry (empty when it has none).
+util::LatencyHistogram linger_series(const std::string& server) {
+  for (const auto& series :
+       obs::MetricsRegistry::global().snapshot().histograms) {
+    if (series.name == "oselm_async_batch_linger_us" &&
+        series.labels == obs::Labels{{"server", server}}) {
+      return series.value;
+    }
+  }
+  return {};
+}
+
+TEST(AsyncQServer, CoTenantsStuckInSlowEnvStepsAreServedWithoutLingering) {
+  // Two greedy sessions spend 12 ms and 20 ms in every env.step, longer
+  // than the 10 ms linger, so a lone request cannot gain a co-tenant by
+  // waiting. Only the drain decided before any env step was measured
+  // lingers (until the slower session's first step ends, ~8 ms); every
+  // later partial batch is served at once.
+  obs::set_timing_enabled(true);
+  AsyncQServerConfig config;
+  config.name = "slow-co-tenants";
+  config.max_batch = 2;
+  config.max_wait_us = 10'000;
+  OsElmQBackendPtr backend = make_backend("software", backend_config(2026));
+  prime_backend(*backend, 78);
+  AsyncQServer server(std::move(backend), SimplifiedOutputModel(4, 2),
+                      config);
+  std::vector<AsyncSessionSpec> specs;
+  for (const char* env_id :
+       {"delay:12000:ShapedCartPole-v0", "delay:20000:ShapedCartPole-v0"}) {
+    AsyncSessionSpec spec = eval_spec(30 + specs.size(), 40, 1);
+    spec.session.env_id = env_id;
+    spec.session.agent.epsilon_greedy = 1.0;  // every step parks
+    spec.session.trainer.episode_step_cap = 12;
+    specs.push_back(spec);
+  }
+  add_cohort(server, specs);
+  for (const AsyncSessionResult& r : server.drain()) {
+    EXPECT_TRUE(r.completed) << r.id;
+  }
+  server.stop();
+  obs::set_timing_enabled(false);
+
+  const AsyncServerStats stats = server.stats();
+  EXPECT_GE(stats.lingers_skipped, 3u);
+  const util::LatencyHistogram linger = linger_series(config.name);
+  EXPECT_GE(linger.count(), 4u);
+  // Lingering for the co-tenant would put the median near 8 ms.
+  EXPECT_LT(linger.quantile(0.5), 0.25 * config.max_wait_us)
+      << linger.to_json();
+}
+
+TEST(AsyncQServer, ZeroLatencyCoTenantsStillCoalesce) {
+  // CartPole steps take microseconds, far below the linger, so a partial
+  // batch keeps waiting for its co-tenants and batches coalesce.
+  AsyncQServerConfig config;
+  config.max_batch = 4;
+  config.max_wait_us = 50'000;
+  config.worker_threads = 2;
+  AsyncQServer server(make_backend("software", backend_config(2027)),
+                      SimplifiedOutputModel(4, 2), config);
+  for (std::size_t i = 0; i < 4; ++i) {
+    server.add_session(eval_spec(170 + i, 180 + i));
+  }
+  for (const AsyncSessionResult& r : server.drain()) {
+    EXPECT_TRUE(r.completed) << r.id;
+  }
+  const AsyncServerStats stats = server.stats();
+  EXPECT_GT(stats.mean_batch_rows(), 1.0);
+  EXPECT_EQ(stats.lingers_skipped, 0u);
 }
 
 TEST(LockstepServing, SessionsEndIndependently) {

@@ -11,14 +11,20 @@ head run of
 per pair i, with the order alternating from pair to pair (base first in
 even pairs), so slow drift on a shared host falls on both sides alike.
 
-Prints every run's `correct` and `failed`, then for every metric each
-side's median and quartiles, the median ratio head/base, the gap between
-the medians against the base side's quartile distance (IQR), and the
-sign count: in how many pairs head was better, by the metric's direction
-in BENCHMARK.json. Metrics BENCHMARK.json does not list get no sign
-count. An end-to-end metric whose head median is worse than the base
-median by more than its BENCHMARK.json `bound` (a fraction of the base
-median) is marked `over bound`, the benchmark's no-regression check.
+Prints every run's `correct` and `failed`, each side's share of failed
+operations (failed / attempted over all its runs; the benchmark rejects
+a head share above the base share), then for every metric each side's
+median and quartiles, the median ratio head/base, the gap between the
+medians against the base side's quartile distance (IQR), and the sign
+count: in how many pairs head was better, by the metric's direction in
+BENCHMARK.json (ties count for neither side). Metrics BENCHMARK.json does
+not list get no sign count. A metric is marked `claim` when at least ten
+pairs ran, head won at least 9 of every 10 of them and its median is
+better by more than the base IQR (gap/IQR > 1), the rule a claimed gain
+must pass. An end-to-end
+metric whose head median is worse than the base median by more than its
+BENCHMARK.json `bound` (a fraction of the base median) is marked `over
+bound`, the benchmark's no-regression check.
 
 Usage (from the repository root):
 
@@ -59,6 +65,20 @@ def over_bound(spec, base_median, head_median):
     return worse > spec["bound"]
 
 
+def report_failures(runs):
+    """Prints each side's failed/attempted share, flagging a head share
+    above the base share."""
+    shares = {}
+    for side in ("base", "head"):
+        failed = sum(r.get("failed", 0) for r in runs[side])
+        attempted = sum(r.get("attempted", 0) for r in runs[side])
+        shares[side] = failed / attempted if attempted else 0.0
+        print(f"{side} failed/attempted: {failed}/{attempted} "
+              f"({100.0 * shares[side]:.3f}%)")
+    if shares["head"] > shares["base"]:
+        print("head fails a larger share of operations than base")
+
+
 def run_once(checkout, build_dir, workload, seed, seconds, trace):
     """Runs one perfbench workload from `checkout`; returns its result."""
     env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
@@ -92,7 +112,7 @@ def report(runs, specs):
         *(set(r["metrics"]) for side in runs.values() for r in side)))
     print(f"{'metric':<28} {'base median [q1, q3]':<34} "
           f"{'head median [q1, q3]':<34} {'ratio':>7} {'gap/IQR':>8} "
-          f"{'better':>7} {'bound':>10}")
+          f"{'better':>7} {'claim':>6} {'bound':>10}")
     for name in names:
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         head = [r["metrics"][name]["value"] for r in runs["head"]]
@@ -103,15 +123,21 @@ def report(runs, specs):
         gap = abs(h_med - b_med)
         gap_iqr = f"{gap / iqr:.2f}" if iqr > 0 else ("inf" if gap else "0")
         wins = "-"
+        claim = ""
         bound = ""
         if name in specs:
             sign = 1 if specs[name]["better"] == "higher" else -1
             won = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
             wins = f"{won}/{len(base)}"
+            # At least ten pairs, >= 9/10 of them won, and the median
+            # better by more than the base IQR.
+            if (len(base) >= 10 and 10 * won >= 9 * len(base)
+                    and sign * (h_med - b_med) > iqr):
+                claim = "claim"
             if over_bound(specs[name], b_med, h_med):
                 bound = "over bound"
         print(f"{name:<28} {base_text:<34} {head_text:<34} {ratio:>7.3f} "
-              f"{gap_iqr:>8} {wins:>7} {bound:>10}")
+              f"{gap_iqr:>8} {wins:>7} {claim:>6} {bound:>10}")
 
 
 def main():
@@ -153,6 +179,7 @@ def main():
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
           f"head = {ROOT}, base = {args.base}")
+    report_failures(runs)
     report(runs, metric_specs())
     if incorrect:
         sys.exit(f"ab_pairs: {incorrect} run(s) reported incorrect outputs")
