@@ -162,9 +162,10 @@ int main() {
   }
 
   std::printf(
-      "Caveats (see EXPERIMENTS.md): measured host times make the C++ DQN\n"
-      "baseline far cheaper per step than the paper's PyTorch-on-ARM DQN;\n"
-      "the board-modeled view restores the paper's per-op cost structure.\n"
+      "Caveats (see ROADMAP.md item 10): measured host times make the\n"
+      "C++ DQN baseline far cheaper per step than the paper's\n"
+      "PyTorch-on-ARM DQN; the board-modeled view restores the paper's\n"
+      "per-op cost structure.\n"
       "CSV: fig5_time_to_complete.csv\n");
   return 0;
 }

@@ -17,6 +17,12 @@
 // backward pass and Adam), once on each MLP kernel set. Both are
 // telemetry only, no gate.
 //
+// The chunk row times one k-row OsElm::seq_train (the general-k Eq. 5
+// update the serving stack applies to a drain's co-tenant train rows)
+// against k seq_train_one calls on the same rows, per row, for k = 1..32
+// on the active kernel set: a median and the range of the per-repeat
+// ratios over interleaved repeats. Telemetry, no gate.
+//
 // The regression gate (OSELM_BENCH_MIN_SPEEDUP_PCT, CI passes 130) binds
 // simd-vs-seed: the acceptance target is >= 1.5x locally, gated at 1.3x
 // to absorb shared-runner noise. Emits BENCH_train.json for the CI
@@ -195,6 +201,104 @@ TrainMeasurement measure_seq_train(std::size_t hidden_units,
   return out;
 }
 
+/// Per-row cost of one k-row OsElm::seq_train chunk (Eq. 5 in
+/// Cholesky-factor form) against k seq_train_one calls on the same rows,
+/// from the same state, on the active kernel set.
+struct ChunkRow {
+  std::size_t k = 0;
+  double loop_us = 0.0;   ///< median per-row µs of the seq_train_one loop
+  double chunk_us = 0.0;  ///< median per-row µs of the chunk path
+  double speedup_p50 = 0.0;  ///< median of the per-repeat loop/chunk ratios
+  double speedup_lo = 0.0;   ///< smallest per-repeat ratio
+  double speedup_hi = 0.0;   ///< largest per-repeat ratio
+  double checksum = 0.0;     ///< anti-DCE accumulator, also printed
+};
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// `repeats` interleaved (loop, chunk) pairs, alternating which runs
+/// first, each over `rows` training rows.
+ChunkRow measure_chunk(std::size_t hidden_units, std::size_t k,
+                       std::size_t rows, int repeats) {
+  oselm::util::Rng rng(42);
+  oselm::elm::OsElm reference(train_config(hidden_units), rng);
+  const TrainStream stream(hidden_units);
+  reference.init_train(stream.x0, stream.t0);
+  const std::size_t chunks = std::max<std::size_t>(rows / k, 1);
+  std::vector<MatD> xs(kSamplePool, MatD(k, kInputDim));
+  std::vector<MatD> ts(kSamplePool, MatD(k, 1));
+  for (std::size_t c = 0; c < kSamplePool; ++c) {
+    for (std::size_t r = 0; r < k; ++r) {
+      const std::size_t at = (c * k + r) % kSamplePool;
+      xs[c].set_row(r, stream.xs[at]);
+      ts[c](r, 0) = stream.targets[at];
+    }
+  }
+  const auto fresh = [&] {
+    return oselm::elm::OsElm::from_parts(
+        train_config(hidden_units), reference.alpha(), reference.bias(),
+        reference.beta(), reference.p(), /*initialized=*/true);
+  };
+  VecD x_one(kInputDim, 0.0);
+  VecD t_one(1, 0.0);
+  ChunkRow row;
+  row.k = k;
+  const auto time_loop = [&] {
+    oselm::elm::OsElm model = fresh();
+    oselm::util::WallTimer timer;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const MatD& x = xs[c % kSamplePool];
+      for (std::size_t r = 0; r < k; ++r) {
+        std::copy(x.row_ptr(r), x.row_ptr(r) + kInputDim, x_one.begin());
+        t_one[0] = ts[c % kSamplePool](r, 0);
+        model.seq_train_one(x_one, t_one);
+      }
+    }
+    const double us = timer.seconds() * 1e6 / static_cast<double>(chunks * k);
+    row.checksum += model.beta()(0, 0);
+    return us;
+  };
+  const auto time_chunk = [&] {
+    oselm::elm::OsElm model = fresh();
+    oselm::util::WallTimer timer;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      model.seq_train(xs[c % kSamplePool], ts[c % kSamplePool]);
+    }
+    const double us = timer.seconds() * 1e6 / static_cast<double>(chunks * k);
+    row.checksum += model.beta()(0, 0);
+    return us;
+  };
+  std::vector<double> loop_us;
+  std::vector<double> chunk_us;
+  std::vector<double> ratios;
+  (void)time_loop();  // warm-up: first-touch of the workspaces
+  (void)time_chunk();
+  for (int rep = 0; rep < repeats; ++rep) {
+    double loop = 0.0;
+    double chunk = 0.0;
+    if (rep % 2 == 0) {
+      loop = time_loop();
+      chunk = time_chunk();
+    } else {
+      chunk = time_chunk();
+      loop = time_loop();
+    }
+    loop_us.push_back(loop);
+    chunk_us.push_back(chunk);
+    ratios.push_back(loop / chunk);
+  }
+  row.loop_us = median_of(loop_us);
+  row.chunk_us = median_of(chunk_us);
+  row.speedup_p50 = median_of(ratios);
+  row.speedup_lo = *std::min_element(ratios.begin(), ratios.end());
+  row.speedup_hi = *std::max_element(ratios.begin(), ratios.end());
+  return row;
+}
+
 struct FpgaLayerTiming {
   double seq_train_us = 0.0;
   double predict_us = 0.0;  ///< one predict_actions over both actions
@@ -356,6 +460,22 @@ int main(int argc, char** argv) {
               simd_active ? "avx2" : "scalar", best.simd_ns,
               speedup_vs_seed, speedup_vs_scalar_kernels);
 
+  // --- Rank-k chunk vs the rank-1 loop, per row, on the active set.
+  constexpr int kChunkRepeats = 9;
+  std::vector<ChunkRow> chunk_rows;
+  std::printf("seq_train chunk vs seq_train_one loop @ N=%zu (%s kernels, "
+              "median of %d interleaved repeats)\n",
+              hidden_units, simd_active ? "avx2" : "scalar", kChunkRepeats);
+  for (const std::size_t k : {1, 2, 4, 8, 16, 32}) {
+    chunk_rows.push_back(
+        measure_chunk(hidden_units, k, iters / 4, kChunkRepeats));
+    const ChunkRow& r = chunk_rows.back();
+    std::printf("  k=%-2zu loop %7.3f us/row  chunk %7.3f us/row  "
+                "x%.2f [%.2f, %.2f]  (checksum %.3g)\n",
+                r.k, r.loop_us, r.chunk_us, r.speedup_p50, r.speedup_lo,
+                r.speedup_hi, r.checksum);
+  }
+
   // --- FPGA model Q20 layers, best of 3 per kernel set.
   FpgaLayerTiming fpga_scalar;
   FpgaLayerTiming fpga_simd;
@@ -424,8 +544,7 @@ int main(int argc, char** argv) {
       "  \"fpga_q20\": {\"seq_train_scalar_us\": %.3f, "
       "\"seq_train_simd_us\": %.3f, \"predict_actions_scalar_us\": %.3f, "
       "\"predict_actions_simd_us\": %.3f},\n"
-      "  \"dqn_observe\": {\"scalar_us\": %.3f, \"simd_us\": %.3f},\n"
-      "  \"serving\": [\n",
+      "  \"dqn_observe\": {\"scalar_us\": %.3f, \"simd_us\": %.3f},\n",
       hidden_units, iters, kernels::simd_available() ? "true" : "false",
       simd_active ? "avx2" : "scalar", best.seed_scalar_ns,
       best.scalar_kernels_ns, best.simd_ns, speedup_vs_seed,
@@ -433,6 +552,21 @@ int main(int argc, char** argv) {
       fpga_scalar.seq_train_us, fpga_simd.seq_train_us,
       fpga_scalar.predict_us, fpga_simd.predict_us, dqn_scalar_us,
       dqn_simd_us);
+  std::fprintf(f,
+               "  \"seq_train_chunk\": {\"repeats\": %d, \"kernel_set\": "
+               "\"%s\", \"rows\": [\n",
+               kChunkRepeats, simd_active ? "avx2" : "scalar");
+  for (std::size_t i = 0; i < chunk_rows.size(); ++i) {
+    const ChunkRow& r = chunk_rows[i];
+    std::fprintf(
+        f,
+        "    {\"k\": %zu, \"loop_us_per_row\": %.4f, "
+        "\"chunk_us_per_row\": %.4f, \"speedup_p50\": %.3f, "
+        "\"speedup_min\": %.3f, \"speedup_max\": %.3f}%s\n",
+        r.k, r.loop_us, r.chunk_us, r.speedup_p50, r.speedup_lo,
+        r.speedup_hi, i + 1 < chunk_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]},\n  \"serving\": [\n");
   for (std::size_t i = 0; i < serving.size(); ++i) {
     const ServingPoint& p = serving[i];
     std::fprintf(

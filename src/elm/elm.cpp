@@ -1,5 +1,6 @@
 #include "elm/elm.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "linalg/cholesky.hpp"
@@ -61,14 +62,28 @@ void Elm::hidden_into(const linalg::VecD& x, linalg::VecD& h) const {
   if (x.size() != config_.input_dim) {
     throw std::invalid_argument("Elm::hidden_into: input width mismatch");
   }
-  h.assign(config_.hidden_units, 0.0);  // alpha^T x == x * alpha
+  h.resize(config_.hidden_units);
+  hidden_row(x.data(), h.data());
+}
+
+void Elm::hidden_rows_into(const linalg::MatD& x, linalg::MatD& h) const {
+  if (x.cols() != config_.input_dim) {
+    throw std::invalid_argument("Elm::hidden_rows_into: input width mismatch");
+  }
+  h.resize(x.rows(), config_.hidden_units);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    hidden_row(x.row_ptr(r), h.row_ptr(r));
+  }
+}
+
+void Elm::hidden_row(const double* x, double* h) const {
+  std::fill(h, h + config_.hidden_units, 0.0);  // alpha^T x == x * alpha
   for (std::size_t i = 0; i < config_.input_dim; ++i) {
     const double xi = x[i];
     if (xi == 0.0) continue;
-    linalg::kernels::axpy(h.data(), xi, alpha_.row_ptr(i),
-                          config_.hidden_units);
+    linalg::kernels::axpy(h, xi, alpha_.row_ptr(i), config_.hidden_units);
   }
-  linalg::kernels::bias_activate(h.data(), bias_.data(), config_.hidden_units,
+  linalg::kernels::bias_activate(h, bias_.data(), config_.hidden_units,
                                  kernel_act(config_.activation));
 }
 

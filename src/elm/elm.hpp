@@ -48,6 +48,11 @@ class Elm {
   /// results are bit-identical).
   void hidden_into(const linalg::VecD& x, linalg::VecD& h) const;
 
+  /// hidden_into for every row of a (k x n) chunk: `h` is resized to
+  /// k x N-tilde, reusing its capacity, and row r is bit-identical to
+  /// hidden_into(x.row(r)).
+  void hidden_rows_into(const linalg::MatD& x, linalg::MatD& h) const;
+
   /// Batch training: solves for beta against targets t (k x m).
   /// Plain ELM uses the SVD pseudo-inverse; delta > 0 uses the SPD solve.
   void train_batch(const linalg::MatD& x, const linalg::MatD& t);
@@ -71,6 +76,9 @@ class Elm {
   linalg::MatD& mutable_beta() noexcept { return beta_; }
 
  private:
+  /// The body of hidden_into: N-tilde hidden values of one sample.
+  void hidden_row(const double* x, double* h) const;
+
   ElmConfig config_;
   linalg::MatD alpha_;  ///< n x N-tilde
   linalg::VecD bias_;   ///< N-tilde

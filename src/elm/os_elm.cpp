@@ -166,86 +166,76 @@ void OsElm::seq_train(const linalg::MatD& x, const linalg::MatD& t) {
     seq_train_one(x.row(0), t.row(0));
     return;
   }
-  // General-k Eq. 5 on the kernel layer (dispatched dot/axpy + the
-  // upper-triangle+mirror rank-k downdate), mirroring the k = 1 fast
-  // path's structure instead of five dense GEMMs:
-  //   U  = P H^T                       (n x k, as U^T rows for locality)
-  //   S  = I + H U                     (k x k, exactly symmetric)
-  //   K  = S^-1 (symmetrized)          (the k x k SPD solve, Cholesky)
-  //   G  = U K                         (gain; P_new H^T == G, the same
-  //                                     identity the scalar path uses)
-  //   P -= G U^T                       (symmetric rank-k downdate)
-  //   beta += G (t - H beta_old)
+  // General-k Eq. 5 in Cholesky-factor form, with S = I + H P H^T = L L^T:
+  //   U^T  = H P                (k x n; P is symmetric, so U = P H^T)
+  //   S    = I + H U            (k x k, lower triangle only), then L
+  //   W^T  = L^-1 U^T           (so U S^-1 U^T == W W^T)
+  //   P   -= W W^T              (symmetric rank-k downdate)
+  //   beta += W L^-1 r,  r = t - H beta_old   (P_new H^T == U S^-1)
+  // Every workspace is a member, so steady-state chunks allocate nothing.
   const std::size_t k = x.rows();
   const std::size_t n = config().hidden_units;
   const std::size_t m = config().output_dim;
-  const linalg::MatD h = net_.hidden(x);  // k x n
+  linalg::MatD& h = h_chunk_;
+  linalg::MatD& wt = wt_chunk_;
+  linalg::MatD& chol = s_chunk_;
+  linalg::MatD& r = r_chunk_;
+  net_.hidden_rows_into(x, h);
+  wt.resize(k, n);
+  linalg::kernels::gemm(h.data(), p_.data(), wt.data(), k, n, n);  // U^T
 
-  // U^T: row c holds column c of U = P H^T; P is symmetric, so row i of P
-  // doubles as column i and every entry is one contiguous kernel dot.
-  linalg::MatD ut(k, n);
-  for (std::size_t c = 0; c < k; ++c) {
-    double* ut_row = ut.row_ptr(c);
-    const double* h_row = h.row_ptr(c);
-    for (std::size_t i = 0; i < n; ++i) {
-      ut_row[i] = linalg::kernels::dot(p_.row_ptr(i), h_row, n);
-    }
-  }
-
-  // S = I + H U, computed on the upper triangle and mirrored so the k x k
-  // solve sees an exactly symmetric matrix.
-  linalg::MatD inner(k, k);
-  for (std::size_t r = 0; r < k; ++r) {
-    for (std::size_t c = r; c < k; ++c) {
-      const double v =
-          linalg::kernels::dot(h.row_ptr(r), ut.row_ptr(c), n);
-      inner(r, c) = r == c ? v + 1.0 : v;
-      inner(c, r) = inner(r, c);
-    }
-  }
-  // S = I + H P H^T is SPD (P is), so Cholesky inverts it. Its column-
-  // by-column solve is only approximately symmetric; re-symmetrize so
-  // G U^T = U K U^T is symmetric by construction and the upper-triangle
-  // downdate loses nothing.
-  linalg::MatD kmat = linalg::inverse_spd(inner);
-  linalg::symmetrize_inplace(kmat);
-
-  // G^T = K U^T, accumulated row-wise with kernel axpys.
-  linalg::MatD gt(k, n, 0.0);
-  for (std::size_t c = 0; c < k; ++c) {
-    for (std::size_t d = 0; d < k; ++d) {
-      linalg::kernels::axpy(gt.row_ptr(c), kmat(c, d), ut.row_ptr(d), n);
-    }
-  }
-
-  // Residuals against beta_old BEFORE any beta row is touched.
+  // Residuals against beta_old, before beta moves.
   linalg::MatD& beta = net_.mutable_beta();
-  linalg::MatD residual(k, m);
+  r.resize(k, m);
   for (std::size_t c = 0; c < k; ++c) {
     const double* h_row = h.row_ptr(c);
     if (m == 1) {
-      residual(c, 0) =
-          t(c, 0) - linalg::kernels::dot(h_row, beta.data(), n);
+      r(c, 0) = t(c, 0) - linalg::kernels::dot(h_row, beta.data(), n);
     } else {
       for (std::size_t o = 0; o < m; ++o) {
         double pred = 0.0;
         for (std::size_t i = 0; i < n; ++i) pred += h_row[i] * beta(i, o);
-        residual(c, o) = t(c, o) - pred;
+        r(c, o) = t(c, o) - pred;
       }
     }
   }
 
-  linalg::kernels::sym_rankk_downdate(p_.data(), n, gt.data(), ut.data(), k);
+  // S's lower triangle, factored in place into L (S is SPD because P is).
+  chol.resize(k, k);
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = 0; b <= a; ++b) {
+      const double v = linalg::kernels::dot(h.row_ptr(a), wt.row_ptr(b), n);
+      chol(a, b) = a == b ? v + 1.0 : v;
+    }
+  }
+  if (!linalg::cholesky_factor_inplace(chol)) {
+    throw std::runtime_error(
+        "OsElm::seq_train: I + H P H^T is not positive definite");
+  }
 
-  // beta += G residual (the gain identity: P_new H^T == U K == G).
+  // W^T = L^-1 U^T and L^-1 r, by forward substitution row by row.
   for (std::size_t c = 0; c < k; ++c) {
-    const double* g_row = gt.row_ptr(c);
+    double* w_row = wt.row_ptr(c);
+    for (std::size_t d = 0; d < c; ++d) {
+      linalg::kernels::axpy(w_row, -chol(c, d), wt.row_ptr(d), n);
+      for (std::size_t o = 0; o < m; ++o) r(c, o) -= chol(c, d) * r(d, o);
+    }
+    const double inv = 1.0 / chol(c, c);
+    for (std::size_t i = 0; i < n; ++i) w_row[i] *= inv;
+    for (std::size_t o = 0; o < m; ++o) r(c, o) *= inv;
+  }
+
+  linalg::kernels::sym_rankk_downdate(p_.data(), n, wt.data(), wt.data(), k);
+
+  // beta += W (L^-1 r).
+  for (std::size_t c = 0; c < k; ++c) {
+    const double* w_row = wt.row_ptr(c);
     if (m == 1) {
-      linalg::kernels::axpy(beta.data(), residual(c, 0), g_row, n);
+      linalg::kernels::axpy(beta.data(), r(c, 0), w_row, n);
     } else {
       for (std::size_t o = 0; o < m; ++o) {
-        const double r = residual(c, o);
-        for (std::size_t i = 0; i < n; ++i) beta(i, o) += g_row[i] * r;
+        const double z = r(c, o);
+        for (std::size_t i = 0; i < n; ++i) beta(i, o) += w_row[i] * z;
       }
     }
   }

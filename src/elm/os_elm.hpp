@@ -9,7 +9,9 @@
 //     P_i    = P_{i-1} - P_{i-1} H_i^T (I + H_i P_{i-1} H_i^T)^-1 H_i P_{i-1}
 //     beta_i = beta_{i-1} + P_i H_i^T (t_i - H_i beta_{i-1})
 // For chunk size k = 1 the k x k inverse collapses to a scalar reciprocal
-// (§2.2), which is the fast path used on the FPGA and by the Q-network.
+// (§2.2), which is the fast path used on the FPGA and by a lone Q-learner.
+// k > 1 replaces the inverse with a Cholesky factor of the k x k matrix;
+// the serving stack uses it for a drain's co-tenant train rows.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +44,12 @@ class OsElm {
   /// and reported through initial_ridge_used().
   void init_train(const linalg::MatD& x0, const linalg::MatD& t0);
 
-  /// Sequential chunk update per Eq. 5 (general k, uses a k x k Cholesky
-  /// solve). Throws std::invalid_argument unless x and t have the same
-  /// row count and t is output_dim wide.
+  /// Sequential chunk update per Eq. 5 (general k): one k x k Cholesky
+  /// factor of I + H P H^T and a symmetric rank-k downdate of P, in
+  /// member workspaces. In exact arithmetic it equals k seq_train_one
+  /// calls on the rows in order; a one-row chunk takes seq_train_one.
+  /// Throws std::invalid_argument unless x and t have the same row count
+  /// and t is output_dim wide.
   void seq_train(const linalg::MatD& x, const linalg::MatD& t);
 
   /// k = 1 fast path: scalar reciprocal instead of the k x k inverse.
@@ -129,6 +134,11 @@ class OsElm {
   linalg::MatD p_;   ///< N-tilde x N-tilde
   linalg::VecD h_ws_;  ///< seq_train_one hidden-row workspace (no allocs)
   linalg::VecD u_ws_;  ///< seq_train_one P h^T workspace (no allocs)
+  // seq_train chunk workspaces, resized per chunk (capacity is kept).
+  linalg::MatD h_chunk_;   ///< k x N-tilde hidden rows H
+  linalg::MatD wt_chunk_;  ///< k x N-tilde: U^T, then W^T in place
+  linalg::MatD s_chunk_;   ///< k x k: S's lower triangle, then L
+  linalg::MatD r_chunk_;   ///< k x m: residuals r, then L^-1 r
   bool initialized_ = false;
   double initial_ridge_used_ = 0.0;
   std::uint64_t seq_updates_since_check_ = 0;

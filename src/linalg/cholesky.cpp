@@ -11,25 +11,30 @@ CholeskyDecomposition cholesky_decompose(const MatD& a) {
   }
   const std::size_t n = a.rows();
   CholeskyDecomposition f{MatD(n, n), true};
-
   for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) f.l(i, j) = a(i, j);
+  }
+  f.spd = cholesky_factor_inplace(f.l);
+  return f;
+}
+
+bool cholesky_factor_inplace(MatD& a) {
+  const std::size_t n = a.rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* li = a.row_ptr(i);
     for (std::size_t j = 0; j <= i; ++j) {
-      double acc = a(i, j);
-      const double* li = f.l.row_ptr(i);
-      const double* lj = f.l.row_ptr(j);
+      const double* lj = a.row_ptr(j);
+      double acc = li[j];
       for (std::size_t k = 0; k < j; ++k) acc -= li[k] * lj[k];
       if (i == j) {
-        if (acc <= 0.0) {
-          f.spd = false;
-          return f;
-        }
-        f.l(i, j) = std::sqrt(acc);
+        if (acc <= 0.0) return false;
+        li[j] = std::sqrt(acc);
       } else {
-        f.l(i, j) = acc / f.l(j, j);
+        li[j] = acc / lj[j];
       }
     }
   }
-  return f;
+  return true;
 }
 
 VecD cholesky_solve(const CholeskyDecomposition& f, const VecD& b) {

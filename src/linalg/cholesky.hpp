@@ -17,6 +17,12 @@ struct CholeskyDecomposition {
 /// Factorizes a symmetric matrix (only the lower triangle is read).
 CholeskyDecomposition cholesky_decompose(const MatD& a);
 
+/// Overwrites the lower triangle of a square matrix with its factor L
+/// (A = L L^T), allocating nothing; the strict upper triangle is neither
+/// read nor written. Returns false, leaving `a` partly factored, when a
+/// pivot is not positive.
+bool cholesky_factor_inplace(MatD& a);
+
 /// Solves A x = b given a successful factorization.
 VecD cholesky_solve(const CholeskyDecomposition& f, const VecD& b);
 

@@ -26,7 +26,10 @@ double fused_act_dot(const double* shared, const double* last_row,
                      std::size_t n, Act act) noexcept;
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept;
-void mirror_lower(double* p, std::size_t n) noexcept;
+void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
+                        const double* ut, std::size_t k) noexcept;
+void gemm(const double* a, const double* b, double* c, std::size_t m,
+          std::size_t inner, std::size_t n) noexcept;
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
                     std::size_t units, const std::int32_t* x,
                     const std::int32_t* init, std::int32_t* out, bool relu,
@@ -207,6 +210,63 @@ void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
   mirror_lower(p, n);
 }
 
+void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
+                        const double* ut, std::size_t k) noexcept {
+  // One pass over the upper triangle in row tiles of kCols columns: each
+  // tile is loaded once, takes all k rows in c order, and is stored once.
+  constexpr std::size_t kCols = 8;
+  double acc[kCols];
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = p + i * n;
+    for (std::size_t j0 = i; j0 < n; j0 += kCols) {
+      const std::size_t width = std::min(kCols, n - j0);
+      std::copy(row + j0, row + j0 + width, acc);
+      for (std::size_t c = 0; c < k; ++c) {
+        const double a = -gt[c * n + i];
+        const double* u = ut + c * n + j0;
+        if (width == kCols) {
+          for (std::size_t j = 0; j < kCols; ++j) acc[j] += a * u[j];
+        } else {
+          for (std::size_t j = 0; j < width; ++j) acc[j] += a * u[j];
+        }
+      }
+      std::copy(acc, acc + width, row + j0);
+    }
+  }
+  mirror_lower(p, n);
+}
+
+void gemm(const double* a, const double* b, double* c, std::size_t m,
+          std::size_t inner, std::size_t n) noexcept {
+  // Tiles of kRows rows by kCols columns of C accumulate in locals while
+  // l ascends: the textbook loop's per-element order, with each B row
+  // segment loaded once per tile.
+  constexpr std::size_t kRows = 4;
+  constexpr std::size_t kCols = 8;
+  double acc[kRows][kCols];
+  for (std::size_t r0 = 0; r0 < m; r0 += kRows) {
+    const std::size_t rows = std::min(kRows, m - r0);
+    for (std::size_t j0 = 0; j0 < n; j0 += kCols) {
+      const std::size_t width = std::min(kCols, n - j0);
+      for (auto& acc_row : acc) std::fill(acc_row, acc_row + kCols, 0.0);
+      for (std::size_t l = 0; l < inner; ++l) {
+        const double* b_row = b + l * n + j0;
+        for (std::size_t r = 0; r < rows; ++r) {
+          const double x = a[(r0 + r) * inner + l];
+          if (width == kCols) {
+            for (std::size_t j = 0; j < kCols; ++j) acc[r][j] += x * b_row[j];
+          } else {
+            for (std::size_t j = 0; j < width; ++j) acc[r][j] += x * b_row[j];
+          }
+        }
+      }
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::copy(acc[r], acc[r] + width, c + (r0 + r) * n + j0);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference — Q20 kernels (fixed::Q20 semantics on raw words,
 // primitives shared with the AVX2 TU via kernels_q20_inline.hpp)
@@ -335,16 +395,12 @@ void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
 
 void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
                         const double* ut, std::size_t k) noexcept {
-  // k dispatched-axpy sweeps per upper-triangle row (FMA lanes under
-  // SIMD), then one mirror — G U^T is symmetric (G = U K, K = K^T), so
-  // the lower triangle is a copy, not a recomputation.
-  for (std::size_t i = 0; i < n; ++i) {
-    double* row = p + i * n;
-    for (std::size_t c = 0; c < k; ++c) {
-      axpy(row + i, -gt[c * n + i], ut + c * n + i, n - i);
-    }
-  }
-  OSELM_DISPATCH(mirror_lower, p, n);
+  OSELM_DISPATCH(sym_rankk_downdate, p, n, gt, ut, k);
+}
+
+void gemm(const double* a, const double* b, double* c, std::size_t m,
+          std::size_t inner, std::size_t n) noexcept {
+  OSELM_DISPATCH(gemm, a, b, c, m, inner, n);
 }
 
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,

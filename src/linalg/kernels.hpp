@@ -105,14 +105,22 @@ void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept;
 
 /// Symmetric rank-k downdate for the general-k OS-ELM chunk update
-/// (Eq. 5): P -= G U^T where G = U K with K = K^T, so G U^T is
-/// symmetric. `gt` and `ut` are G^T and U^T as k x n row-major blocks
-/// (row c is column c of G / U, contiguous for the axpy sweeps). Only the
-/// upper triangle is computed (k dispatched-axpy sweeps per row — FMA
-/// under SIMD) and mirrored down, so P stays exactly symmetric; k == 1
+/// (Eq. 5): P -= G U^T, where G U^T must be symmetric (the chunk update
+/// passes gt == ut == W^T). `gt` and `ut` are G^T and U^T as k x n
+/// row-major blocks (row c is column c of G / U). Only the upper triangle
+/// is computed, then mirrored down, so P stays exactly symmetric. The
+/// kernel loads each upper-triangle tile of P once and applies all k
+/// rows to it in c order, so every element sees the same operations as
+/// k axpy sweeps, p(i, j) += (-g_c[i]) * u_c[j] (fused under SIMD); k == 1
 /// matches sym_rank1_update's p_scale == 1 arithmetic.
 void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
                         const double* ut, std::size_t k) noexcept;
+
+/// C = A B for row-major A (m x inner), B (inner x n) and C (m x n); C is
+/// overwritten. Each element is summed from 0.0 in ascending inner index
+/// (fused multiply-adds under SIMD). C must not alias A or B.
+void gemm(const double* a, const double* b, double* c, std::size_t m,
+          std::size_t inner, std::size_t n) noexcept;
 
 // ---------------------------------------------------------------------------
 // DQN-baseline training kernels (three-layer MLP and Adam, batch path)
@@ -264,6 +272,10 @@ void act_combine(const double* shared, const double* last_row, double code,
                                    std::size_t n, Act act) noexcept;
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept;
+void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
+                        const double* ut, std::size_t k) noexcept;
+void gemm(const double* a, const double* b, double* c, std::size_t m,
+          std::size_t inner, std::size_t n) noexcept;
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
                     std::size_t units, const std::int32_t* x,
                     const std::int32_t* init, std::int32_t* out, bool relu,

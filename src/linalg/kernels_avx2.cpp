@@ -465,6 +465,127 @@ void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
   mirror_lower(p, n);
 }
 
+namespace {
+
+// Register tiles of R rows by Q quads (4 doubles each). A tile's
+// accumulators are loaded (or zeroed) once, take every term in order, and
+// are stored once. A vector lane and the std::fma of a column tail run the
+// same fused operation, so a value never depends on its tile.
+
+/// Rows i .. i+R-1, columns j .. j+4Q-1 of P take -g_c[row] * u_c[col]
+/// for c = 0 .. k-1 in order.
+template <std::size_t R, std::size_t Q>
+inline void downdate_tile(double* p, std::size_t n, const double* gt,
+                          const double* ut, std::size_t k, std::size_t i,
+                          std::size_t j) noexcept {
+  __m256d acc[R][Q];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < Q; ++q) {
+      acc[r][q] = _mm256_loadu_pd(p + (i + r) * n + j + 4 * q);
+    }
+  }
+  for (std::size_t c = 0; c < k; ++c) {
+    __m256d u[Q];
+    for (std::size_t q = 0; q < Q; ++q) {
+      u[q] = _mm256_loadu_pd(ut + c * n + j + 4 * q);
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256d g = _mm256_set1_pd(-gt[c * n + i + r]);
+      for (std::size_t q = 0; q < Q; ++q) {
+        acc[r][q] = _mm256_fmadd_pd(g, u[q], acc[r][q]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < Q; ++q) {
+      _mm256_storeu_pd(p + (i + r) * n + j + 4 * q, acc[r][q]);
+    }
+  }
+}
+
+/// Rows i .. i+R-1 from column i on. For R > 1 the later rows' first
+/// columns lie below the diagonal; the mirror overwrites them.
+template <std::size_t R>
+inline void downdate_rows(double* p, std::size_t n, const double* gt,
+                          const double* ut, std::size_t k,
+                          std::size_t i) noexcept {
+  std::size_t j = i;
+  for (; j + 16 <= n; j += 16) downdate_tile<R, 4>(p, n, gt, ut, k, i, j);
+  for (; j + 4 <= n; j += 4) downdate_tile<R, 1>(p, n, gt, ut, k, i, j);
+  for (std::size_t r = i; r < i + R; ++r) {
+    for (std::size_t col = j; col < n; ++col) {
+      double acc = p[r * n + col];
+      for (std::size_t c = 0; c < k; ++c) {
+        acc = std::fma(-gt[c * n + r], ut[c * n + col], acc);
+      }
+      p[r * n + col] = acc;
+    }
+  }
+}
+
+/// Rows r .. r+R-1, columns j .. j+4Q-1 of C = A B.
+template <std::size_t R, std::size_t Q>
+inline void gemm_tile(const double* a, const double* b, double* c,
+                      std::size_t inner, std::size_t n, std::size_t r,
+                      std::size_t j) noexcept {
+  __m256d acc[R][Q];
+  for (std::size_t rr = 0; rr < R; ++rr) {
+    for (std::size_t q = 0; q < Q; ++q) acc[rr][q] = _mm256_setzero_pd();
+  }
+  for (std::size_t l = 0; l < inner; ++l) {
+    __m256d bv[Q];
+    for (std::size_t q = 0; q < Q; ++q) {
+      bv[q] = _mm256_loadu_pd(b + l * n + j + 4 * q);
+    }
+    for (std::size_t rr = 0; rr < R; ++rr) {
+      const __m256d av = _mm256_set1_pd(a[(r + rr) * inner + l]);
+      for (std::size_t q = 0; q < Q; ++q) {
+        acc[rr][q] = _mm256_fmadd_pd(av, bv[q], acc[rr][q]);
+      }
+    }
+  }
+  for (std::size_t rr = 0; rr < R; ++rr) {
+    for (std::size_t q = 0; q < Q; ++q) {
+      _mm256_storeu_pd(c + (r + rr) * n + j + 4 * q, acc[rr][q]);
+    }
+  }
+}
+
+template <std::size_t R>
+inline void gemm_rows(const double* a, const double* b, double* c,
+                      std::size_t inner, std::size_t n,
+                      std::size_t r) noexcept {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) gemm_tile<R, 2>(a, b, c, inner, n, r, j);
+  for (; j + 4 <= n; j += 4) gemm_tile<R, 1>(a, b, c, inner, n, r, j);
+  for (std::size_t rr = r; rr < r + R; ++rr) {
+    for (std::size_t col = j; col < n; ++col) {
+      double acc = 0.0;
+      for (std::size_t l = 0; l < inner; ++l) {
+        acc = std::fma(a[rr * inner + l], b[l * n + col], acc);
+      }
+      c[rr * n + col] = acc;
+    }
+  }
+}
+
+}  // namespace
+
+void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
+                        const double* ut, std::size_t k) noexcept {
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) downdate_rows<2>(p, n, gt, ut, k, i);
+  if (i < n) downdate_rows<1>(p, n, gt, ut, k, i);
+  mirror_lower(p, n);
+}
+
+void gemm(const double* a, const double* b, double* c, std::size_t m,
+          std::size_t inner, std::size_t n) noexcept {
+  std::size_t r = 0;
+  for (; r + 4 <= m; r += 4) gemm_rows<4>(a, b, c, inner, n, r);
+  for (; r < m; ++r) gemm_rows<1>(a, b, c, inner, n, r);
+}
+
 // ---------------------------------------------------------------------------
 // Q20 kernels
 // ---------------------------------------------------------------------------

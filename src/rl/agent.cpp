@@ -27,6 +27,20 @@ void OsElmQBackend::predict_actions_multi(const linalg::MatD& states,
   }
 }
 
+void OsElmQBackend::seq_train_chunk(const linalg::MatD& sa_rows,
+                                    std::span<const double> targets) {
+  if (sa_rows.cols() != input_dim() || sa_rows.rows() != targets.size()) {
+    throw std::invalid_argument(
+        "OsElmQBackend::seq_train_chunk: rows/targets shape");
+  }
+  linalg::VecD sa(sa_rows.cols());
+  for (std::size_t r = 0; r < sa_rows.rows(); ++r) {
+    const double* row = sa_rows.row_ptr(r);
+    for (std::size_t i = 0; i < sa.size(); ++i) sa[i] = row[i];
+    seq_train(sa, targets[r]);
+  }
+}
+
 QNetState OsElmQBackend::export_state() const {
   throw std::logic_error(
       "OsElmQBackend::export_state: backend does not support state sync "

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string_view>
 
 #include "linalg/matrix.hpp"
@@ -144,6 +145,19 @@ class OsElmQBackend {
   /// One sequential update (Eq. 6, k = 1) toward `target`. Charges
   /// kSeqTrain.
   virtual void seq_train(const linalg::VecD& sa, double target) = 0;
+
+  /// One sequential update per row of `sa_rows` toward the matching
+  /// entry of `targets`, as if seq_train ran on each row in order. All k
+  /// targets must be computed before the call: a backend may apply the
+  /// rows as one Eq. 5 update of chunk size k, which equals the k rank-1
+  /// updates in exact arithmetic. Throws std::invalid_argument unless
+  /// sa_rows is input_dim() wide with one row per target.
+  ///
+  /// The base implementation loops over seq_train, so a backend that
+  /// keeps the paper's k = 1 design (the FPGA model) charges kSeqTrain
+  /// per row; the software backend overrides it.
+  virtual void seq_train_chunk(const linalg::MatD& sa_rows,
+                               std::span<const double> targets);
 
   /// theta_2 <- theta_1.
   virtual void sync_target() = 0;

@@ -698,6 +698,23 @@ void AsyncQServer::apply_init_train(Session& s) {
   backend_initialized_.store(true, std::memory_order_release);
 }
 
+void AsyncQServer::apply_train_run() {
+  // A co-tenant §4.3 reset may have de-initialized the shared network
+  // after these sessions drew their update coins; skip then.
+  if (!backend_->initialized()) return;
+  const std::size_t rows = batch_sessions_.size();
+  train_rows_.resize(rows, model_.input_dim());
+  train_targets_.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const Session& s = *batch_sessions_[i];
+    const nn::Transition& t = *s.transition;
+    train_rows_.set_row(i, s.sa);
+    train_targets_[i] = s.rules.td_target(t.reward, t.done, s.max_next_q);
+  }
+  checked_backend().seq_train_chunk(train_rows_, train_targets_);
+  counters_.add<&AsyncServerStats::train_updates>(rows);
+}
+
 void AsyncQServer::process_requests(std::vector<Session*>& requests) {
   OSELM_TRACE_SPAN("batch", "process_requests");
   // The slice was taken FIFO; apply it in session-id order so a drain's
@@ -764,24 +781,34 @@ void AsyncQServer::process_requests(std::vector<Session*>& requests) {
   // Apply trains/init/sync/reset in session-id order, then resume the
   // drain's sessions on the worker pool — only after every request is
   // applied, so no resumed session observes a later kInitTrain/kReset of
-  // the same drain mid-flight.
+  // the same drain mid-flight. Each maximal run of kSeqTrain requests
+  // (kGreedyEval ones interleave freely; a kInitTrain, kSyncTarget or
+  // kReset ends it) goes to the backend as one chunk: all of its TD
+  // targets came from theta_2 above, so one Eq. 5 update of the run
+  // equals its rows applied one by one.
   OSELM_TRACE_SPAN("train", "seq_train_drain");
+  batch_sessions_.clear();  // the pending train run
+  const auto flush_train_run = [&] {
+    if (batch_sessions_.empty()) return;
+    try {
+      apply_train_run();
+    } catch (...) {
+      fail(batch_sessions_);
+    }
+    batch_sessions_.clear();
+  };
   for (Session* s : requests) {
-    if (s == nullptr) continue;
+    if (s == nullptr || s->request == RequestKind::kGreedyEval) continue;
+    if (s->request == RequestKind::kSeqTrain) {
+      batch_sessions_.push_back(s);
+      continue;
+    }
+    flush_train_run();
     try {
       switch (s->request) {
         case RequestKind::kGreedyEval:
-          break;  // action already delivered
-        case RequestKind::kSeqTrain: {
-          // A co-tenant §4.3 reset may have de-initialized the shared
-          // network after this session drew its update coin; skip then.
-          if (!backend_->initialized()) break;
-          const nn::Transition& t = *s->transition;
-          checked_backend().seq_train(
-              s->sa, s->rules.td_target(t.reward, t.done, s->max_next_q));
-          counters_.add<&AsyncServerStats::train_updates>();
-          break;
-        }
+        case RequestKind::kSeqTrain:
+          break;  // handled above
         case RequestKind::kInitTrain:
           apply_init_train(*s);
           break;
@@ -797,6 +824,7 @@ void AsyncQServer::process_requests(std::vector<Session*>& requests) {
       fail({s});
     }
   }
+  flush_train_run();
   resume(requests);
   if (had_backend_error) {
     consecutive_backend_failures_.fetch_add(1, std::memory_order_relaxed);

@@ -20,6 +20,13 @@
 //     resumes the drain's sessions. Every backend call (and so every
 //     util::TimeLedger charge) happens on this one thread, so the backend
 //     needs no locking;
+//   * a drain computes every TD target from theta_2 before it applies any
+//     train row, so each maximal run of train rows (a kInitTrain,
+//     kSyncTarget or kReset request ends a run) goes to the backend as
+//     one seq_train_chunk call. The software backend applies it as one
+//     Eq. 5 update of chunk size k, which equals the k rank-1 updates in
+//     exact arithmetic; fpga-q20 keeps the paper's k = 1 and applies the
+//     rows one by one. A run of one row is exactly seq_train;
 //   * a drain goes back to the pool as one claim list: its sessions'
 //     loops in session-id order and an atomic next index. min(sessions,
 //     pool size) lane tasks each resume the next unclaimed loop until
@@ -65,7 +72,10 @@
 //     kTrain sessions share weight updates in a scheduling-dependent
 //     order, like any asynchronous trainer, and the fpga-q20 backend
 //     charges each coalesced batch as one multi-batch, so modeled seconds
-//     under co-tenant training are not pinned either.
+//     under co-tenant training are not pinned either. A rank-k chunk
+//     reassociates the rank-1 arithmetic, so co-tenant weights drift from
+//     a row-by-row replay at the ULP level; the learning suite bounds
+//     that drift and checks that a lockstep cohort still learns.
 //
 // Telemetry: per-step latency and achieved batch size land in
 // util::LatencyHistogram buckets; stats() snapshots them with the
@@ -394,6 +404,9 @@ class AsyncQServer {
   /// next state on theta_2.
   void coalesced_predict(QNetwork which);
   void apply_init_train(Session& s);
+  /// One seq_train_chunk over the kSeqTrain sessions in batch_sessions_,
+  /// in order.
+  void apply_train_run();
 
   OsElmQBackendPtr backend_;
   SimplifiedOutputModel model_;
@@ -465,7 +478,9 @@ class AsyncQServer {
   std::vector<linalg::MatD> states_by_rows_;
   std::vector<linalg::MatD> q_by_rows_;
   linalg::VecD q_ws_;
-  std::vector<Session*> batch_sessions_;  ///< rows of the current batch
+  std::vector<Session*> batch_sessions_;  ///< rows of a batch or train run
+  linalg::MatD train_rows_;             ///< encoded rows of a train run
+  std::vector<double> train_targets_;   ///< their TD targets
   /// Smoothed env-step time of drained sessions (µs; negative before the
   /// first sample): a partial batch lingers only while it is below
   /// max_wait_us.

@@ -115,6 +115,12 @@ void FaultBackend::seq_train(const linalg::VecD& sa, double target) {
   inner_->seq_train(sa, target);
 }
 
+void FaultBackend::seq_train_chunk(const linalg::MatD& sa_rows,
+                                   std::span<const double> targets) {
+  draw_fault("seq_train_chunk");
+  inner_->seq_train_chunk(sa_rows, targets);
+}
+
 void FaultBackend::sync_target() {
   draw_fault("sync_target");
   inner_->sync_target();

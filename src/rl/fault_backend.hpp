@@ -14,8 +14,8 @@
 //
 // One schedule decision is drawn per SERVING-PATH call —
 // predict_main, predict_target, predict_actions, predict_actions_multi,
-// init_train, seq_train, sync_target — in call order. What a firing fault
-// does depends on the kind:
+// init_train, seq_train, seq_train_chunk, sync_target — in call order.
+// What a firing fault does depends on the kind:
 //
 //   kThrow  throws rl::BackendFaultInjected BEFORE delegating — the
 //           serving stack's backend-failure isolation path (fail_batch,
@@ -94,6 +94,10 @@ class FaultBackend final : public OsElmQBackend {
                              QNetwork which, linalg::MatD& q_out) override;
   void init_train(const linalg::MatD& x, const linalg::MatD& t) override;
   void seq_train(const linalg::VecD& sa, double target) override;
+  /// One draw for the whole chunk, which the inner backend receives as
+  /// one call (as a coalesced predict does).
+  void seq_train_chunk(const linalg::MatD& sa_rows,
+                       std::span<const double> targets) override;
   void sync_target() override;
 
   [[nodiscard]] bool initialized() const override;

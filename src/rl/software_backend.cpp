@@ -144,6 +144,22 @@ void SoftwareOsElmBackend::seq_train(const linalg::VecD& sa, double target) {
   ledger_->charge(util::OpCategory::kSeqTrain, timer.seconds());
 }
 
+void SoftwareOsElmBackend::seq_train_chunk(const linalg::MatD& sa_rows,
+                                           std::span<const double> targets) {
+  if (config_.forgetting_factor != 1.0 || sa_rows.rows() < 2) {
+    // FOS-ELM forgetting has no rank-k form here; a single row is k = 1.
+    OsElmQBackend::seq_train_chunk(sa_rows, targets);
+    return;
+  }
+  util::WallTimer timer;
+  targets_ws_.resize(targets.size(), 1);
+  for (std::size_t r = 0; r < targets.size(); ++r) {
+    targets_ws_(r, 0) = targets[r];
+  }
+  net_.seq_train(sa_rows, targets_ws_);  // validates both shapes
+  ledger_->charge(util::OpCategory::kSeqTrain, timer.seconds());
+}
+
 void SoftwareOsElmBackend::sync_target() { beta_target_ = net_.beta(); }
 
 QNetState SoftwareOsElmBackend::export_state() const {

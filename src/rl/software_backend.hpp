@@ -42,6 +42,12 @@ class SoftwareOsElmBackend final : public OsElmQBackend {
                              QNetwork which, linalg::MatD& q_out) override;
   void init_train(const linalg::MatD& x, const linalg::MatD& t) override;
   void seq_train(const linalg::VecD& sa, double target) override;
+  /// One rank-k Eq. 5 update (OsElm::seq_train) charged as one kSeqTrain
+  /// call when the chunk has at least 2 rows and the forgetting factor is
+  /// 1; otherwise the rank-1 seq_train loop, so a one-row chunk is
+  /// bit-identical to seq_train.
+  void seq_train_chunk(const linalg::MatD& sa_rows,
+                       std::span<const double> targets) override;
   void sync_target() override;
 
   /// Bit-exact snapshots: export/import round-trip without loss.
@@ -91,6 +97,7 @@ class SoftwareOsElmBackend final : public OsElmQBackend {
   linalg::VecD target_ws_;  ///< 1-element target wrapper for seq_train
   linalg::VecD state_ws_;   ///< one row of a multi-state batch
   linalg::VecD q_row_ws_;   ///< per-row Q output of a multi-state batch
+  linalg::MatD targets_ws_; ///< k x 1 targets of a rank-k chunk
 };
 
 }  // namespace oselm::rl

@@ -223,6 +223,7 @@ TEST_P(OsElmChunkEquivalence, ChunkUpdateEqualsRowByRowUpdates) {
       << linalg::max_abs_diff(chunked.beta(), row_by_row.beta());
   EXPECT_TRUE(linalg::approx_equal(chunked.p(), row_by_row.p(), 1e-8))
       << "P max diff " << linalg::max_abs_diff(chunked.p(), row_by_row.p());
+  EXPECT_EQ(chunked.p(), chunked.p().transposed());  // exact symmetry
 
   // And the models keep agreeing on fresh inputs.
   const linalg::MatD probes = random_matrix(10, c.input_dim, data_rng);
@@ -238,7 +239,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ChunkCase{5, 16, 2, 5, 23, 0.5},   // multi-output
                       ChunkCase{3, 8, 1, 8, 24, 0.1},    // k == N/1 band
                       ChunkCase{6, 20, 1, 7, 25, 0.25},  // k coprime to N
-                      ChunkCase{4, 10, 3, 4, 26, 2.0})); // strong ridge
+                      ChunkCase{4, 10, 3, 4, 26, 2.0},   // strong ridge
+                      // The serving shape: CartPole (s, a) rows, N-tilde
+                      // 64, the chunk sizes a coalesced drain produces.
+                      ChunkCase{5, 64, 1, 8, 27, 0.5},
+                      ChunkCase{5, 64, 1, 13, 28, 0.5},
+                      ChunkCase{5, 64, 1, 32, 29, 0.5}));
 
 }  // namespace
 }  // namespace oselm::elm

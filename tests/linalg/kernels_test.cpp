@@ -254,7 +254,7 @@ TEST(KernelSymRankK, MatchesDenseDowndateAndStaysSymmetric) {
     if (simd && !simd_available()) continue;
     set_simd_enabled(simd);
     for (const std::size_t n : {9u, 31u, 64u}) {
-      for (const std::size_t k : {2u, 3u, 5u}) {
+      for (const std::size_t k : {2u, 3u, 5u, 8u, 13u, 32u}) {
         const std::vector<double> p0 = random_spd(n, rng);
         // U (as k x n transposed rows) and a symmetric K give the Eq. 5
         // shape: G = U K, downdate = G U^T symmetric.
@@ -289,6 +289,73 @@ TEST(KernelSymRankK, MatchesDenseDowndateAndStaysSymmetric) {
         for (std::size_t i = 0; i < n; ++i) {
           for (std::size_t j = 0; j < n; ++j) {
             EXPECT_EQ(p[i * n + j], p[j * n + i]);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelSymRankK, TiledKernelIsTheAxpySweepBitForBit) {
+  // The tiled kernel applies the k rows to each element in c order, with
+  // the same (fused under SIMD) multiply-add as one axpy sweep per row, so
+  // it reproduces the k-axpy-sweep loop exactly in both kernel sets.
+  util::Rng rng(16);
+  const struct RestoreDispatch {
+    ~RestoreDispatch() { reset_simd_override(); }
+  } restore;
+  for (const bool simd : {false, true}) {
+    if (simd && !simd_available()) continue;
+    set_simd_enabled(simd);
+    for (const std::size_t n : {9u, 31u, 64u}) {
+      for (const std::size_t k : {2u, 3u, 5u, 8u, 13u, 32u}) {
+        const std::vector<double> p0 = random_spd(n, rng);
+        const std::vector<double> gt = random_vec(k * n, rng);
+        const std::vector<double> ut = random_vec(k * n, rng);
+        std::vector<double> sweep = p0;
+        for (std::size_t i = 0; i < n; ++i) {
+          double* row = sweep.data() + i * n;
+          for (std::size_t c = 0; c < k; ++c) {
+            axpy(row + i, -gt[c * n + i], ut.data() + c * n + i, n - i);
+          }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < i; ++j) {
+            sweep[i * n + j] = sweep[j * n + i];
+          }
+        }
+        std::vector<double> tiled = p0;
+        sym_rankk_downdate(tiled.data(), n, gt.data(), ut.data(), k);
+        ASSERT_EQ(tiled, sweep)
+            << "mode=" << (simd ? "avx2" : "scalar") << " n=" << n
+            << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(KernelGemm, MatchesTheTextbookLoopInBothModes) {
+  util::Rng rng(17);
+  const struct RestoreDispatch {
+    ~RestoreDispatch() { reset_simd_override(); }
+  } restore;
+  for (const bool simd : {false, true}) {
+    if (simd && !simd_available()) continue;
+    set_simd_enabled(simd);
+    for (const std::size_t m : {1u, 3u, 4u, 13u}) {
+      for (const std::size_t n : {1u, 7u, 9u, 31u, 64u}) {
+        const std::size_t inner = n + 2;
+        const std::vector<double> a = random_vec(m * inner, rng);
+        const std::vector<double> b = random_vec(inner * n, rng);
+        std::vector<double> c(m * n, -1.0);
+        gemm(a.data(), b.data(), c.data(), m, inner, n);
+        for (std::size_t r = 0; r < m; ++r) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double expected = 0.0;
+            for (std::size_t l = 0; l < inner; ++l) {
+              expected += a[r * inner + l] * b[l * n + j];
+            }
+            expect_close(c[r * n + j], expected, "gemm", n);
           }
         }
       }

@@ -7,9 +7,11 @@
 // registers one factory and inherits every check; its declared capability
 // flags drive the per-backend tolerances (fixed-point => half-ulp batch
 // budget).
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,12 +55,14 @@ std::vector<BackendCase> all_registered_cases() {
 
 class BackendContract : public ::testing::TestWithParam<BackendCase> {
  protected:
-  [[nodiscard]] OsElmQBackendPtr make(std::uint64_t seed) const {
+  [[nodiscard]] OsElmQBackendPtr make(std::uint64_t seed,
+                                      double forgetting_factor = 1.0) const {
     BackendConfig config;
     config.input_dim = kInputDim;
     config.hidden_units = kHiddenUnits;
     config.l2_delta = kDelta;
     config.spectral_normalize = true;
+    config.forgetting_factor = forgetting_factor;
     config.seed = seed;
     return make_backend(GetParam().id, config);
   }
@@ -358,6 +362,143 @@ TEST_P(BackendContract, MultiStatePredictValidatesShapes) {
   EXPECT_THROW(backend->predict_actions_multi(linalg::MatD(3, kInputDim - 1),
                                               codes, QNetwork::kMain, q_bad),
                std::invalid_argument);
+}
+
+// --- Chunked sequential training -------------------------------------
+//
+// seq_train_chunk equals the seq_train loop over its rows: bit for bit
+// for one row and for backends that keep the paper's k = 1 design (the
+// fixed-point model, ledger included); within kChunkTolerance for a
+// rank-k Eq. 5 update, which reassociates the same exact arithmetic.
+
+constexpr std::size_t kChunkRows = 6;
+constexpr double kChunkTolerance = 1e-9;  // relative to max |Q|
+
+struct ChunkStream {
+  linalg::MatD rows;
+  std::vector<double> targets;
+};
+
+ChunkStream chunk_stream(std::size_t rows, std::uint64_t seed) {
+  util::Rng rng(seed);
+  ChunkStream stream{test_support::random_matrix(rows, kInputDim, rng), {}};
+  for (std::size_t r = 0; r < rows; ++r) {
+    stream.targets.push_back(rng.uniform(-1.0, 1.0));
+  }
+  return stream;
+}
+
+void seq_train_loop(OsElmQBackend& backend, const ChunkStream& stream) {
+  for (std::size_t r = 0; r < stream.rows.rows(); ++r) {
+    backend.seq_train(stream.rows.row(r), stream.targets[r]);
+  }
+}
+
+/// Q_theta1 on a fixed probe set, the observable the contract compares.
+std::vector<double> probe_q(OsElmQBackend& backend) {
+  util::Rng rng(404);
+  std::vector<double> q;
+  for (int i = 0; i < 8; ++i) {
+    q.push_back(backend.predict_main(
+        test_support::random_vector(kInputDim, rng, -0.5, 0.5)));
+  }
+  return q;
+}
+
+TEST_P(BackendContract, OneRowChunkEqualsSeqTrainBitForBit) {
+  const auto chunked = make(41);
+  const auto looped = make(41);
+  run_init_train(*chunked, 410);
+  run_init_train(*looped, 410);
+  for (std::uint64_t step = 0; step < 5; ++step) {
+    const ChunkStream stream = chunk_stream(1, 411 + step);
+    chunked->seq_train_chunk(stream.rows, stream.targets);
+    seq_train_loop(*looped, stream);
+  }
+  EXPECT_EQ(probe_q(*chunked), probe_q(*looped));
+  const util::OpBreakdown& c = chunked->ledger().breakdown();
+  const util::OpBreakdown& l = looped->ledger().breakdown();
+  EXPECT_EQ(c.invocations(util::OpCategory::kSeqTrain),
+            l.invocations(util::OpCategory::kSeqTrain));
+}
+
+TEST_P(BackendContract, ChunkMatchesTheSeqTrainLoop) {
+  const auto chunked = make(42);
+  const auto looped = make(42);
+  run_init_train(*chunked, 420);
+  run_init_train(*looped, 420);
+  for (std::uint64_t step = 0; step < 4; ++step) {
+    const ChunkStream stream = chunk_stream(kChunkRows, 421 + step);
+    chunked->seq_train_chunk(stream.rows, stream.targets);
+    seq_train_loop(*looped, stream);
+  }
+  const std::vector<double> q_chunk = probe_q(*chunked);
+  const std::vector<double> q_loop = probe_q(*looped);
+  const util::OpBreakdown& c = chunked->ledger().breakdown();
+  const util::OpBreakdown& l = looped->ledger().breakdown();
+  if (GetParam().caps.fixed_point) {
+    // The FPGA model keeps k = 1: the chunk IS the loop, ledger included
+    // (its init training is measured host time, so only counted here).
+    EXPECT_EQ(q_chunk, q_loop);
+    for (std::size_t i = 0; i < util::kOpCategoryCount; ++i) {
+      const auto category = static_cast<util::OpCategory>(i);
+      if (category != util::OpCategory::kInitTrain) {
+        EXPECT_EQ(c.get(category), l.get(category)) << i;
+      }
+      EXPECT_EQ(c.invocations(category), l.invocations(category)) << i;
+    }
+    return;
+  }
+  double scale = 0.0;
+  for (const double q : q_loop) scale = std::max(scale, std::abs(q));
+  for (std::size_t i = 0; i < q_loop.size(); ++i) {
+    EXPECT_NEAR(q_chunk[i], q_loop[i], kChunkTolerance * scale) << i;
+  }
+  if (GetParam().caps.state_sync) {
+    const QNetState a = chunked->export_state();
+    const QNetState b = looped->export_state();
+    for (std::size_t i = 0; i < a.p.rows(); ++i) {
+      for (std::size_t j = 0; j < a.p.cols(); ++j) {
+        EXPECT_EQ(a.p(i, j), a.p(j, i));  // P stays exactly symmetric
+      }
+    }
+    EXPECT_LT(linalg::max_abs_diff(a.p, b.p), kChunkTolerance);
+  }
+}
+
+TEST_P(BackendContract, ChunkValidatesShapes) {
+  const auto backend = make(43);
+  run_init_train(*backend, 430);
+  const std::vector<double> targets(3, 0.1);
+  EXPECT_THROW(backend->seq_train_chunk(linalg::MatD(3, kInputDim - 1),
+                                        targets),
+               std::invalid_argument);
+  EXPECT_THROW(backend->seq_train_chunk(linalg::MatD(2, kInputDim), targets),
+               std::invalid_argument);
+  EXPECT_THROW(backend->seq_train_chunk(
+                   linalg::MatD(1, kInputDim),
+                   std::span<const double>(targets).first(2)),
+               std::invalid_argument);
+  const std::vector<double> none;
+  backend->seq_train_chunk(linalg::MatD(0, kInputDim), none);  // a no-op
+}
+
+TEST_P(BackendContract, ForgettingChunkIsTheSeqTrainLoopExactly) {
+  if (!GetParam().caps.forgetting) {
+    // No forgetting factor, so no lambda < 1 chunk to apply.
+    EXPECT_THROW((void)make(44, 0.97), std::invalid_argument);
+    return;
+  }
+  const auto chunked = make(44, 0.97);
+  const auto looped = make(44, 0.97);
+  run_init_train(*chunked, 440);
+  run_init_train(*looped, 440);
+  for (std::uint64_t step = 0; step < 4; ++step) {
+    const ChunkStream stream = chunk_stream(kChunkRows, 441 + step);
+    chunked->seq_train_chunk(stream.rows, stream.targets);
+    seq_train_loop(*looped, stream);
+  }
+  EXPECT_EQ(probe_q(*chunked), probe_q(*looped));
 }
 
 // --- Ledger contract -------------------------------------------------
