@@ -12,13 +12,18 @@
 //   * enabled    — the same loop with the tracer ON (events land in the
 //                  ring and mostly drop): the opt-in cost, reported.
 //
-// Best-of-reps wall times make the comparison robust to scheduler noise.
+// Plain and disabled run as OSELM_OBS_BENCH_REPS (default 21) interleaved
+// pairs, the order flipping every pair, so host drift lands on both
+// halves of a pair instead of on one variant. Each pair gives one
+// disabled/plain time ratio; the median ratio is the statistic, printed
+// with the pairs' quartiles and range as its spread.
 //
-// Gate: OSELM_OBS_MAX_OVERHEAD_PCT (percentage; unset/0 disables). The
-// disabled variant must sustain at least (1 - pct/100) of the plain
-// throughput. CI passes 2 — tracing compiled-in-but-off costs at most
-// 2%. The enabled variant and a traced async-serving window are reported
-// as telemetry, never gated (recording cost is an opt-in trade).
+// Gate: OSELM_OBS_MAX_OVERHEAD_PCT (percentage; unset/0 disables). By the
+// median pair, the disabled variant must sustain at least (1 - pct/100)
+// of the plain throughput. CI passes 2 — tracing compiled-in-but-off
+// costs at most 2%. The enabled variant (one run) and a traced
+// async-serving window are reported as telemetry, never gated (recording
+// cost is an opt-in trade).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -32,6 +37,7 @@
 #include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
 #include "util/env_flags.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -68,20 +74,48 @@ inline std::uint64_t mix(std::uint64_t h, std::uint64_t i) noexcept {
   return h;
 }
 
-/// Best-of-`reps` wall seconds for one variant.
+/// Wall seconds of one run of a variant.
 template <typename Fn>
-double best_seconds(std::size_t reps, Fn&& fn) {
-  double best = 1e300;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    util::WallTimer timer;
-    const std::uint64_t checksum = fn();
-    const double seconds = timer.seconds();
-    best = std::min(best, seconds);
-    // The checksum keeps the loop alive through optimization; consuming
-    // it through printf-on-impossible keeps this branch-predictable.
-    if (checksum == 0) std::printf("checksum hit zero\n");
+double run_seconds(Fn&& fn) {
+  util::WallTimer timer;
+  const std::uint64_t checksum = fn();
+  const double seconds = timer.seconds();
+  // The checksum keeps the loop alive through optimization; consuming
+  // it through printf-on-impossible keeps this branch-predictable.
+  if (checksum == 0) std::printf("checksum hit zero\n");
+  return seconds;
+}
+
+/// Interleaved plain/disabled pairs: even pairs run plain first, odd
+/// pairs disabled first.
+struct PairedRuns {
+  std::vector<double> ratios;  ///< disabled/plain seconds, one per pair
+  double best_plain_s = 1e300;
+};
+
+PairedRuns run_pairs(std::size_t pairs, std::size_t iters) {
+  PairedRuns runs;
+  runs.ratios.reserve(pairs);
+  for (std::size_t pair = 0; pair < pairs; ++pair) {
+    double plain_s = 0.0;
+    double disabled_s = 0.0;
+    const auto time_plain = [&] {
+      plain_s = run_seconds([&] { return run_plain(iters); });
+    };
+    const auto time_disabled = [&] {
+      disabled_s = run_seconds([&] { return run_instrumented(iters); });
+    };
+    if (pair % 2 == 0) {
+      time_plain();
+      time_disabled();
+    } else {
+      time_disabled();
+      time_plain();
+    }
+    runs.ratios.push_back(disabled_s / plain_s);
+    runs.best_plain_s = std::min(runs.best_plain_s, plain_s);
   }
-  return best;
+  return runs;
 }
 
 /// A short traced/untraced async-serving window: steps/sec with the
@@ -130,8 +164,8 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_obs.json";
   const auto iters = static_cast<std::size_t>(
       util::env_int("OSELM_OBS_BENCH_ITERS", 8'000'000));
-  const auto reps =
-      static_cast<std::size_t>(util::env_int("OSELM_OBS_BENCH_REPS", 5));
+  const auto pairs = std::max<std::size_t>(
+      1, static_cast<std::size_t>(util::env_int("OSELM_OBS_BENCH_REPS", 21)));
   const double window_seconds =
       static_cast<double>(util::env_int("OSELM_OBS_WINDOW_MS", 300)) /
       1000.0;
@@ -147,31 +181,37 @@ int main(int argc, char** argv) {
   obs::Tracer::set_enabled(false);
   (void)obs::Tracer::drain();
 
-  const double plain_s = best_seconds(reps, [&] { return run_plain(iters); });
-  const double disabled_s =
-      best_seconds(reps, [&] { return run_instrumented(iters); });
+  const PairedRuns runs = run_pairs(pairs, iters);
   obs::Tracer::set_enabled(true);
   const double enabled_s =
-      best_seconds(reps, [&] { return run_instrumented(iters); });
+      run_seconds([&] { return run_instrumented(iters); });
   obs::Tracer::set_enabled(false);
   const std::uint64_t recorded_or_dropped =
       obs::Tracer::drain().size() + obs::Tracer::dropped_events();
 
-  const double plain_mops = static_cast<double>(iters) / plain_s / 1e6;
-  const double disabled_mops =
-      static_cast<double>(iters) / disabled_s / 1e6;
+  // Per-pair overhead quantiles, in percent.
+  const auto overhead_pct = [&](double q) {
+    return (util::percentile(runs.ratios, q) - 1.0) * 100.0;
+  };
+  const double disabled_ratio = util::percentile(runs.ratios, 0.5);
+  const double disabled_overhead_pct = (disabled_ratio - 1.0) * 100.0;
+  const double q1_pct = overhead_pct(0.25);
+  const double q3_pct = overhead_pct(0.75);
+  const double plain_mops =
+      static_cast<double>(iters) / runs.best_plain_s / 1e6;
   const double enabled_mops = static_cast<double>(iters) / enabled_s / 1e6;
-  const double disabled_overhead_pct =
-      (disabled_s / plain_s - 1.0) * 100.0;
-  const double enabled_overhead_pct = (enabled_s / plain_s - 1.0) * 100.0;
+  const double enabled_overhead_pct =
+      (enabled_s / runs.best_plain_s - 1.0) * 100.0;
 
   std::printf(
-      "Tracing overhead — %zu iterations, best of %zu reps\n"
-      "  plain            %8.1f Mops/s\n"
-      "  tracing disabled %8.1f Mops/s (%+.2f%%)\n"
-      "  tracing enabled  %8.1f Mops/s (%+.2f%%, %llu events)\n",
-      iters, reps, plain_mops, disabled_mops, disabled_overhead_pct,
-      enabled_mops, enabled_overhead_pct,
+      "Tracing overhead — %zu iterations, %zu interleaved pairs\n"
+      "  plain            %8.1f Mops/s (best pair)\n"
+      "  tracing disabled %+.2f%% (median pair; quartiles %+.2f%% .. "
+      "%+.2f%%, range %+.2f%% .. %+.2f%%)\n"
+      "  tracing enabled  %8.1f Mops/s (%+.2f%%, one run, %llu events)\n",
+      iters, pairs, plain_mops, disabled_overhead_pct, q1_pct, q3_pct,
+      overhead_pct(0.0), overhead_pct(1.0), enabled_mops,
+      enabled_overhead_pct,
       static_cast<unsigned long long>(recorded_or_dropped));
 
   const double untraced_sps =
@@ -192,33 +232,35 @@ int main(int argc, char** argv) {
   std::fprintf(
       f,
       "{\n"
-      "  \"config\": {\"iters\": %zu, \"reps\": %zu, \"window_ms\": %.0f, "
+      "  \"config\": {\"iters\": %zu, \"pairs\": %zu, \"window_ms\": %.0f, "
       "\"max_overhead_pct\": %.1f},\n"
-      "  \"loop\": {\"plain_mops\": %.2f, \"disabled_mops\": %.2f, "
-      "\"enabled_mops\": %.2f,\n"
+      "  \"loop\": {\"plain_mops\": %.2f, \"enabled_mops\": %.2f,\n"
       "           \"disabled_overhead_pct\": %.3f, "
-      "\"enabled_overhead_pct\": %.3f, \"enabled_events\": %llu},\n"
+      "\"disabled_overhead_q1_pct\": %.3f, "
+      "\"disabled_overhead_q3_pct\": %.3f,\n"
+      "           \"enabled_overhead_pct\": %.3f, \"enabled_events\": %llu},\n"
       "  \"serving\": {\"untraced_steps_per_sec\": %.1f, "
       "\"traced_steps_per_sec\": %.1f}\n"
       "}\n",
-      iters, reps, window_seconds * 1000.0, max_overhead_pct, plain_mops,
-      disabled_mops, enabled_mops, disabled_overhead_pct,
+      iters, pairs, window_seconds * 1000.0, max_overhead_pct, plain_mops,
+      enabled_mops, disabled_overhead_pct, q1_pct, q3_pct,
       enabled_overhead_pct,
       static_cast<unsigned long long>(recorded_or_dropped), untraced_sps,
       traced_sps);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 
-  // The regression gate: disabled tracing must hold (1 - pct/100) of the
-  // plain throughput. Throughput ratio, not time delta — immune to the
-  // absolute speed of the host.
+  // The regression gate: by the median pair, disabled tracing must hold
+  // (1 - pct/100) of the plain throughput. Throughput ratio, not time
+  // delta — immune to the absolute speed of the host.
+  const double disabled_throughput = 1.0 / disabled_ratio;
   if (max_overhead_pct > 0.0 &&
-      disabled_mops < (1.0 - max_overhead_pct / 100.0) * plain_mops) {
+      disabled_throughput < 1.0 - max_overhead_pct / 100.0) {
     std::fprintf(stderr,
-                 "FAIL: disabled tracing sustains %.1f Mops/s, below "
-                 "%.1f%% overhead bar vs plain %.1f Mops/s "
-                 "(OSELM_OBS_MAX_OVERHEAD_PCT)\n",
-                 disabled_mops, max_overhead_pct, plain_mops);
+                 "FAIL: disabled tracing sustains %.2f%% of the plain "
+                 "throughput (median of %zu pairs), below the %.1f%% "
+                 "overhead bar (OSELM_OBS_MAX_OVERHEAD_PCT)\n",
+                 disabled_throughput * 100.0, pairs, max_overhead_pct);
     return 1;
   }
   return 0;

@@ -46,9 +46,11 @@ linalg::MatD Elm::hidden(const linalg::MatD& x) const {
   linalg::MatD h = linalg::matmul(x, alpha_);
   for (std::size_t r = 0; r < h.rows(); ++r) {
     double* row = h.row_ptr(r);
-    for (std::size_t c = 0; c < h.cols(); ++c) row[c] += bias_[c];
+    for (std::size_t c = 0; c < h.cols(); ++c) {
+      const double pre = row[c] + bias_[c];
+      row[c] = pre >= 0.0 ? pre : 0.0;  // ReLU
+    }
   }
-  apply_activation_inplace(config_.activation, h);
   return h;
 }
 
@@ -83,8 +85,7 @@ void Elm::hidden_row(const double* x, double* h) const {
     if (xi == 0.0) continue;
     linalg::kernels::axpy(h, xi, alpha_.row_ptr(i), config_.hidden_units);
   }
-  linalg::kernels::bias_activate(h, bias_.data(), config_.hidden_units,
-                                 kernel_act(config_.activation));
+  linalg::kernels::bias_activate(h, bias_.data(), config_.hidden_units);
 }
 
 void Elm::train_batch(const linalg::MatD& x, const linalg::MatD& t) {

@@ -1,12 +1,13 @@
 // ELM — Extreme Learning Machine (Huang et al. 2004), §2.1.
 //
 // Single-hidden-layer network y = G(x*alpha + b) * beta where alpha and b
-// are random and frozen; training solves for beta analytically:
+// are random and frozen and G is ReLU, the paper's one hidden activation
+// (§4.1; 1-Lipschitz, as §2.5 needs); training solves for beta
+// analytically:
 //     beta = H^+ t                    (Eq. 3, plain ELM)
 //     beta = (H^T H + delta*I)^-1 H^T t   (regularized, Eq. 8 applied batch)
 #pragma once
 
-#include "elm/activation.hpp"
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -16,7 +17,6 @@ struct ElmConfig {
   std::size_t input_dim = 0;      ///< n
   std::size_t hidden_units = 0;   ///< N-tilde
   std::size_t output_dim = 1;     ///< m
-  Activation activation = Activation::kReLU;
   /// L2 regularization strength delta (0 = plain ELM via pseudo-inverse).
   double l2_delta = 0.0;
   /// Uniform init range for alpha/bias/beta. Algorithm 1 draws R in [0, 1];

@@ -23,8 +23,7 @@ FpgaOsElmBackend::FpgaOsElmBackend(FpgaBackendConfig config,
     : rl::OsElmQBackend(nullptr),
       config_(config),
       rng_(seed),
-      cycles_(config.hidden_units, config.input_dim, config.cycle_params,
-              config.clocks) {
+      cycles_(config.hidden_units, config.input_dim) {
   if (config_.l2_delta < 0.0) {
     throw std::invalid_argument("FpgaBackendConfig: l2_delta < 0");
   }

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "elm/activation.hpp"
 #include "hw/cycle_model.hpp"
 #include "hw/fixed_tensor.hpp"
 #include "rl/agent.hpp"
@@ -31,8 +30,6 @@ struct FpgaBackendConfig {
   bool spectral_normalize = true; ///< the deployed design is L2-Lipschitz
   double init_low = -1.0;
   double init_high = 1.0;
-  CycleModelParams cycle_params;
-  BoardClocks clocks;
 };
 
 class FpgaOsElmBackend final : public rl::OsElmQBackend {

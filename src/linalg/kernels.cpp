@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 
 #include "linalg/kernels_q20_inline.hpp"
 #include "util/env_flags.hpp"
@@ -16,14 +15,10 @@ namespace oselm::linalg::kernels {
 namespace avx2 {
 double dot(const double* a, const double* b, std::size_t n) noexcept;
 void axpy(double* y, double a, const double* x, std::size_t n) noexcept;
-void bias_activate(double* h, const double* bias, std::size_t n,
-                   Act act) noexcept;
-void act_combine(const double* shared, const double* last_row, double code,
-                 const double* bias, double* h_out, std::size_t n,
-                 Act act) noexcept;
+void bias_activate(double* h, const double* bias, std::size_t n) noexcept;
 double fused_act_dot(const double* shared, const double* last_row,
                      double code, const double* bias, const double* beta,
-                     std::size_t n, Act act) noexcept;
+                     std::size_t n) noexcept;
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept;
 void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
@@ -121,19 +116,7 @@ namespace scalar {
 
 namespace {
 
-inline double act_apply(Act act, double x) noexcept {
-  switch (act) {
-    case Act::kReLU:
-      return x >= 0.0 ? x : 0.0;
-    case Act::kSigmoid:
-      return 1.0 / (1.0 + std::exp(-x));
-    case Act::kTanh:
-      return std::tanh(x);
-    case Act::kLinear:
-      return x;
-  }
-  return x;
-}
+inline double relu(double x) noexcept { return x >= 0.0 ? x : 0.0; }
 
 }  // namespace
 
@@ -147,25 +130,16 @@ void axpy(double* y, double a, const double* x, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-void bias_activate(double* h, const double* bias, std::size_t n,
-                   Act act) noexcept {
-  for (std::size_t i = 0; i < n; ++i) h[i] = act_apply(act, h[i] + bias[i]);
-}
-
-void act_combine(const double* shared, const double* last_row, double code,
-                 const double* bias, double* h_out, std::size_t n,
-                 Act act) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    h_out[i] = act_apply(act, shared[i] + code * last_row[i] + bias[i]);
-  }
+void bias_activate(double* h, const double* bias, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) h[i] = relu(h[i] + bias[i]);
 }
 
 double fused_act_dot(const double* shared, const double* last_row,
                      double code, const double* bias, const double* beta,
-                     std::size_t n, Act act) noexcept {
+                     std::size_t n) noexcept {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    acc += act_apply(act, shared[i] + code * last_row[i] + bias[i]) * beta[i];
+    acc += relu(shared[i] + code * last_row[i] + bias[i]) * beta[i];
   }
   return acc;
 }
@@ -370,22 +344,14 @@ void axpy(double* y, double a, const double* x, std::size_t n) noexcept {
   OSELM_DISPATCH(axpy, y, a, x, n);
 }
 
-void bias_activate(double* h, const double* bias, std::size_t n,
-                   Act act) noexcept {
-  OSELM_DISPATCH(bias_activate, h, bias, n, act);
-}
-
-void act_combine(const double* shared, const double* last_row, double code,
-                 const double* bias, double* h_out, std::size_t n,
-                 Act act) noexcept {
-  OSELM_DISPATCH(act_combine, shared, last_row, code, bias, h_out, n, act);
+void bias_activate(double* h, const double* bias, std::size_t n) noexcept {
+  OSELM_DISPATCH(bias_activate, h, bias, n);
 }
 
 double fused_act_dot(const double* shared, const double* last_row,
                      double code, const double* bias, const double* beta,
-                     std::size_t n, Act act) noexcept {
-  return OSELM_DISPATCH(fused_act_dot, shared, last_row, code, bias, beta, n,
-                        act);
+                     std::size_t n) noexcept {
+  return OSELM_DISPATCH(fused_act_dot, shared, last_row, code, bias, beta, n);
 }
 
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,

@@ -20,9 +20,11 @@
 //     reference at the last few ulps (tests pin <= 1e-12 relative). The
 //     MLP/Adam entries use no FMA and are bit-identical to theirs.
 //     Within ONE dispatch mode the kernels are mutually bit-consistent:
-//     `fused_act_dot` reproduces `act_combine` + `dot` exactly, and the
-//     backend prediction paths built on them stay bit-identical to each
-//     other (the backend-contract EXPECT_DOUBLE_EQ pins rely on this).
+//     `fused_act_dot` reproduces `axpy` of the code row onto the shared
+//     projection, then `bias_activate`, then `dot` exactly — the
+//     composition predict_main runs — so the backend prediction paths
+//     built on them stay bit-identical to each other (the
+//     backend-contract EXPECT_DOUBLE_EQ pins rely on this).
 //   * q20_* kernels: bit-exact against the scalar reference in BOTH
 //     modes, including the saturation counters — fixed::Q20 semantics
 //     (round-to-nearest multiply, per-step saturating accumulate), with
@@ -66,10 +68,6 @@ void reset_simd_override() noexcept;
 // Double-precision kernels
 // ---------------------------------------------------------------------------
 
-/// Hidden-layer activation, mirroring elm::Activation (kernels cannot
-/// depend on the elm layer; elm::kernel_act maps between the two).
-enum class Act { kReLU, kSigmoid, kTanh, kLinear };
-
 /// sum_i a[i] * b[i].
 [[nodiscard]] double dot(const double* a, const double* b,
                          std::size_t n) noexcept;
@@ -77,24 +75,20 @@ enum class Act { kReLU, kSigmoid, kTanh, kLinear };
 /// y[i] += a * x[i].
 void axpy(double* y, double a, const double* x, std::size_t n) noexcept;
 
-/// h[i] = act(h[i] + bias[i]) — the tail of the hidden-layer projection.
-void bias_activate(double* h, const double* bias, std::size_t n,
-                   Act act) noexcept;
+/// h[i] = relu(h[i] + bias[i]) — the tail of the hidden-layer projection.
+/// ReLU (§4.1) is `x >= 0.0 ? x : 0.0`: keeps -0.0, maps negatives to +0.0.
+void bias_activate(double* h, const double* bias, std::size_t n) noexcept;
 
-/// h_out[i] = act(shared[i] + code * last_row[i] + bias[i]) — the
-/// per-action rank-1 correction on a precomputed shared state projection.
-void act_combine(const double* shared, const double* last_row, double code,
-                 const double* bias, double* h_out, std::size_t n,
-                 Act act) noexcept;
-
-/// Fused act_combine + dot against the output weights:
-///   sum_i act(shared[i] + code*last_row[i] + bias[i]) * beta[i]
-/// Bit-identical to act_combine into a buffer followed by dot(buffer,
-/// beta) under the active dispatch mode.
+/// The per-action rank-1 correction on a precomputed shared state
+/// projection, fused with the ReLU and the dot against the output weights:
+///   sum_i relu(shared[i] + code*last_row[i] + bias[i]) * beta[i]
+/// Bit-identical, under the active dispatch mode, to copying `shared`
+/// into h, axpy(h, code, last_row), bias_activate(h, bias), then
+/// dot(h, beta).
 [[nodiscard]] double fused_act_dot(const double* shared,
                                    const double* last_row, double code,
                                    const double* bias, const double* beta,
-                                   std::size_t n, Act act) noexcept;
+                                   std::size_t n) noexcept;
 
 /// Symmetric rank-1 update of a row-major n x n matrix:
 ///   P <- (P - (u * inv) u^T) * p_scale
@@ -261,15 +255,11 @@ namespace scalar {
 [[nodiscard]] double dot(const double* a, const double* b,
                          std::size_t n) noexcept;
 void axpy(double* y, double a, const double* x, std::size_t n) noexcept;
-void bias_activate(double* h, const double* bias, std::size_t n,
-                   Act act) noexcept;
-void act_combine(const double* shared, const double* last_row, double code,
-                 const double* bias, double* h_out, std::size_t n,
-                 Act act) noexcept;
+void bias_activate(double* h, const double* bias, std::size_t n) noexcept;
 [[nodiscard]] double fused_act_dot(const double* shared,
                                    const double* last_row, double code,
                                    const double* bias, const double* beta,
-                                   std::size_t n, Act act) noexcept;
+                                   std::size_t n) noexcept;
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
                       double p_scale) noexcept;
 void sym_rankk_downdate(double* p, std::size_t n, const double* gt,

@@ -67,19 +67,8 @@ inline void transpose4(__m256d (&t)[4]) noexcept {
   t[3] = _mm256_permute2f128_pd(hi01, hi23, 0x31);
 }
 
-inline double act_scalar(Act act, double x) noexcept {
-  switch (act) {
-    case Act::kReLU:
-      return x >= 0.0 ? x : 0.0;
-    case Act::kSigmoid:
-      return 1.0 / (1.0 + std::exp(-x));
-    case Act::kTanh:
-      return std::tanh(x);
-    case Act::kLinear:
-      return x;
-  }
-  return x;
-}
+/// The scalar-tail ReLU, the same `x >= 0.0 ? x : 0.0` as relu_pd's lanes.
+inline double relu(double x) noexcept { return x >= 0.0 ? x : 0.0; }
 
 // -- Q20 helpers ------------------------------------------------------------
 //
@@ -284,106 +273,39 @@ void axpy(double* y, double a, const double* x, std::size_t n) noexcept {
   for (; j < n; ++j) y[j] = std::fma(a, x[j], y[j]);
 }
 
-void bias_activate(double* h, const double* bias, std::size_t n,
-                   Act act) noexcept {
-  if (act == Act::kSigmoid || act == Act::kTanh) {
-    // Transcendental activations stay on libm in every mode.
-    for (std::size_t j = 0; j < n; ++j) {
-      h[j] = act_scalar(act, h[j] + bias[j]);
-    }
-    return;
-  }
-  const bool relu = act == Act::kReLU;
+void bias_activate(double* h, const double* bias, std::size_t n) noexcept {
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
-    __m256d t = _mm256_add_pd(_mm256_loadu_pd(h + j),
-                              _mm256_loadu_pd(bias + j));
-    if (relu) t = relu_pd(t);
-    _mm256_storeu_pd(h + j, t);
+    _mm256_storeu_pd(h + j, relu_pd(_mm256_add_pd(_mm256_loadu_pd(h + j),
+                                                  _mm256_loadu_pd(bias + j))));
   }
-  for (; j < n; ++j) h[j] = act_scalar(act, h[j] + bias[j]);
-}
-
-void act_combine(const double* shared, const double* last_row, double code,
-                 const double* bias, double* h_out, std::size_t n,
-                 Act act) noexcept {
-  if (act == Act::kSigmoid || act == Act::kTanh) {
-    // fma matches the vector lanes of axpy/act_combine elsewhere in this
-    // TU, so every element sees identical arithmetic regardless of path.
-    for (std::size_t j = 0; j < n; ++j) {
-      h_out[j] =
-          act_scalar(act, std::fma(code, last_row[j], shared[j]) + bias[j]);
-    }
-    return;
-  }
-  const bool relu = act == Act::kReLU;
-  const __m256d codev = _mm256_set1_pd(code);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d t = _mm256_fmadd_pd(codev, _mm256_loadu_pd(last_row + j),
-                                _mm256_loadu_pd(shared + j));
-    t = _mm256_add_pd(t, _mm256_loadu_pd(bias + j));
-    if (relu) t = relu_pd(t);
-    _mm256_storeu_pd(h_out + j, t);
-  }
-  for (; j < n; ++j) {
-    const double t = std::fma(code, last_row[j], shared[j]) + bias[j];
-    h_out[j] = act_scalar(act, t);
-  }
+  for (; j < n; ++j) h[j] = relu(h[j] + bias[j]);
 }
 
 double fused_act_dot(const double* shared, const double* last_row,
                      double code, const double* bias, const double* beta,
-                     std::size_t n, Act act) noexcept {
+                     std::size_t n) noexcept {
+  const __m256d codev = _mm256_set1_pd(code);
+  const auto h4 = [&](std::size_t at) noexcept {
+    const __m256d t = _mm256_fmadd_pd(codev, _mm256_loadu_pd(last_row + at),
+                                      _mm256_loadu_pd(shared + at));
+    return relu_pd(_mm256_add_pd(t, _mm256_loadu_pd(bias + at)));
+  };
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   std::size_t j = 0;
-  if (act == Act::kReLU || act == Act::kLinear) {
-    const bool relu = act == Act::kReLU;
-    const __m256d codev = _mm256_set1_pd(code);
-    const auto h4 = [&](std::size_t at) noexcept {
-      __m256d t = _mm256_fmadd_pd(codev, _mm256_loadu_pd(last_row + at),
-                                  _mm256_loadu_pd(shared + at));
-      t = _mm256_add_pd(t, _mm256_loadu_pd(bias + at));
-      return relu ? relu_pd(t) : t;
-    };
-    for (; j + 8 <= n; j += 8) {
-      acc0 = _mm256_fmadd_pd(h4(j), _mm256_loadu_pd(beta + j), acc0);
-      acc1 = _mm256_fmadd_pd(h4(j + 4), _mm256_loadu_pd(beta + j + 4), acc1);
-    }
-    if (j + 4 <= n) {
-      acc0 = _mm256_fmadd_pd(h4(j), _mm256_loadu_pd(beta + j), acc0);
-      j += 4;
-    }
-  } else {
-    // Sigmoid/tanh: compute activations through libm into a staging block,
-    // keeping the exact dot() reduction structure over the lanes.
-    alignas(32) double buf[8];
-    const auto fill = [&](std::size_t at, std::size_t count) noexcept {
-      for (std::size_t k = 0; k < count; ++k) {
-        const double t =
-            std::fma(code, last_row[at + k], shared[at + k]) + bias[at + k];
-        buf[k] = act_scalar(act, t);
-      }
-    };
-    for (; j + 8 <= n; j += 8) {
-      fill(j, 8);
-      acc0 = _mm256_fmadd_pd(_mm256_load_pd(buf), _mm256_loadu_pd(beta + j),
-                             acc0);
-      acc1 = _mm256_fmadd_pd(_mm256_load_pd(buf + 4),
-                             _mm256_loadu_pd(beta + j + 4), acc1);
-    }
-    if (j + 4 <= n) {
-      fill(j, 4);
-      acc0 = _mm256_fmadd_pd(_mm256_load_pd(buf), _mm256_loadu_pd(beta + j),
-                             acc0);
-      j += 4;
-    }
+  for (; j + 8 <= n; j += 8) {
+    acc0 = _mm256_fmadd_pd(h4(j), _mm256_loadu_pd(beta + j), acc0);
+    acc1 = _mm256_fmadd_pd(h4(j + 4), _mm256_loadu_pd(beta + j + 4), acc1);
+  }
+  if (j + 4 <= n) {
+    acc0 = _mm256_fmadd_pd(h4(j), _mm256_loadu_pd(beta + j), acc0);
+    j += 4;
   }
   double sum = hsum(_mm256_add_pd(acc0, acc1));
   for (; j < n; ++j) {
     const double t = std::fma(code, last_row[j], shared[j]) + bias[j];
-    sum = std::fma(act_scalar(act, t), beta[j], sum);
+    sum = std::fma(relu(t), beta[j], sum);
   }
   return sum;
 }

@@ -35,7 +35,6 @@ OsElmQBackendPtr make_software(const BackendConfig& config) {
   native.elm.input_dim = config.input_dim;
   native.elm.hidden_units = config.hidden_units;
   native.elm.output_dim = 1;
-  native.elm.activation = elm::Activation::kReLU;
   native.elm.l2_delta = config.l2_delta;
   native.elm.init_low = config.init_low;
   native.elm.init_high = config.init_high;

@@ -14,7 +14,6 @@ elm::ElmConfig make_elm_config(const SimplifiedOutputModel& model,
   out.input_dim = model.input_dim();
   out.hidden_units = config.hidden_units;
   out.output_dim = 1;
-  out.activation = config.activation;
   out.l2_delta = 0.0;  // design (1) is plain ELM (pseudo-inverse)
   out.init_low = config.init_low;
   out.init_high = config.init_high;
@@ -80,9 +79,7 @@ double ElmQAgent::td_target(const nn::Transition& transition) {
   }
   double target = transition.reward;
   if (!transition.done) target += config_.gamma * best_next;
-  if (config_.clip_targets) {
-    target = std::clamp(target, config_.clip_min, config_.clip_max);
-  }
+  if (config_.clip_targets) target = std::clamp(target, -1.0, 1.0);
   return target;
 }
 

@@ -23,10 +23,7 @@ struct ElmQAgentConfig {
   std::size_t hidden_units = 64;
   double gamma = 0.99;
   double epsilon_greedy = 0.7;  ///< epsilon_1
-  bool clip_targets = true;
-  double clip_min = -1.0;
-  double clip_max = 1.0;
-  elm::Activation activation = elm::Activation::kReLU;
+  bool clip_targets = true;  ///< Q-value clipping to [-1, 1] (§3.1)
   double init_low = -1.0;
   double init_high = 1.0;
 };

@@ -18,9 +18,6 @@ void OsElmQAgentConfig::validate() const {
   if (target_sync_interval == 0) {
     throw std::invalid_argument("OsElmQAgentConfig: UPDATE_STEP == 0");
   }
-  if (clip_targets && !(clip_min < clip_max)) {
-    throw std::invalid_argument("OsElmQAgentConfig: empty clip range");
-  }
 }
 
 OsElmQRules::OsElmQRules(const OsElmQAgentConfig& config,
@@ -55,9 +52,7 @@ double OsElmQRules::td_target(double reward, bool done,
                               double max_next_q) const {
   double target = reward;
   if (!done) target += config_.gamma * max_next_q;
-  if (config_.clip_targets) {
-    target = std::clamp(target, config_.clip_min, config_.clip_max);
-  }
+  if (config_.clip_targets) target = std::clamp(target, -1.0, 1.0);
   return target;
 }
 

@@ -21,9 +21,7 @@ struct OsElmQAgentConfig {
   double epsilon_greedy = 0.7;      ///< epsilon_1: P(act greedily)
   double update_probability = 0.5;  ///< epsilon_2: P(seq update per step)
   std::size_t target_sync_interval = 2;  ///< UPDATE_STEP (episodes)
-  bool clip_targets = true;         ///< Q-value clipping (§3.1)
-  double clip_min = -1.0;
-  double clip_max = 1.0;
+  bool clip_targets = true;         ///< Q-value clipping to [-1, 1] (§3.1)
   bool random_update = true;        ///< §3.2 (false: update every step)
 
   void validate() const;

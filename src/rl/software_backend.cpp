@@ -69,7 +69,6 @@ void SoftwareOsElmBackend::predict_actions_into(
   const linalg::VecD& bias = net_.bias();
   const linalg::MatD& beta =
       which == QNetwork::kMain ? net_.beta() : beta_target_;
-  const linalg::kernels::Act act = elm::kernel_act(config_.elm.activation);
 
   // Shared state projection alpha_state^T s, accumulated with the same
   // axpy kernel (and the same skip of exact zeros) as Elm::hidden_into,
@@ -83,14 +82,14 @@ void SoftwareOsElmBackend::predict_actions_into(
   }
 
   // Per-action rank-1 correction on alpha's last row, fused with the
-  // activation and the output dot (same reduction structure as
+  // ReLU and the output dot (same reduction structure as
   // predict_one's kernel dot — the bit-exactness contract of
   // predict_actions).
   const double* last_row = alpha.row_ptr(n - 1);
   for (std::size_t a = 0; a < action_codes.size(); ++a) {
     q_out[a] = linalg::kernels::fused_act_dot(shared_ws_.data(), last_row,
                                               action_codes[a], bias.data(),
-                                              beta.data(), units, act);
+                                              beta.data(), units);
   }
 }
 

@@ -26,23 +26,4 @@ void write_verdict(const ScenarioVerdict& verdict,
   }
 }
 
-void write_health_timeline(const ScenarioVerdict& verdict,
-                           const std::string& path) {
-  if (verdict.health_json.empty()) {
-    throw std::runtime_error(
-        "write_health_timeline: verdict for '" + verdict.scenario +
-        "' carries no health data (router scenarios only)");
-  }
-  std::ofstream file(path);
-  if (!file) {
-    throw std::runtime_error("write_health_timeline: cannot write '" +
-                             path + "'");
-  }
-  file << verdict.health_json;
-  if (!file) {
-    throw std::runtime_error("write_health_timeline: write to '" + path +
-                             "' failed");
-  }
-}
-
 }  // namespace oselm::scenario

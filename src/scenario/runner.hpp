@@ -39,11 +39,4 @@ class ScenarioRunner {
 /// the file cannot be written.
 void write_verdict(const ScenarioVerdict& verdict, const std::string& path);
 
-/// Writes `verdict.health_json` (the router's per-replica health
-/// timelines) to `path`. Throws std::runtime_error when the verdict has
-/// no health data (non-router tiers) or the file cannot be written —
-/// callers gate on `!verdict.health_json.empty()`.
-void write_health_timeline(const ScenarioVerdict& verdict,
-                           const std::string& path);
-
 }  // namespace oselm::scenario

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "nn/huber.hpp"
 #include "nn/mlp.hpp"
@@ -21,6 +22,12 @@ struct GradCheckCase {
   std::size_t batch;
   std::uint64_t seed;
 };
+
+/// Names each case's test ID by its shape and seed.
+void PrintTo(const GradCheckCase& c, std::ostream* os) {
+  *os << "in" << c.input_dim << "_hidden" << c.hidden << "_out"
+      << c.output_dim << "_batch" << c.batch << "_seed" << c.seed;
+}
 
 class GradientCheck : public ::testing::TestWithParam<GradCheckCase> {
  protected:

@@ -124,10 +124,6 @@ TEST(OsElmQAgentConfig, Validation) {
   cfg = OsElmQAgentConfig{};
   cfg.target_sync_interval = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = OsElmQAgentConfig{};
-  cfg.clip_min = 1.0;
-  cfg.clip_max = -1.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(OsElmQAgent, RejectsBackendEncoderWidthMismatch) {

@@ -8,6 +8,10 @@
 //   scenario_runner --all [--out-dir D]         # run the whole pack
 //
 // The verdict JSON goes to stdout (and to --out/--out-dir when given).
+// Beside each written verdict `<name>.json` the runner writes
+// `<name>.core.json`, the deterministic core alone
+// (ScenarioVerdict::deterministic_json()), so two runs' cores diff as
+// files; router scenarios also get `<name>.health.json`.
 // Exit status: 0 when every invariant of every scenario passed, 2 when
 // any invariant was violated, 1 on usage/spec errors. CI runs
 // `scenario_runner --all` under TSan and ASan as the chaos soak.
@@ -20,6 +24,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,31 +110,42 @@ class ObsSinks {
   std::string trace_out_;
 };
 
-/// "<dir>/<name>.json" -> "<dir>/<name>.health.json" (plain append when
-/// the verdict path has no .json suffix).
-std::string health_path_for(const std::string& out_path) {
-  const std::string suffix = ".json";
-  if (out_path.size() > suffix.size() &&
-      out_path.compare(out_path.size() - suffix.size(), suffix.size(),
-                       suffix) == 0) {
-    return out_path.substr(0, out_path.size() - suffix.size()) +
-           ".health.json";
+/// "<dir>/<name>.json" -> "<dir>/<name><suffix>" (plain append when the
+/// verdict path has no .json suffix).
+std::string sibling_path(const std::string& out_path,
+                         const std::string& suffix) {
+  const std::string json = ".json";
+  if (out_path.size() > json.size() &&
+      out_path.compare(out_path.size() - json.size(), json.size(), json) ==
+          0) {
+    return out_path.substr(0, out_path.size() - json.size()) + suffix;
   }
-  return out_path + ".health.json";
+  return out_path + suffix;
 }
 
-/// Runs one spec; prints and optionally writes the verdict (plus, for
-/// router scenarios, the per-replica health-timeline artifact alongside
-/// it). Returns the verdict's pass flag.
+/// Writes `text` to `path`; throws std::runtime_error on failure.
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream file(path);
+  file << text;
+  if (!file) {
+    throw std::runtime_error("cannot write '" + path + "'");
+  }
+}
+
+/// Runs one spec; prints and optionally writes the verdict, its
+/// deterministic core and, for router scenarios, the per-replica
+/// health-timeline artifact alongside it. Returns the verdict's pass
+/// flag.
 bool run_one(const ScenarioSpec& spec, const std::string& out_path) {
   const ScenarioRunner runner(spec);
   const ScenarioVerdict verdict = runner.run();
   std::printf("%s", verdict.to_json().c_str());
   if (!out_path.empty()) {
     oselm::scenario::write_verdict(verdict, out_path);
+    write_text(sibling_path(out_path, ".core.json"),
+               verdict.deterministic_json());
     if (!verdict.health_json.empty()) {
-      oselm::scenario::write_health_timeline(verdict,
-                                             health_path_for(out_path));
+      write_text(sibling_path(out_path, ".health.json"), verdict.health_json);
     }
     std::fprintf(stderr, "scenario '%s': %s — verdict written to %s\n",
                  spec.name.c_str(), verdict.pass ? "PASS" : "FAIL",
